@@ -50,12 +50,13 @@ from .protocol import (
     experiment_counts,
     fidelity_decay_exact,
     fidelity_decay_from_chi,
-    pair_coefficient_error,
     plan_from_count,
     plan_realizations,
     protocol_initial_state,
+    run_exact_campaign,
     run_sampled_campaign,
     run_sampled_protocol,
+    sampled_coefficient_error,
     subset_coefficient_error,
 )
 from .nmr import (
@@ -87,9 +88,10 @@ __all__ = [
     "DecayEstimate", "ErrorBudget", "ExperimentCounts", "SamplePlan",
     "combine_pair", "combine_subset", "decay_error_bound",
     "decays_from_twirled_state", "derive_seed", "experiment_counts",
-    "fidelity_decay_exact", "fidelity_decay_from_chi", "pair_coefficient_error",
+    "fidelity_decay_exact", "fidelity_decay_from_chi",
     "plan_from_count", "plan_realizations", "protocol_initial_state",
-    "run_sampled_campaign", "run_sampled_protocol", "subset_coefficient_error",
+    "run_exact_campaign", "run_sampled_campaign", "run_sampled_protocol",
+    "sampled_coefficient_error", "subset_coefficient_error",
     "Delay", "NmrHamiltonian", "Pulse", "PulseSequence", "cnot_gate",
     "compile_sequence", "crotonic_preset", "free_evolution",
     "hamiltonian_diagonal", "hamiltonian_matrix", "time_suspension_sequence",

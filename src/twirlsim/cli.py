@@ -13,7 +13,6 @@ exact-mode result disagrees with the chi-diagonal oracle beyond tolerance.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 import time
@@ -44,10 +43,11 @@ from .protocol import (
     combine_subset,
     decay_error_bound,
     derive_seed,
-    fidelity_decay_exact,
     plan_from_count,
     plan_realizations,
+    run_exact_campaign,
     run_sampled_campaign,
+    sampled_coefficient_error,
     subset_coefficient_error,
 )
 from .states import MAX_QUBITS, QuantumChannel
@@ -226,7 +226,10 @@ def _read_ensemble_file(path: str) -> list[tuple[float, np.ndarray]]:
             continue
         if line.startswith("weight"):
             flush()
-            weight = float(line.split()[1])
+            try:
+                weight = float(line[len("weight"):])
+            except ValueError as exc:
+                raise ConfigError(f"bad weight line in {path}: {raw!r}") from exc
         else:
             block.append(line)
     flush()
@@ -302,7 +305,7 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _validate_config(config: ExperimentConfig) -> SamplePlan | None:
+def _validate_config(config: ExperimentConfig) -> tuple[SamplePlan | None, ErrorBudget]:
     if not 1 <= config.n <= MAX_QUBITS:
         raise ConfigError(f"register size {config.n} out of range 1..{MAX_QUBITS}")
     if config.mode not in ("exact", "sampled"):
@@ -316,12 +319,15 @@ def _validate_config(config: ExperimentConfig) -> SamplePlan | None:
             raise ConfigError("target subsets must have 1 to 3 qubits")
     if config.threads < 1:
         raise ConfigError("thread count must be at least 1")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {config.seed}")
     try:
         parse_pool(config.pool)
+        budget = ErrorBudget(config.prep_error, config.clifford_error)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if config.mode != "sampled":
-        return None
+        return None, budget
     if config.realizations is not None:
         if config.realizations <= 0:
             raise ConfigError("realization count must be positive")
@@ -331,11 +337,11 @@ def _validate_config(config: ExperimentConfig) -> SamplePlan | None:
                 raise ConfigError(
                     f"{config.realizations} realizations below the "
                     f"1/delta^2 floor of {floor}")
-        return plan_from_count(config.realizations)
+        return plan_from_count(config.realizations), budget
     if config.delta is None or config.epsilon is None:
         raise ConfigError("sampled mode needs realizations, or delta and epsilon")
     try:
-        return plan_realizations(config.delta, config.epsilon)
+        return plan_realizations(config.delta, config.epsilon), budget
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -352,29 +358,24 @@ def _run_subset(
     channel: QuantumChannel,
     config: ExperimentConfig,
     plan: SamplePlan | None,
+    budget: ErrorBudget,
     pool: CliffordPool,
     oracle: CollectiveCoefficients | None,
     index: int,
     subset: tuple[int, ...],
 ) -> SubsetResult:
     qs = tuple(sorted(subset))
-    if config.mode == "exact":
-        decays = {}
-        for r in range(1, len(qs) + 1):
-            for sub in itertools.combinations(qs, r):
-                decays[sub] = fidelity_decay_exact(channel, sub, pool)
+    if plan is None:
+        decays = run_exact_campaign(channel, qs, pool)
     else:
-        assert plan is not None
         decays = run_sampled_campaign(
             channel, qs, plan, pool, derive_seed(config.seed, index),
             assignment_order=config.assignment_order,
             channel_sampling=config.channel_sampling)
     eta = combine_subset(decays)
+    eta_err = (0.0 if plan is None
+               else sampled_coefficient_error(eta, len(qs), plan.realizations))
     ordered = sorted(decays, key=lambda s: (len(s), s))
-    if config.mode == "exact":
-        eta_err = 0.0
-    else:
-        eta_err = subset_coefficient_error([decays[s].std_error for s in ordered])
     oracle_val = tail = disc = None
     if oracle is not None:
         oracle_val = oracle[qs]
@@ -387,8 +388,7 @@ def _run_subset(
                 f"{disc - tail} away from the oracle prediction")
     bounds: dict[tuple[int, ...], float] = {}
     eta_bound = None
-    if config.prep_error > 0.0 or config.clifford_error > 0.0:
-        budget = ErrorBudget(config.prep_error, config.clifford_error)
+    if budget.preparation > 0.0 or budget.clifford > 0.0:
         bounds = {s: decay_error_bound(budget, max(0.0, min(1.0, decays[s].value)))
                   for s in ordered}
         eta_bound = subset_coefficient_error([bounds[s] for s in ordered])
@@ -398,7 +398,7 @@ def _run_subset(
 
 def run_experiment(config: ExperimentConfig) -> Report:
     """Execute the configured experiment over every target subset."""
-    plan = _validate_config(config)
+    plan, budget = _validate_config(config)
     channel = build_channel(config)
     pool = parse_pool(config.pool)
     oracle = _oracle_values(channel, config)
@@ -406,10 +406,10 @@ def run_experiment(config: ExperimentConfig) -> Report:
     if config.threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool_exec:
             results = list(pool_exec.map(
-                lambda job: _run_subset(channel, config, plan, pool, oracle, *job),
+                lambda job: _run_subset(channel, config, plan, budget, pool, oracle, *job),
                 jobs))
     else:
-        results = [_run_subset(channel, config, plan, pool, oracle, i, s)
+        results = [_run_subset(channel, config, plan, budget, pool, oracle, i, s)
                    for i, s in jobs]
     return Report(config, plan, tuple(results))
 

@@ -17,7 +17,6 @@ for it; the six-element twirl does not reproduce the full twirled state).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,9 @@ from .states import (
     QuantumChannel,
     _apply_channel_raw,
     _validate_subset,
+    apply_local,
+    projection_probability,
+    protocol_initial_state,
 )
 from .paulis import SINGLE_QUBIT_PAULIS
 
@@ -156,16 +158,22 @@ def parse_pool(text: str) -> CliffordPool:
     raise ValueError(f"cannot parse pool description {text!r}")
 
 
-def _embed_assignment(
-    n: int, subset: tuple[int, ...], mats: tuple[np.ndarray, ...]
-) -> np.ndarray:
-    """Tensor the per-qubit operators onto ``subset``, identity elsewhere."""
-    out = np.array([[1.0 + 0j]])
-    eye = np.eye(2, dtype=complex)
-    lookup = dict(zip(subset, mats))
-    for q in range(1, n + 1):
-        out = np.kron(out, lookup.get(q, eye))
-    return out
+def assignment_ops(
+    pool: CliffordPool, qs: tuple[int, ...], index: int
+) -> dict[int, np.ndarray]:
+    """Pool matrices of twirl assignment ``index`` on the qubits ``qs``.
+
+    ``index`` is a base-K number whose most significant digit picks the
+    element on ``qs[0]``, the order of itertools.product over the pool.
+    """
+    K, m = pool.size, len(qs)
+    return {q: pool.elements[(index // K ** (m - 1 - pos)) % K].matrix
+            for pos, q in enumerate(qs)}
+
+
+def _conjugate(ops: dict[int, np.ndarray], n: int, rho: np.ndarray) -> np.ndarray:
+    """C rho C^dag for the local operator C given by ``ops``."""
+    return apply_local(ops, n, apply_local(ops, n, rho).conj().T).conj().T
 
 
 def twirl_exact(
@@ -178,8 +186,8 @@ def twirl_exact(
 
     Returns (1/K^m) sum_k C_k^dag S(C_k rho0 C_k^dag) C_k with C_k ranging
     over all m-fold tensor products drawn from the pool; unmeasured qubits
-    are untouched. The assignment enumeration is a fixed itertools.product
-    order, so the summation is deterministic.
+    are untouched. Assignments are summed in ``assignment_ops`` order; this
+    is the density-matrix reference for the outcome-table engine.
     """
     if channel.n != rho0.n:
         raise DimensionError(
@@ -191,11 +199,10 @@ def twirl_exact(
             f"{pool.size}^{m} assignments exceed the exact-twirl cap; use sampling")
     n = rho0.n
     acc = np.zeros_like(rho0.data)
-    for combo in itertools.product([e.matrix for e in pool.elements], repeat=m):
-        big = _embed_assignment(n, qs, combo)
-        twirled_in = big @ rho0.data @ big.conj().T
-        out = _apply_channel_raw(channel, twirled_in)
-        acc += big.conj().T @ out @ big
+    for index in range(pool.size**m):
+        ops = assignment_ops(pool, qs, index)
+        out = _apply_channel_raw(channel, _conjugate(ops, n, rho0.data))
+        acc += _conjugate({q: op.conj().T for q, op in ops.items()}, n, out)
     acc /= pool.size**m
     return DensityMatrix(acc)
 
@@ -235,9 +242,6 @@ def pool_equivalence_check(
     probability of reading 0 on every measured qubit. Limited to one or
     two measured qubits to keep the full-group twirl small.
     """
-    from .protocol import protocol_initial_state  # cycle-free late import
-    from .states import projection_probability
-
     qs = tuple(sorted(_validate_subset(subset, channel.n)))
     if len(qs) > 2:
         raise ValueError("pool equivalence check supports at most 2 measured qubits")

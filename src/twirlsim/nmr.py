@@ -30,7 +30,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .states import UnitaryMatrix, _validate_subset
+from .paulis import SINGLE_QUBIT_PAULIS
+from .states import UnitaryMatrix, _validate_subset, apply_local
 
 PULSE_AXES = ("+x", "-x", "+y", "-y")
 
@@ -188,19 +189,14 @@ class PulseSequence:
         return cls(tuple(events))
 
 
-def _pulse_unitary(n: int, pulse: Pulse) -> np.ndarray:
-    _validate_subset(pulse.qubits, n)
+def _pulse_ops(n: int, pulse: Pulse) -> dict[int, np.ndarray]:
+    """The pulse's 2x2 rotation on each qubit it addresses."""
+    qubits = _validate_subset(pulse.qubits, n)
     sign = -1.0 if pulse.axis[0] == "-" else 1.0
-    if pulse.axis[1] == "x":
-        sigma = sign * np.array([[0, 1], [1, 0]], dtype=complex)
-    else:
-        sigma = sign * np.array([[0, -1j], [1j, 0]], dtype=complex)
+    sigma = sign * SINGLE_QUBIT_PAULIS[pulse.axis[1].upper()]
     half = pulse.angle / 2.0
-    single = math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(half) * sigma
-    out = np.array([[1.0 + 0j]])
-    for q in range(1, n + 1):
-        out = np.kron(out, single if q in pulse.qubits else np.eye(2, dtype=complex))
-    return out
+    rotation = math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(half) * sigma
+    return {q: rotation for q in qubits}
 
 
 def normalize_global_phase(mat: np.ndarray) -> np.ndarray:
@@ -231,7 +227,7 @@ def compile_sequence(seq: PulseSequence, h: NmrHamiltonian) -> UnitaryMatrix:
             step = np.exp(-1j * hdiag * ev.tau)
             total = step[:, None] * total
         else:
-            total = _pulse_unitary(n, ev) @ total
+            total = apply_local(_pulse_ops(n, ev), n, total)
     return UnitaryMatrix(normalize_global_phase(total))
 
 

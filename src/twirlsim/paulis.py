@@ -125,9 +125,6 @@ class ChiDiagonal:
     def __getitem__(self, label: str) -> float:
         return self.values.get(label, 0.0)
 
-    def identity_label(self) -> str:
-        return "I" * self.n
-
     def total(self) -> float:
         return sum(self.values.values())
 

@@ -8,11 +8,13 @@ nonempty sub-subsets of a target set combine, inclusion-exclusion style,
 into the channel's collective coefficient on exactly that set (plus any
 higher-weight tail the channel carries).
 
-Exact mode enumerates every twirl assignment; sampled mode is the
-shot-by-shot Monte Carlo variant whose statistics follow Bernoulli bounds.
-Sampled draws come from a counter-based generator keyed by the seed, so
-realization i sees the same randomness no matter how the surrounding work
-is scheduled.
+Both modes share one engine: per twirl assignment, outcome tables of the
+measured qubits built with local 2x2 operators, and one readout of every
+sub-decay from an outcome histogram. Exact mode averages the tables over
+every assignment; sampled mode is the shot-by-shot Monte Carlo variant
+whose statistics follow Bernoulli bounds. Sampled draws come from a
+counter-based generator keyed by the seed, so realization i sees the same
+randomness no matter how the surrounding work is scheduled.
 """
 
 from __future__ import annotations
@@ -20,24 +22,21 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .cliffords import (
-    CliffordPool,
-    MAX_EXACT_ASSIGNMENTS,
-    _embed_assignment,
-    build_pool,
-    twirl_exact,
-)
+from .cliffords import CliffordPool, MAX_EXACT_ASSIGNMENTS, assignment_ops, build_pool
 from .paulis import ChiDiagonal
 from .states import (
     ATOL,
     DensityMatrix,
     QuantumChannel,
     _validate_subset,
-    projection_probability,
+    apply_local,
+    checked_probability,
+    outcome_codes,
+    protocol_initial_state,  # noqa: F401  (part of this module's API)
 )
 
 #: decays with |M| beyond this are out of exact-mode scope
@@ -135,14 +134,72 @@ class ErrorBudget:
                 raise ValueError(f"{name} error must be finite and nonnegative, got {v}")
 
 
-def protocol_initial_state(n: int, subset: Iterable[int]) -> DensityMatrix:
-    """|0> on each measured qubit, maximally mixed on the rest."""
-    qs = set(_validate_subset(subset, n))
-    diag = np.ones(1)
-    for q in range(1, n + 1):
-        factor = np.array([1.0, 0.0]) if q in qs else np.array([0.5, 0.5])
-        diag = np.kron(diag, factor)
-    return DensityMatrix(np.diag(diag).astype(complex))
+def _outcome_table(
+    channel: QuantumChannel, qs: tuple[int, ...], ops: dict[int, np.ndarray],
+    flips: np.ndarray, terms: Iterable[tuple[float, np.ndarray]],
+) -> np.ndarray:
+    """(F, 2^m) distributions of the bits of ``qs`` (first most significant)
+    after C^dag S(C |0_M, f><0_M, f| C^dag) C, one row per f in ``flips``.
+
+    C applies ``ops`` on ``qs``; f sets the other qubits' bits, first one
+    most significant; S is the operator list ``terms``, one product each.
+    """
+    n, m = channel.n, len(qs)
+    complement = tuple(q - 1 for q in range(1, n + 1) if q not in qs)
+    # basis states with every measured bit 0, in complement-bit order
+    rows = np.flatnonzero(outcome_codes(n, qs) == 0)[flips]
+    start = np.zeros((2**n, len(flips)), dtype=complex)
+    start[rows, np.arange(len(flips))] = 1.0
+    psi = apply_local(ops, n, start)
+    inverse = {q: op.conj().T for q, op in ops.items()}
+    table = np.zeros((2**m, len(flips)))
+    for w, op in terms:
+        probs = np.abs(apply_local(inverse, n, op @ psi)) ** 2
+        marginal = probs.reshape((2,) * n + (-1,)).sum(axis=complement)
+        table += w * marginal.reshape(2**m, -1)
+    return table.T
+
+
+def _readout(weights: np.ndarray, qs: tuple[int, ...], realizations: int
+             ) -> dict[tuple[int, ...], DecayEstimate]:
+    """Decay of every nonempty part of ``qs`` from one outcome histogram.
+
+    ``weights`` are shot counts (``realizations`` = N) or summed outcome
+    tables (0), indexed like ``_outcome_table`` columns.
+    """
+    m = len(qs)
+    out = {}
+    for r in range(1, m + 1):
+        for sub in itertools.combinations(qs, r):
+            zero = outcome_codes(m, [qs.index(q) + 1 for q in sub]) == 0
+            hit, miss = float(weights[zero].sum()), float(weights[~zero].sum())
+            p = checked_probability(hit / (hit + miss))
+            std = math.sqrt(p * (1.0 - p) / realizations) if realizations else 0.0
+            out[sub] = DecayEstimate(sub, 1.0 - p, std, realizations)
+    return out
+
+
+def run_exact_campaign(
+    channel: QuantumChannel, subset, pool: CliffordPool | None = None
+) -> dict[tuple[int, ...], DecayEstimate]:
+    """Exact decays of a subset and of all its sub-subsets from one twirl.
+
+    Summing the outcome tables over every assignment and every basis state
+    of the other qubits twirls |0> on the subset with the rest maximally
+    mixed; each part's decay reads off that one twirl.
+    """
+    qs = tuple(sorted(_validate_subset(subset, channel.n)))
+    if len(qs) > MAX_EXACT_SUBSET:
+        raise ValueError(
+            f"exact decay supports at most {MAX_EXACT_SUBSET} measured qubits")
+    if pool is None:
+        pool = build_pool()
+    flips = np.arange(2 ** (channel.n - len(qs)))
+    weights = np.zeros(2 ** len(qs))
+    for index in range(pool.size ** len(qs)):
+        ops = assignment_ops(pool, qs, index)
+        weights += _outcome_table(channel, qs, ops, flips, channel.terms).sum(axis=0)
+    return _readout(weights, qs, 0)
 
 
 def fidelity_decay_exact(
@@ -150,14 +207,7 @@ def fidelity_decay_exact(
 ) -> DecayEstimate:
     """Decay for one subset from a full enumeration of twirl assignments."""
     qs = tuple(sorted(_validate_subset(subset, channel.n)))
-    if len(qs) > MAX_EXACT_SUBSET:
-        raise ValueError(
-            f"exact decay supports at most {MAX_EXACT_SUBSET} measured qubits")
-    if pool is None:
-        pool = build_pool()
-    rho0 = protocol_initial_state(channel.n, qs)
-    rho1 = twirl_exact(channel, qs, rho0, pool)
-    return DecayEstimate(qs, 1.0 - projection_probability(rho1, qs))
+    return run_exact_campaign(channel, qs, pool)[qs]
 
 
 def decays_from_twirled_state(rho1: DensityMatrix, subset) -> dict[tuple[int, ...], float]:
@@ -165,14 +215,12 @@ def decays_from_twirled_state(rho1: DensityMatrix, subset) -> dict[tuple[int, ..
 
     A twirl of the full subset already determines the decay of each smaller
     subset through the corresponding marginal projection; this is the
-    single-preparation readout path.
+    density-matrix form of the engine's single-preparation readout.
     """
     qs = tuple(sorted(_validate_subset(subset, rho1.n)))
-    out = {}
-    for r in range(1, len(qs) + 1):
-        for sub in itertools.combinations(qs, r):
-            out[sub] = 1.0 - projection_probability(rho1, sub)
-    return out
+    weights = np.bincount(outcome_codes(rho1.n, qs), weights=np.diag(rho1.data).real,
+                          minlength=2 ** len(qs))
+    return {sub: est.value for sub, est in _readout(weights, qs, 0).items()}
 
 
 def _purity_factor(purity: float, letter: str) -> float:
@@ -259,10 +307,11 @@ def combine_subset(decays: Mapping) -> float:
 def subset_coefficient_error(std_errors: Iterable[float]) -> float:
     """Propagated error of a combined coefficient: (3/2)^m sqrt(sum sigma^2).
 
-    The sum runs over all 2^m - 1 subset decays, so the error of a combined
+    The sum runs over all 2^m - 1 subset decays, taken as independent (the
+    systematic bounds of ``decay_error_bound``), so the error of a combined
     coefficient grows with the square root of that count: isolating
-    coefficients on large subsets amplifies shot noise, which is why a
-    weight cutoff is chosen before measuring anything.
+    coefficients on large subsets amplifies per-decay errors, which is why
+    a weight cutoff is chosen before measuring anything.
     """
     sigmas = [float(s) for s in std_errors]
     for s in sigmas:
@@ -274,9 +323,14 @@ def subset_coefficient_error(std_errors: Iterable[float]) -> float:
     return (1.5**m) * math.sqrt(sum(s * s for s in sigmas))
 
 
-def pair_coefficient_error(sigma_a: float, sigma_b: float, sigma_ab: float) -> float:
-    """Pair case of the propagated coefficient error."""
-    return subset_coefficient_error((sigma_a, sigma_b, sigma_ab))
+def sampled_coefficient_error(eta: float, m: int, realizations: int) -> float:
+    """(3/2)^m sqrt(q (1 - q) / N): error of a sampled m-qubit coefficient.
+
+    The shared-shot decays combine to eta = (3/2)^m q, q the fraction of
+    shots reading 1 on every measured qubit; q is clamped to [0, 1].
+    """
+    q = min(max(eta / 1.5**m, 0.0), 1.0)
+    return 1.5**m * math.sqrt(q * (1.0 - q) / realizations)
 
 
 def decay_error_bound(budget: ErrorBudget, decay: float) -> float:
@@ -289,21 +343,11 @@ def decay_error_bound(budget: ErrorBudget, decay: float) -> float:
     return math.sqrt(budget.preparation**2 * (1.0 + 4.0 * decay) + budget.clifford**2)
 
 
-class ExperimentCounts(tuple):
+class ExperimentCounts(NamedTuple):
     """(protocol experiments, full process-tomography experiments)."""
 
-    __slots__ = ()
-
-    def __new__(cls, protocol: int, process_tomography: int):
-        return super().__new__(cls, (protocol, process_tomography))
-
-    @property
-    def protocol(self) -> int:
-        return self[0]
-
-    @property
-    def process_tomography(self) -> int:
-        return self[1]
+    protocol: int
+    process_tomography: int
 
 
 def experiment_counts(n: int, w: int, realizations: int) -> ExperimentCounts:
@@ -325,16 +369,6 @@ def derive_seed(seed: int, index: int) -> int:
     """Stable child seed for stream ``index`` of a campaign family."""
     words = np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(2, np.uint64)
     return (int(words[0]) << 64) | int(words[1])
-
-
-def _assignment_matrices(pool: CliffordPool, m: int, index: int) -> tuple[np.ndarray, ...]:
-    """Pool element matrices for exact-enumeration assignment ``index``."""
-    K = pool.size
-    mats = []
-    for pos in range(m):
-        digit = (index // K ** (m - 1 - pos)) % K
-        mats.append(pool.elements[digit].matrix)
-    return tuple(mats)
 
 
 def run_sampled_campaign(
@@ -384,13 +418,11 @@ def run_sampled_campaign(
         raise ValueError("assignment space too large to index; reduce the subset")
 
     N = plan.realizations
-    complement = [q for q in range(1, n + 1) if q not in qs]
-    mbar = len(complement)
     n_assign = pool.size**m
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     # fixed draw order: complement flips, assignments, ensemble terms, outcome uniforms
-    flips = rng.integers(0, 2**mbar, size=N) if mbar else np.zeros(N, dtype=np.int64)
+    flips = rng.integers(0, 2 ** (n - m), size=N) if n > m else np.zeros(N, dtype=np.int64)
     if assignment_order == "random":
         assigns = rng.integers(0, n_assign, size=N)
     else:
@@ -404,69 +436,22 @@ def run_sampled_campaign(
         terms = np.zeros(N, dtype=np.int64)
     uniforms = rng.random(N)
 
-    dim = 2**n
-    # measured-outcome index per basis state: bits of qs, first qubit most significant
-    idx = np.arange(dim)
-    outcome_of_basis = np.zeros(dim, dtype=np.int64)
-    for pos, q in enumerate(qs):
-        outcome_of_basis |= (((idx >> (n - q)) & 1) << (m - 1 - pos)).astype(np.int64)
-
-    def basis_index(flip: int) -> int:
-        x = 0
-        for pos, q in enumerate(complement):
-            bit = (flip >> (mbar - 1 - pos)) & 1
-            x |= bit << (n - q)
-        return x
-
-    assignment_cache: dict[int, np.ndarray] = {}
-    cdf_cache: dict[tuple[int, int, int], np.ndarray] = {}
-
-    def outcome_cdf(a: int, flip: int, term: int) -> np.ndarray:
-        """Cumulative outcome distribution for the state the shot measures."""
-        key = (a, flip, term)
-        cached = cdf_cache.get(key)
-        if cached is not None:
-            return cached
-        big = assignment_cache.get(a)
-        if big is None:
-            big = _embed_assignment(n, qs, _assignment_matrices(pool, m, a))
-            assignment_cache[a] = big
-        psi = big[:, basis_index(flip)]
-        applied = channel.terms if term < 0 else ((1.0, channel.terms[term][1]),)
-        pvec = np.zeros(2**m)
-        for w, op in applied:
-            amps = big.conj().T @ (op @ psi)
-            pvec += w * np.bincount(outcome_of_basis, weights=np.abs(amps) ** 2,
-                                    minlength=2**m)
-        cdf = np.cumsum(pvec)
-        cdf_cache[key] = cdf
-        return cdf
-
+    # one outcome table per (assignment, ensemble term) over its shots' flips
     per_shot = channel_sampling == "per-shot-ensemble"
-    n_terms = len(channel.terms)
-    group_key = assigns * (2**mbar) + flips
-    if per_shot:
-        group_key = group_key * n_terms + terms
+    n_terms = len(channel.terms) if per_shot else 1
+    group_key = assigns * n_terms + terms
+    order = np.argsort(group_key, kind="stable")
+    keys, starts = np.unique(group_key[order], return_index=True)
     outcomes = np.empty(N, dtype=np.int64)
-    for key in np.unique(group_key):
-        sel = group_key == key
-        rest, term = divmod(int(key), n_terms) if per_shot else (int(key), -1)
-        a, flip = divmod(rest, 2**mbar)
-        drawn = np.searchsorted(outcome_cdf(a, flip, term), uniforms[sel], side="right")
+    for key, sel in zip(keys, np.split(order, starts[1:])):
+        a, term = divmod(int(key), n_terms)
+        applied = ((1.0, channel.terms[term][1]),) if per_shot else channel.terms
+        shot_flips, row = np.unique(flips[sel], return_inverse=True)
+        table = _outcome_table(channel, qs, assignment_ops(pool, qs, a), shot_flips, applied)
+        cdf = np.cumsum(table, axis=1)
+        drawn = np.count_nonzero(cdf[row] <= uniforms[sel, None], axis=1)
         outcomes[sel] = np.minimum(drawn, 2**m - 1)
-
-    results: dict[tuple[int, ...], DecayEstimate] = {}
-    for r in range(1, m + 1):
-        for sub in itertools.combinations(qs, r):
-            mask = 0
-            for pos, q in enumerate(qs):
-                if q in sub:
-                    mask |= 1 << (m - 1 - pos)
-            successes = int(np.count_nonzero((outcomes & mask) == 0))
-            p_hat = successes / N
-            std = math.sqrt(p_hat * (1.0 - p_hat) / N)
-            results[sub] = DecayEstimate(sub, 1.0 - p_hat, std, N)
-    return results
+    return _readout(np.bincount(outcomes, minlength=2**m), qs, N)
 
 
 def run_sampled_protocol(

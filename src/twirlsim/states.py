@@ -9,7 +9,7 @@ values can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -251,26 +251,47 @@ def _apply_channel_raw(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def outcome_codes(n: int, subset: Sequence[int]) -> np.ndarray:
+    """Bits of ``subset`` in each n-qubit basis index, first qubit most
+    significant; 0 where every listed qubit reads 0."""
+    idx = np.arange(2**n)
+    codes = np.zeros(2**n, dtype=np.int64)
+    for q in subset:
+        codes = (codes << 1) | ((idx >> (n - q)) & 1)
+    return codes
+
+
+def checked_probability(p: float) -> float:
+    """``p`` clamped to [0, 1]; rounding beyond ATOL, or NaN, is an error."""
+    if not -ATOL <= p <= 1.0 + ATOL:
+        raise ValueError(f"projection probability {p} outside [0, 1]")
+    return min(max(p, 0.0), 1.0)
+
+
 def projection_probability(rho: DensityMatrix, subset: Iterable[int]) -> float:
     """Probability that every qubit in ``subset`` reads 0.
 
     Tr[rho (|0..0><0..0|_subset x I_rest)], clamped to [0, 1].
     """
     qs = _validate_subset(subset, rho.n)
-    p = float(_projection_probability_diag(np.diag(rho.data).real, rho.n, qs))
-    if p < -ATOL or p > 1.0 + ATOL:
-        raise ValueError(f"projection probability {p} outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
+    diag = np.diag(rho.data).real
+    return checked_probability(float(diag[outcome_codes(rho.n, qs) == 0].sum()))
 
 
-def _zero_mask(n: int, subset: Sequence[int]) -> np.ndarray:
-    """Boolean mask over basis indices where all subset bits are zero."""
-    idx = np.arange(2**n)
-    mask = np.ones(2**n, dtype=bool)
-    for q in subset:
-        mask &= ((idx >> (n - q)) & 1) == 0
-    return mask
+def protocol_initial_state(n: int, subset: Iterable[int]) -> DensityMatrix:
+    """|0> on each measured qubit, maximally mixed on the rest."""
+    qs = _validate_subset(subset, n)
+    zero = outcome_codes(n, qs) == 0
+    return DensityMatrix(np.diag(zero / 2.0 ** (n - len(qs))).astype(complex))
 
 
-def _projection_probability_diag(diag: np.ndarray, n: int, subset: Sequence[int]) -> float:
-    return float(diag[_zero_mask(n, subset)].sum())
+def apply_local(ops: Mapping[int, np.ndarray], n: int, arr: np.ndarray) -> np.ndarray:
+    """(tensor of ``ops``) @ arr for 2x2 ``ops`` keyed by qubit, identity elsewhere.
+
+    ``arr`` has 2^n rows; each operator is one reshape and matmul on its
+    bit of the row index: O(2^n) per column, not a dense 2^n x 2^n product.
+    """
+    out = arr
+    for q, op in ops.items():
+        out = np.matmul(op, out.reshape(2 ** (q - 1), 2, -1))
+    return out.reshape(arr.shape)

@@ -1,4 +1,5 @@
 import math
+import statistics
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,15 @@ class TestBuildChannel:
         with pytest.raises(ConfigError, match="incomplete"):
             build_channel(ExperimentConfig(gate=f"ensemble:{path}", n=1))
 
+    @pytest.mark.parametrize("line", ["weight", "weight abc"])
+    def test_ensemble_file_bad_weight(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.ens"
+        path.write_text(f"{line}\n1 0\n0 1\n")
+        assert main(["--gate", f"ensemble:{path}", "--n", "1", "--subsets", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("twirlsim: config error: bad weight line")
+        assert err.count("\n") == 1
+
 
 class TestValidation:
     def test_subset_out_of_range(self):
@@ -214,8 +224,8 @@ class TestRunExperiment:
         assert abs(res.eta_col - 0.25) < 3 * res.eta_stderr
 
     def test_sampled_envelope_over_seeds(self):
-        # the reported coefficient error is conservative for shared-shot
-        # estimates, so the 3-sigma envelope covers nearly every seed
+        # the reported coefficient error is the binomial error of the shared
+        # shots, so the 3-sigma envelope covers nearly every seed
         hits = 0
         for seed in range(100):
             cfg = ExperimentConfig(gate="cnot", n=2, subsets=((1, 2),),
@@ -224,6 +234,29 @@ class TestRunExperiment:
             if abs(res.eta_col - res.oracle) <= 3 * res.eta_stderr:
                 hits += 1
         assert hits >= 99
+
+    @pytest.mark.parametrize("gate", ["cnot", "c12(0.4)"])
+    def test_sampled_eta_stderr_matches_seed_spread(self, gate):
+        # all subset decays come from the same shots; the reported error must
+        # track the seed-to-seed spread, not the independent-decay sum
+        etas, errs = [], []
+        for seed in range(150):
+            cfg = ExperimentConfig(gate=gate, n=3, subsets=((1, 2),), mode="sampled",
+                                   realizations=2000, seed=seed, oracle=False)
+            res = run_experiment(cfg).results[0]
+            etas.append(res.eta_col)
+            errs.append(res.eta_stderr)
+        spread = statistics.stdev(etas)
+        assert abs(statistics.mean(errs) - spread) <= 0.2 * spread
+
+    def test_sampled_eta_stderr_zero_without_all_ones_shots(self):
+        # CNOT(1, 2) leaves qubit 3 at 0, so no shot reads 1 on all of 1-2-3
+        for seed in range(25):
+            cfg = ExperimentConfig(gate="cnot", n=3, subsets=((1, 2, 3),), mode="sampled",
+                                   realizations=2000, seed=seed, oracle=False)
+            res = run_experiment(cfg).results[0]
+            assert res.eta_col == 0.0
+            assert res.eta_stderr == 0.0
 
 
 class TestDeterminism:
@@ -277,6 +310,17 @@ class TestMain:
 
     def test_subset_error_exit_code(self):
         assert main(["--gate", "cnot", "--n", "2", "--subsets", "1-5"]) == 1
+
+    @pytest.mark.parametrize("args", [
+        ["--mode", "sampled", "--n-realizations", "100", "--seed", "-1"],
+        ["--prep-error", "-1"],
+        ["--prep-error", "nan"],
+    ], ids=["negative-seed", "negative-prep-error", "nan-prep-error"])
+    def test_bad_numbers_are_config_errors(self, capsys, args):
+        assert main(["--gate", "cnot", "--n", "2", "--subsets", "1-2", *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("twirlsim: config error: ")
+        assert err.count("\n") == 1
 
     def test_oracle_mismatch_exit_code(self, monkeypatch, capsys):
         import twirlsim.cli as cli_mod

@@ -1,6 +1,7 @@
-"""Regression pins for the decay engine.
+"""The decay engine against its density-matrix reference and recorded pins.
 
-``PINNED`` holds sampled-campaign results (decay value, standard error) for
+The exact engine must agree with ``twirl_exact`` followed by
+``projection_probability`` for every part of a target. ``PINNED`` holds sampled-campaign results (decay value, standard error) for
 the assignment orders and channel-sampling modes the golden files do not
 cover. They were recorded before the engine moved to per-assignment outcome
 tables, and the table-based engine must reproduce every one bit for bit.
@@ -11,12 +12,55 @@ import pytest
 
 from twirlsim import (
     QuantumChannel,
+    build_pool,
     cnot_gate,
+    minimal_pool_choices,
     parse_pool,
     plan_from_count,
+    projection_probability,
+    protocol_initial_state,
+    run_exact_campaign,
     run_sampled_campaign,
+    twirl_exact,
 )
-from conftest import random_unitary
+from conftest import random_kraus_channel, random_unitary, random_unitary_ensemble
+
+TEN_POOLS = [build_pool("full-24"), build_pool("half-12")] + [
+    build_pool("minimal-6", symplectic=s, pauli_pair=(p1, p2))
+    for s, p1, p2 in minimal_pool_choices()]
+
+
+def channel_on_leading_qubits(kind: str, k: int, n: int, rng) -> QuantumChannel:
+    """A random channel on qubits 1..k, the identity on qubits k+1..n."""
+    if kind == "kraus":
+        inner = random_kraus_channel(k, 3, rng)
+    else:
+        inner = random_unitary_ensemble(k, 3, rng)
+    pad = np.eye(2 ** (n - k))
+    return QuantumChannel(tuple((w, np.kron(op, pad)) for w, op in inner.terms), inner.kind)
+
+
+@pytest.mark.parametrize("kind", ["kraus", "unitary-ensemble"])
+@pytest.mark.parametrize("index", range(len(TEN_POOLS)), ids=lambda i: TEN_POOLS[i].label)
+def test_exact_engine_matches_density_matrix_twirl(index, kind):
+    # the 12- and 24-element pools stop at pairs: their triple twirls
+    # (1728 and 13824 assignments) are too slow for the quick test tier
+    pool = TEN_POOLS[index]
+    rng = np.random.default_rng([index, len(kind)])
+    for m in (1, 2, 3) if pool.size == 6 else (1, 2):
+        n = m + 1
+        # the channel leaves qubit n alone; the target always measures it
+        channel = channel_on_leading_qubits(kind, n - 1, n, rng)
+        others = rng.choice(np.arange(1, n), size=m - 1, replace=False)
+        target = tuple(sorted(int(q) for q in others)) + (n,)
+        got = run_exact_campaign(channel, target, pool)
+        assert len(got) == 2**m - 1
+        for sub, est in got.items():
+            rho = twirl_exact(channel, sub, protocol_initial_state(n, sub), pool)
+            want = 1.0 - projection_probability(rho, sub)
+            assert abs(est.value - want) <= 1e-12, (sub, est.value, want)
+            assert est.std_error == 0.0 and est.realizations == 0
+        assert got[(n,)].value == 0.0
 
 
 def pinned_channel() -> QuantumChannel:

@@ -19,13 +19,13 @@ from twirlsim import (
     experiment_counts,
     fidelity_decay_exact,
     fidelity_decay_from_chi,
-    pair_coefficient_error,
     plan_from_count,
     plan_realizations,
     projection_probability,
     protocol_initial_state,
     run_sampled_campaign,
     run_sampled_protocol,
+    sampled_coefficient_error,
     subset_coefficient_error,
     twirl_exact,
     zz_coupling,
@@ -368,17 +368,26 @@ class TestErrorPropagation:
             ErrorBudget(0.0, float("inf"))
 
     def test_pair_error_zero(self):
-        assert pair_coefficient_error(0.0, 0.0, 0.0) == 0.0
+        assert subset_coefficient_error((0.0, 0.0, 0.0)) == 0.0
 
     def test_pair_error_equal_inputs(self):
-        got = pair_coefficient_error(0.02, 0.02, 0.02)
+        got = subset_coefficient_error((0.02, 0.02, 0.02))
         assert got == pytest.approx(2.25 * 0.02 * math.sqrt(3), abs=1e-12)
         assert got == pytest.approx(0.0779, abs=5e-5)
 
     def test_pair_error_composed_with_decay_bound(self):
         sigma = 0.0173
-        got = pair_coefficient_error(sigma, sigma, sigma)
+        got = subset_coefficient_error((sigma, sigma, sigma))
         assert got == pytest.approx(0.0674, abs=5e-5)
+
+    def test_sampled_error_binomial_in_all_ones_fraction(self):
+        # eta = (3/2)^m q for the shared shots; q = 0.112 of N = 2000 here
+        got = sampled_coefficient_error(0.252, 2, 2000)
+        assert got == pytest.approx(2.25 * math.sqrt(0.112 * 0.888 / 2000), rel=1e-12)
+        assert sampled_coefficient_error(0.0, 3, 2000) == 0.0
+        # q is clamped to [0, 1]: sampling noise can push eta past either end
+        assert sampled_coefficient_error(-0.01, 2, 100) == 0.0
+        assert sampled_coefficient_error(2.3, 2, 100) == 0.0
 
     def test_subset_error_requires_full_cover(self):
         with pytest.raises(ValueError, match="cover"):

@@ -13,7 +13,8 @@ from twirlsim import (
     tensor,
     zz_coupling,
 )
-from conftest import random_density, random_kraus_channel
+from twirlsim.states import apply_local, checked_probability, outcome_codes
+from conftest import random_density, random_kraus_channel, random_unitary
 
 I2 = np.eye(2, dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -256,3 +257,32 @@ class TestProjectionProbability:
         rho = DensityMatrix.maximally_mixed(2)
         with pytest.raises(ValueError):
             projection_probability(rho, [3])
+
+
+class TestLocalKernel:
+    def test_matches_dense_kron(self, rng):
+        for n in range(1, 6):
+            qubits = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n + 1)),
+                                replace=False)
+            ops = {int(q): random_unitary(2, rng) for q in qubits}
+            dense = np.eye(1)
+            for q in range(1, n + 1):
+                dense = np.kron(dense, ops.get(q, I2))
+            batch = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
+            assert np.allclose(apply_local(ops, n, batch), dense @ batch, atol=1e-12)
+            assert np.allclose(apply_local(ops, n, batch[:, 0]), dense @ batch[:, 0],
+                               atol=1e-12)
+
+    def test_outcome_codes_bit_order(self):
+        # basis index 0b011 on 3 qubits: qubit 1 reads 0, qubits 2 and 3 read 1
+        assert outcome_codes(3, [1, 3])[0b011] == 0b01
+        assert outcome_codes(3, [3, 1])[0b011] == 0b10
+        assert list(outcome_codes(2, [1, 2])) == [0, 1, 2, 3]
+
+    def test_checked_probability(self):
+        assert checked_probability(-1e-12) == 0.0
+        assert checked_probability(1.0 + 1e-12) == 1.0
+        assert checked_probability(0.25) == 0.25
+        for bad in (-1e-6, 1.0 + 1e-6, float("nan")):
+            with pytest.raises(ValueError, match="outside"):
+                checked_probability(bad)
