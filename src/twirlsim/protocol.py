@@ -436,19 +436,18 @@ def run_sampled_campaign(
         terms = np.zeros(N, dtype=np.int64)
     uniforms = rng.random(N)
 
-    # one outcome table per (assignment, ensemble term) over its shots' flips
     per_shot = channel_sampling == "per-shot-ensemble"
     n_terms = len(channel.terms) if per_shot else 1
     group_key = assigns * n_terms + terms
-    order = np.argsort(group_key, kind="stable")
-    keys, starts = np.unique(group_key[order], return_index=True)
     outcomes = np.empty(N, dtype=np.int64)
-    for key, sel in zip(keys, np.split(order, starts[1:])):
+    for key in np.unique(group_key):
+        sel = np.flatnonzero(group_key == key)
         a, term = divmod(int(key), n_terms)
         applied = ((1.0, channel.terms[term][1]),) if per_shot else channel.terms
         shot_flips, row = np.unique(flips[sel], return_inverse=True)
         table = _outcome_table(channel, qs, assignment_ops(pool, qs, a), shot_flips, applied)
         cdf = np.cumsum(table, axis=1)
+        # entries of the shot's CDF at or below its uniform: searchsorted(side="right")
         drawn = np.count_nonzero(cdf[row] <= uniforms[sel, None], axis=1)
         outcomes[sel] = np.minimum(drawn, 2**m - 1)
     return _readout(np.bincount(outcomes, minlength=2**m), qs, N)

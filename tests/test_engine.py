@@ -1,10 +1,11 @@
 """The decay engine against its density-matrix reference and recorded pins.
 
 The exact engine must agree with ``twirl_exact`` followed by
-``projection_probability`` for every part of a target. ``PINNED`` holds sampled-campaign results (decay value, standard error) for
-the assignment orders and channel-sampling modes the golden files do not
-cover. They were recorded before the engine moved to per-assignment outcome
-tables, and the table-based engine must reproduce every one bit for bit.
+``projection_probability`` for every part of a target. ``PINNED`` holds
+sampled-campaign results (decay value, standard error) for the assignment
+orders and channel-sampling modes the golden files do not cover. They were
+recorded before the engine moved to per-assignment outcome tables, and the
+table-based engine must reproduce every one bit for bit.
 """
 
 import numpy as np
@@ -71,15 +72,15 @@ def pinned_channel() -> QuantumChannel:
 
 
 PINNED = {
-    ('S1:I:X', 'random', 'per-shot-ensemble', (2,)): {
+    ("S1:I:X", "random", "per-shot-ensemble", (2,)): {
         (2,): (0.44999999999999996, 0.022248595461286987),
     },
-    ('S1:I:X', 'random', 'per-shot-ensemble', (1, 3)): {
+    ("S1:I:X", "random", "per-shot-ensemble", (1, 3)): {
         (1,): (0.44599999999999995, 0.022229889788300795),
         (3,): (0.29200000000000004, 0.0203340109176719),
         (1, 3): (0.5760000000000001, 0.02210085971178497),
     },
-    ('S1:I:X', 'random', 'per-shot-ensemble', (1, 2, 3)): {
+    ("S1:I:X", "random", "per-shot-ensemble", (1, 2, 3)): {
         (1,): (0.402, 0.021926969694875762),
         (2,): (0.44999999999999996, 0.022248595461286987),
         (3,): (0.30200000000000005, 0.02053270561811083),
@@ -88,15 +89,15 @@ PINNED = {
         (2, 3): (0.5700000000000001, 0.022140460699813815),
         (1, 2, 3): (0.738, 0.01966499427917537),
     },
-    ('S1:I:X', 'cyclic', 'exact', (2,)): {
+    ("S1:I:X", "cyclic", "exact", (2,)): {
         (2,): (0.43200000000000005, 0.022152923057691506),
     },
-    ('S1:I:X', 'cyclic', 'exact', (1, 3)): {
+    ("S1:I:X", "cyclic", "exact", (1, 3)): {
         (1,): (0.41000000000000003, 0.02199545407578575),
         (3,): (0.272, 0.019900552756142227),
         (1, 3): (0.5640000000000001, 0.02217674457624473),
     },
-    ('S1:I:X', 'cyclic', 'exact', (1, 2, 3)): {
+    ("S1:I:X", "cyclic", "exact", (1, 2, 3)): {
         (1,): (0.44399999999999995, 0.022219990999098087),
         (2,): (0.41800000000000004, 0.02205792374635473),
         (3,): (0.258, 0.019567115270269147),
@@ -105,15 +106,15 @@ PINNED = {
         (2, 3): (0.544, 0.022273930950777416),
         (1, 2, 3): (0.714, 0.020209106858047932),
     },
-    ('S1:I:X', 'cyclic', 'per-shot-ensemble', (2,)): {
+    ("S1:I:X", "cyclic", "per-shot-ensemble", (2,)): {
         (2,): (0.42800000000000005, 0.022127629787213995),
     },
-    ('S1:I:X', 'cyclic', 'per-shot-ensemble', (1, 3)): {
+    ("S1:I:X", "cyclic", "per-shot-ensemble", (1, 3)): {
         (1,): (0.42800000000000005, 0.022127629787213995),
         (3,): (0.28600000000000003, 0.020209106858047932),
         (1, 3): (0.5760000000000001, 0.02210085971178497),
     },
-    ('S1:I:X', 'cyclic', 'per-shot-ensemble', (1, 2, 3)): {
+    ("S1:I:X", "cyclic", "per-shot-ensemble", (1, 2, 3)): {
         (1,): (0.374, 0.021639038795658184),
         (2,): (0.40800000000000003, 0.021978898971513564),
         (3,): (0.29400000000000004, 0.020374690181693564),
@@ -122,15 +123,15 @@ PINNED = {
         (2, 3): (0.552, 0.02223942445298439),
         (1, 2, 3): (0.704, 0.02041489652190282),
     },
-    ('full-24', 'random', 'per-shot-ensemble', (2,)): {
+    ("full-24", "random", "per-shot-ensemble", (2,)): {
         (2,): (0.41000000000000003, 0.02199545407578575),
     },
-    ('full-24', 'random', 'per-shot-ensemble', (1, 3)): {
+    ("full-24", "random", "per-shot-ensemble", (1, 3)): {
         (1,): (0.43200000000000005, 0.022152923057691506),
         (3,): (0.30200000000000005, 0.02053270561811083),
         (1, 3): (0.5680000000000001, 0.022152923057691506),
     },
-    ('full-24', 'random', 'per-shot-ensemble', (1, 2, 3)): {
+    ("full-24", "random", "per-shot-ensemble", (1, 2, 3)): {
         (1,): (0.41200000000000003, 0.02201163328787757),
         (2,): (0.44199999999999995, 0.022209727598509622),
         (3,): (0.29200000000000004, 0.0203340109176719),
@@ -139,15 +140,15 @@ PINNED = {
         (2, 3): (0.5700000000000001, 0.022140460699813815),
         (1, 2, 3): (0.734, 0.019760769215797242),
     },
-    ('full-24', 'cyclic', 'exact', (2,)): {
+    ("full-24", "cyclic", "exact", (2,)): {
         (2,): (0.42200000000000004, 0.02208691920571993),
     },
-    ('full-24', 'cyclic', 'exact', (1, 3)): {
+    ("full-24", "cyclic", "exact", (1, 3)): {
         (1,): (0.43200000000000005, 0.022152923057691506),
         (3,): (0.28, 0.020079840636817812),
         (1, 3): (0.5800000000000001, 0.02207260745811423),
     },
-    ('full-24', 'cyclic', 'exact', (1, 2, 3)): {
+    ("full-24", "cyclic", "exact", (1, 2, 3)): {
         (1,): (0.356, 0.021413266915629666),
         (2,): (0.272, 0.019900552756142227),
         (3,): (0.28400000000000003, 0.020166506886419373),
@@ -156,15 +157,15 @@ PINNED = {
         (2, 3): (0.41400000000000003, 0.0220274374360705),
         (1, 2, 3): (0.522, 0.0223390241505756),
     },
-    ('full-24', 'cyclic', 'per-shot-ensemble', (2,)): {
+    ("full-24", "cyclic", "per-shot-ensemble", (2,)): {
         (2,): (0.396, 0.02187162545399861),
     },
-    ('full-24', 'cyclic', 'per-shot-ensemble', (1, 3)): {
+    ("full-24", "cyclic", "per-shot-ensemble", (1, 3)): {
         (1,): (0.44199999999999995, 0.022209727598509622),
         (3,): (0.31599999999999995, 0.020791536739741004),
         (1, 3): (0.6, 0.021908902300206645),
     },
-    ('full-24', 'cyclic', 'per-shot-ensemble', (1, 2, 3)): {
+    ("full-24", "cyclic", "per-shot-ensemble", (1, 2, 3)): {
         (1,): (0.31399999999999995, 0.020755914819636352),
         (2,): (0.31799999999999995, 0.020826713614970557),
         (3,): (0.28600000000000003, 0.020209106858047932),
