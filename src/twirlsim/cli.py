@@ -126,14 +126,18 @@ _CONFIG_KEYS = {
 }
 
 
-def parse_config_file(path: str | Path) -> ExperimentConfig:
-    values = {}
+def _read_lines(path: str | Path, what: str) -> list[tuple[str, str]]:
+    """Each line of a ``what`` file, with its text before any ``#`` comment."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+    return [(raw, raw.split("#", 1)[0].strip()) for raw in text.splitlines()]
+
+
+def parse_config_file(path: str | Path) -> ExperimentConfig:
+    values = {}
+    for _, line in _read_lines(path, "config"):
         if not line:
             continue
         key, _, value = line.partition(" ")
@@ -147,7 +151,17 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
 
 
 def build_channel(config: ExperimentConfig) -> QuantumChannel:
-    """Instantiate the gate or noise process named by the config."""
+    """The gate or noise process named by the config, as a channel on n qubits."""
+    try:
+        channel = _gate_channel(config)
+    except ValueError as exc:
+        raise ConfigError(f"gate {config.gate!r}: {exc}") from exc
+    if channel.n != config.n:
+        raise ConfigError(f"gate {config.gate!r} acts on {channel.n} qubits, not n = {config.n}")
+    return channel
+
+
+def _gate_channel(config: ExperimentConfig) -> QuantumChannel:
     gate = config.gate.strip()
     n = config.n
     if gate == "identity":
@@ -191,21 +205,11 @@ def _parse_matrix_rows(lines: list[str], origin: str) -> np.ndarray:
 def _read_matrix_file(path: str) -> np.ndarray:
     """Whitespace-separated complex entries (Python syntax, e.g. 0.5+0.5j),
     one matrix row per line."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read matrix file {path}: {exc}") from exc
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    return _parse_matrix_rows(lines, path)
+    return _parse_matrix_rows([ln for _, ln in _read_lines(path, "matrix") if ln], path)
 
 
 def _read_ensemble_file(path: str) -> list[tuple[float, np.ndarray]]:
     """Blocks of ``weight w`` followed by matrix rows, separated by blank lines."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read ensemble file {path}: {exc}") from exc
     terms = []
     block: list[str] = []
     weight: float | None = None
@@ -219,8 +223,7 @@ def _read_ensemble_file(path: str) -> list[tuple[float, np.ndarray]]:
         terms.append((weight, _parse_matrix_rows(block, path)))
         block, weight = [], None
 
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+    for raw, line in _read_lines(path, "ensemble"):
         if not line:
             flush()
             continue
@@ -346,14 +349,6 @@ def _validate_config(config: ExperimentConfig) -> tuple[SamplePlan | None, Error
         raise ConfigError(str(exc)) from exc
 
 
-def _oracle_values(
-    channel: QuantumChannel, config: ExperimentConfig
-) -> CollectiveCoefficients | None:
-    if not config.oracle or config.n > MAX_CHI_QUBITS:
-        return None
-    return collective_coefficients(chi_diagonal(channel))
-
-
 def _run_subset(
     channel: QuantumChannel,
     config: ExperimentConfig,
@@ -401,7 +396,8 @@ def run_experiment(config: ExperimentConfig) -> Report:
     plan, budget = _validate_config(config)
     channel = build_channel(config)
     pool = parse_pool(config.pool)
-    oracle = _oracle_values(channel, config)
+    oracle = (collective_coefficients(chi_diagonal(channel))
+              if config.oracle and config.n <= MAX_CHI_QUBITS else None)
     jobs = list(enumerate(config.subsets))
     if config.threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool_exec:
@@ -459,14 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_args(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    updates = {}
-    for key in ("gate", "n", "mode", "pool", "seed", "delta", "epsilon",
-                "realizations", "prep_error", "clifford_error", "out", "threads",
-                "assignment_order", "channel_sampling", "ie_duration",
-                "ie_pulse_error"):
-        val = getattr(args, key)
-        if val is not None:
-            updates[key] = val
+    updates = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
     if args.subsets is not None:
         updates["subsets"] = parse_subsets(args.subsets)
     if args.oracle is not None:

@@ -187,7 +187,7 @@ def twirl_exact(
     Returns (1/K^m) sum_k C_k^dag S(C_k rho0 C_k^dag) C_k with C_k ranging
     over all m-fold tensor products drawn from the pool; unmeasured qubits
     are untouched. Assignments are summed in ``assignment_ops`` order; this
-    is the density-matrix reference for the outcome-table engine.
+    is the density-matrix reference for the reduced-map engine of ``protocol``.
     """
     if channel.n != rho0.n:
         raise DimensionError(

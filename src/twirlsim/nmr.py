@@ -39,6 +39,14 @@ PULSE_AXES = ("+x", "-x", "+y", "-y")
 CROTONIC_QUBITS = 4
 
 
+def _entries(path: str | Path):
+    """Each line of a file that holds more than a comment, with its tokens."""
+    for raw in Path(path).read_text().splitlines():
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield raw, parts
+
+
 @dataclass(frozen=True)
 class NmrHamiltonian:
     """Offsets and couplings of an n-spin register, in Hz."""
@@ -70,11 +78,7 @@ class NmrHamiltonian:
     def from_file(cls, path: str | Path, n: int | None = None) -> "NmrHamiltonian":
         shifts: dict[int, float] = {}
         couplings: dict[tuple[int, int], float] = {}
-        for raw in Path(path).read_text().splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
+        for raw, parts in _entries(path):
             if parts[0] == "shift" and len(parts) == 3:
                 shifts[int(parts[1])] = float(parts[2])
             elif parts[0] == "coupling" and len(parts) == 4:
@@ -174,11 +178,7 @@ class PulseSequence:
     @classmethod
     def from_file(cls, path: str | Path) -> "PulseSequence":
         events: list[Delay | Pulse] = []
-        for raw in Path(path).read_text().splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
+        for raw, parts in _entries(path):
             if parts[0] == "delay" and len(parts) == 2:
                 events.append(Delay(float(parts[1])))
             elif parts[0] == "pulse" and len(parts) == 4:

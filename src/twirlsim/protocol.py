@@ -8,13 +8,14 @@ nonempty sub-subsets of a target set combine, inclusion-exclusion style,
 into the channel's collective coefficient on exactly that set (plus any
 higher-weight tail the channel carries).
 
-Both modes share one engine: per twirl assignment, outcome tables of the
-measured qubits built with local 2x2 operators, and one readout of every
-sub-decay from an outcome histogram. Exact mode averages the tables over
-every assignment; sampled mode is the shot-by-shot Monte Carlo variant
-whose statistics follow Bernoulli bounds. Sampled draws come from a
-counter-based generator keyed by the seed, so realization i sees the same
-randomness no matter how the surrounding work is scheduled.
+Both modes share one engine. One pass over the channel operators reduces
+the channel to a 4^m x 4^m map on the m measured qubits, per basis state of
+the others or summed over them; twirling it one qubit at a time gives the
+outcome table of every assignment, and one readout turns an outcome
+histogram into every sub-decay. Exact mode sums the tables over all
+assignments; sampled mode draws shot by shot from them, with Bernoulli
+statistics, from a counter-based generator keyed by the seed, so
+realization i sees the same randomness however the work is scheduled.
 """
 
 from __future__ import annotations
@@ -26,14 +27,13 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .cliffords import CliffordPool, MAX_EXACT_ASSIGNMENTS, assignment_ops, build_pool
-from .paulis import ChiDiagonal
+from .cliffords import CliffordPool, MAX_EXACT_ASSIGNMENTS, build_pool
+from .paulis import SINGLE_QUBIT_PAULIS, ChiDiagonal
 from .states import (
     ATOL,
     DensityMatrix,
     QuantumChannel,
     _validate_subset,
-    apply_local,
     checked_probability,
     outcome_codes,
     protocol_initial_state,  # noqa: F401  (part of this module's API)
@@ -134,30 +134,67 @@ class ErrorBudget:
                 raise ValueError(f"{name} error must be finite and nonnegative, got {v}")
 
 
-def _outcome_table(
-    channel: QuantumChannel, qs: tuple[int, ...], ops: dict[int, np.ndarray],
-    flips: np.ndarray, terms: Iterable[tuple[float, np.ndarray]],
-) -> np.ndarray:
-    """(F, 2^m) distributions of the bits of ``qs`` (first most significant)
-    after C^dag S(C |0_M, f><0_M, f| C^dag) C, one row per f in ``flips``.
+#: entries of the largest array built per block of complement states: 64 KB
+#: in exact mode leaves worker threads no large freed chunks to hold on to,
+#: 1 MB in sampled mode reads the scattered operator columns in longer runs
+EXACT_BLOCK, SAMPLED_BLOCK = 2**12, 2**16
 
-    C applies ``ops`` on ``qs``; f sets the other qubits' bits, first one
-    most significant; S is the operator list ``terms``, one product each.
+#: (sigma_mu x sigma_nu) / 2 on one qubit's bits (a, i), flattened over
+#: ((a, i), (b, j)): an orthonormal basis of the Hermitian 4 x 4 matrices
+_PAULIS = np.array([SINGLE_QUBIT_PAULIS[c] for c in "IXYZ"])
+_PAULI_PAIRS = np.einsum("mab,nij->mnaibj", _PAULIS, _PAULIS).reshape(16, 16) / 2
+
+
+def _reduced_maps(terms: Iterable[tuple[float, np.ndarray]], index: np.ndarray,
+                  flips: np.ndarray, summed: bool = False) -> np.ndarray:
+    """R_f[(a, i), (b, j)] = sum_t w_t sum_r A_t[(a, r), (i, f)] conj(A_t[(b, r), (j, f)])
+    for each f in ``flips`` (F, 4^m, 4^m), or their sum (1, 4^m, 4^m).
+
+    A Gram product of the operator columns (i, f); ``index[i, f]`` is the
+    basis state with bits i on the target and f on the other qubits.
     """
-    n, m = channel.n, len(qs)
-    complement = tuple(q - 1 for q in range(1, n + 1) if q not in qs)
-    # basis states with every measured bit 0, in complement-bit order
-    rows = np.flatnonzero(outcome_codes(n, qs) == 0)[flips]
-    start = np.zeros((2**n, len(flips)), dtype=complex)
-    start[rows, np.arange(len(flips))] = 1.0
-    psi = apply_local(ops, n, start)
-    inverse = {q: op.conj().T for q, op in ops.items()}
-    table = np.zeros((2**m, len(flips)))
+    M, F = index.shape[0], len(flips)
+    cols, rows = index[:, flips].T.ravel(), index.T.ravel()
+    out = 0.0
     for w, op in terms:
-        probs = np.abs(apply_local(inverse, n, op @ psi)) ** 2
-        marginal = probs.reshape((2,) * n + (-1,)).sum(axis=complement)
-        table += w * marginal.reshape(2**m, -1)
-    return table.T
+        # columns first, so that rows are read in runs
+        x = op.take(cols, axis=1)[rows].reshape(-1, M, F, M).transpose(2, 0, 1, 3)
+        x = x.reshape(1 if summed else F, -1, M * M)
+        out = out + w * (x.transpose(0, 2, 1) @ x.conj())
+    return out
+
+
+def _local_superops(pool: CliffordPool) -> np.ndarray:
+    """(2K, 16) coefficients of conj(C[a, x]) C[b, x] C[i, 0] conj(C[j, 0])
+    on ``_PAULI_PAIRS``, one row per pool element C and outcome x.
+
+    Each is half a product of Bloch components of C|x> and C|0>, 0 or +-1 for a
+    Clifford; rounding to that grid keeps tables of untouched qubits exact.
+    """
+    c = np.array([e.matrix for e in pool.elements])
+    s = np.einsum("kax,kbx,ki,kj->kxaibj", c.conj(), c, c[:, :, 0], c[:, :, 0].conj())
+    return np.rint(2 * (s.reshape(2 * pool.size, 16) @ _PAULI_PAIRS.T).real) / 2
+
+
+def _twirl_tables(maps: np.ndarray, superops: np.ndarray, m: int) -> np.ndarray:
+    """(B, K^m, 2^m) outcome tables of every assignment, one per reduced map.
+
+    Row k is assignment k in ``assignment_ops`` order, column x the target's
+    outcome bits (first most significant) after C^dag S(C |0, f><0, f| C^dag) C.
+    A map is Hermitian: its coefficients on products of ``_PAULI_PAIRS`` are real.
+    """
+    batch, K = maps.shape[0], superops.shape[0] // 2
+    # per-qubit groups (a_q, i_q, b_q, j_q) first, the batch axis last; each
+    # contraction moves its result axis to the end
+    t = maps.reshape((batch,) + (2,) * (4 * m))
+    t = t.transpose([1 + p + g * m for p in range(m) for g in range(4)] + [0])
+    for _ in range(m):
+        t = (_PAULI_PAIRS.conj() @ t.reshape(16, -1)).T
+    t = t.real.reshape(batch, -1).T
+    for _ in range(m):
+        t = (superops @ t.reshape(16, -1)).T
+    t = t.reshape((batch,) + (K, 2) * m).transpose(0, *range(1, 2 * m, 2), *range(2, 2 * m + 1, 2))
+    return t.reshape(batch, K**m, 2**m)
 
 
 def _readout(weights: np.ndarray, qs: tuple[int, ...], realizations: int
@@ -165,7 +202,7 @@ def _readout(weights: np.ndarray, qs: tuple[int, ...], realizations: int
     """Decay of every nonempty part of ``qs`` from one outcome histogram.
 
     ``weights`` are shot counts (``realizations`` = N) or summed outcome
-    tables (0), indexed like ``_outcome_table`` columns.
+    tables (0), indexed like ``_twirl_tables`` columns.
     """
     m = len(qs)
     out = {}
@@ -194,11 +231,14 @@ def run_exact_campaign(
             f"exact decay supports at most {MAX_EXACT_SUBSET} measured qubits")
     if pool is None:
         pool = build_pool()
-    flips = np.arange(2 ** (channel.n - len(qs)))
-    weights = np.zeros(2 ** len(qs))
-    for index in range(pool.size ** len(qs)):
-        ops = assignment_ops(pool, qs, index)
-        weights += _outcome_table(channel, qs, ops, flips, channel.terms).sum(axis=0)
+    n, m = channel.n, len(qs)
+    # basis states by target bits, then by the other qubits' bits
+    index = np.argsort(outcome_codes(n, qs), kind="stable").reshape(2**m, -1)
+    step = max(1, EXACT_BLOCK >> (n + m))
+    flips = np.arange(2 ** (n - m))
+    reduced = sum(_reduced_maps(channel.terms, index, flips[f:f + step], summed=True)
+                  for f in range(0, len(flips), step))
+    weights = _twirl_tables(reduced, _local_superops(pool), m)[0].sum(axis=0)
     return _readout(weights, qs, 0)
 
 
@@ -404,8 +444,6 @@ def run_sampled_campaign(
     n, m = channel.n, len(qs)
     if pool is None:
         pool = build_pool()
-    if plan.realizations <= 0:
-        raise ValueError("sampling needs a positive realization count")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     if assignment_order not in ("random", "cyclic"):
@@ -414,11 +452,10 @@ def run_sampled_campaign(
         raise ValueError(f"unknown channel sampling mode {channel_sampling!r}")
     if channel_sampling == "per-shot-ensemble" and channel.kind != "unitary-ensemble":
         raise ValueError("per-shot sampling requires a unitary-ensemble channel")
-    if pool.size**m > MAX_EXACT_ASSIGNMENTS:
+    N, n_assign = plan.realizations, pool.size**m
+    if n_assign > MAX_EXACT_ASSIGNMENTS:
         raise ValueError("assignment space too large to index; reduce the subset")
 
-    N = plan.realizations
-    n_assign = pool.size**m
     rng = np.random.Generator(np.random.Philox(key=seed))
 
     # fixed draw order: complement flips, assignments, ensemble terms, outcome uniforms
@@ -428,28 +465,33 @@ def run_sampled_campaign(
     else:
         assigns = np.arange(N, dtype=np.int64) % n_assign
     if channel_sampling == "per-shot-ensemble":
-        weights = np.array([w for w, _ in channel.terms])
-        edges = np.cumsum(weights)
+        edges = np.cumsum([w for w, _ in channel.terms])
         terms = np.searchsorted(edges, rng.random(N) * edges[-1], side="right")
-        terms = np.minimum(terms, len(weights) - 1)
+        terms = np.minimum(terms, len(edges) - 1)
+        # one reduced map, and one table, per term
+        term_lists = [((1.0, op),) for _, op in channel.terms]
     else:
         terms = np.zeros(N, dtype=np.int64)
+        term_lists = [channel.terms]
     uniforms = rng.random(N)
 
-    per_shot = channel_sampling == "per-shot-ensemble"
-    n_terms = len(channel.terms) if per_shot else 1
-    group_key = assigns * n_terms + terms
+    index = np.argsort(outcome_codes(n, qs), kind="stable").reshape(2**m, -1)
+    superops = _local_superops(pool)
+    drawn_flips = np.unique(flips)
+    per_flip = max(2 ** (n + m), len(term_lists) * max(16**m, n_assign * 2**m))
+    step = max(1, SAMPLED_BLOCK // per_flip)
     outcomes = np.empty(N, dtype=np.int64)
-    for key in np.unique(group_key):
-        sel = np.flatnonzero(group_key == key)
-        a, term = divmod(int(key), n_terms)
-        applied = ((1.0, channel.terms[term][1]),) if per_shot else channel.terms
-        shot_flips, row = np.unique(flips[sel], return_inverse=True)
-        table = _outcome_table(channel, qs, assignment_ops(pool, qs, a), shot_flips, applied)
-        cdf = np.cumsum(table, axis=1)
+    for start in range(0, len(drawn_flips), step):
+        block = drawn_flips[start:start + step]
+        sel = np.flatnonzero((flips >= block[0]) & (flips <= block[-1]))
+        maps = np.concatenate([_reduced_maps(t, index, block) for t in term_lists])
+        cdf = np.cumsum(_twirl_tables(maps, superops, m), axis=-1).reshape(-1, 2**m)
+        row = terms[sel] * len(block) + np.searchsorted(block, flips[sel])
+        row = row * n_assign + assigns[sel]
         # entries of the shot's CDF at or below its uniform: searchsorted(side="right")
-        drawn = np.count_nonzero(cdf[row] <= uniforms[sel, None], axis=1)
+        drawn = sum(cdf[row, x] <= uniforms[sel] for x in range(2**m))
         outcomes[sel] = np.minimum(drawn, 2**m - 1)
+        del cdf  # the next block's table is built without this one beside it
     return _readout(np.bincount(outcomes, minlength=2**m), qs, N)
 
 

@@ -8,6 +8,7 @@ values can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -118,7 +119,8 @@ class QuantumChannel:
     ``kind="unitary-ensemble"``: terms are (probability, unitary) pairs whose
     probabilities sum to 1; the map is the convex mixture of the unitaries.
     ``kind="kraus"``: weights are all 1 and the operators A_k satisfy
-    sum_k A_k^dag A_k = I.
+    sum_k A_k^dag A_k = I. An operator given as a ``UnitaryMatrix`` was
+    checked when it was built and is stored as it is, not checked again.
     """
 
     terms: tuple[tuple[float, np.ndarray], ...]
@@ -133,22 +135,23 @@ class QuantumChannel:
         frozen = []
         n = None
         for w, op in self.terms:
-            arr = _freeze(op)
+            arr = op.data if isinstance(op, UnitaryMatrix) else _freeze(op)
             n_op = _check_square_pow2(arr, "channel operator")
             if n is None:
                 n = n_op
             elif n_op != n:
                 raise DimensionError("channel operators have mixed dimensions")
-            if w < -ATOL:
-                raise ValueError(f"negative channel weight {w}")
+            if not math.isfinite(w) or w < -ATOL:
+                raise ValueError(f"channel weight {w} is not finite and nonnegative")
             frozen.append((float(w), arr))
         assert n is not None
         if self.kind == "unitary-ensemble":
             total = sum(w for w, _ in frozen)
             if abs(total - 1.0) > ATOL:
                 raise ValueError(f"ensemble weights sum to {total}, expected 1")
-            for _, op in frozen:
-                UnitaryMatrix(op)
+            for (_, arr), (_, op) in zip(frozen, self.terms):
+                if not isinstance(op, UnitaryMatrix):
+                    UnitaryMatrix(arr)
         else:
             acc = np.zeros((2**n, 2**n), dtype=complex)
             for w, op in frozen:
@@ -162,19 +165,17 @@ class QuantumChannel:
 
     @classmethod
     def from_unitary(cls, op: np.ndarray | UnitaryMatrix) -> "QuantumChannel":
-        mat = op.data if isinstance(op, UnitaryMatrix) else np.asarray(op, dtype=complex)
-        return cls(((1.0, mat),), "unitary-ensemble")
+        return cls(((1.0, op),), "unitary-ensemble")
 
     @classmethod
     def unitary_ensemble(
         cls, pairs: Iterable[tuple[float, np.ndarray]]
     ) -> "QuantumChannel":
-        return cls(tuple((float(w), np.asarray(op, dtype=complex)) for w, op in pairs),
-                   "unitary-ensemble")
+        return cls(tuple((float(w), op) for w, op in pairs), "unitary-ensemble")
 
     @classmethod
     def from_kraus(cls, ops: Iterable[np.ndarray]) -> "QuantumChannel":
-        return cls(tuple((1.0, np.asarray(op, dtype=complex)) for op in ops), "kraus")
+        return cls(tuple((1.0, op) for op in ops), "kraus")
 
     @classmethod
     def identity(cls, n: int) -> "QuantumChannel":
@@ -213,22 +214,11 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     ``keep`` orders the qubits of the result; labels are 1-based.
     """
     kept = _validate_subset(keep, rho.n)
-    n = rho.n
-    traced = [q for q in range(1, n + 1) if q not in kept]
-    tens = rho.data.reshape([2] * (2 * n))
-    # axes are (row bits of qubits 1..n, column bits of qubits 1..n)
-    for q in sorted(traced, reverse=True):
-        n_cur = tens.ndim // 2
-        # position of qubit q among the remaining axes
-        remaining = [p for p in range(1, n + 1) if p in kept or (p in traced and p <= q)]
-        pos = remaining.index(q)
-        tens = np.trace(tens, axis1=pos, axis2=pos + n_cur)
-    m = len(kept)
-    # remaining axes follow sorted(kept); permute into the requested order
-    sorted_kept = sorted(kept)
-    src = [sorted_kept.index(q) for q in kept]
-    tens = np.transpose(tens, axes=src + [m + s for s in src])
-    return DensityMatrix(tens.reshape(2**m, 2**m))
+    order = [q - 1 for q in kept] + [q - 1 for q in range(1, rho.n + 1) if q not in kept]
+    # axes (row bits, column bits), kept qubits first in each
+    tens = rho.data.reshape([2] * (2 * rho.n)).transpose(order + [rho.n + a for a in order])
+    d, rest = 2 ** len(kept), 2 ** (rho.n - len(kept))
+    return DensityMatrix(np.einsum("ajbj->ab", tens.reshape(d, rest, d, rest)))
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -245,10 +235,7 @@ def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
 
 
 def _apply_channel_raw(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for w, op in channel.terms:
-        out += w * (op @ rho @ op.conj().T)
-    return out
+    return sum(w * (op @ rho @ op.conj().T) for w, op in channel.terms)
 
 
 def outcome_codes(n: int, subset: Sequence[int]) -> np.ndarray:

@@ -322,6 +322,24 @@ class TestMain:
         assert err.startswith("twirlsim: config error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("gate, n, contents", [
+        ("matrix", 1, "1 1\n0 1\n"),
+        ("matrix", 1, "1 0 0\n0 1 0\n0 0 1\n"),
+        ("matrix", 1, "1 0 0 0\n0 1 0 0\n0 0 0 1\n0 0 1 0\n"),
+        ("ensemble", 1, "weight nan\n1 0\n0 1\n\nweight 1\n0 1\n1 0\n"),
+        ("cnot", 1, None),
+    ], ids=["non-unitary", "three-by-three", "size-differs-from-n", "nan-weight",
+            "cnot-on-one-qubit"])
+    def test_unbuildable_gates_are_config_errors(self, tmp_path, capsys, gate, n, contents):
+        if contents is not None:
+            path = tmp_path / "gate.txt"
+            path.write_text(contents)
+            gate = f"{gate}:{path}"
+        assert main(["--gate", gate, "--n", str(n), "--subsets", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("twirlsim: config error: ")
+        assert err.count("\n") == 1
+
     def test_oracle_mismatch_exit_code(self, monkeypatch, capsys):
         import twirlsim.cli as cli_mod
 

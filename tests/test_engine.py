@@ -1,12 +1,15 @@
-"""The decay engine against its density-matrix reference and recorded pins.
+"""The decay engine against its references, closed forms and recorded pins.
 
-The exact engine must agree with ``twirl_exact`` followed by
-``projection_probability`` for every part of a target. ``PINNED`` holds
-sampled-campaign results (decay value, standard error) for the assignment
-orders and channel-sampling modes the golden files do not cover. They were
-recorded before the engine moved to per-assignment outcome tables, and the
-table-based engine must reproduce every one bit for bit.
+The exact engine must agree with the chi-diagonal prediction and with
+``twirl_exact`` followed by ``projection_probability`` for every part of a
+target. ``PINNED`` holds sampled-campaign results (decay value, standard
+error) for the assignment orders and channel-sampling modes the golden files
+do not cover. They were recorded before the engine moved to outcome tables,
+and every engine since must reproduce each one bit for bit.
 """
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +17,9 @@ import pytest
 from twirlsim import (
     QuantumChannel,
     build_pool,
+    chi_diagonal,
     cnot_gate,
+    fidelity_decay_from_chi,
     minimal_pool_choices,
     parse_pool,
     plan_from_count,
@@ -24,6 +29,7 @@ from twirlsim import (
     run_sampled_campaign,
     twirl_exact,
 )
+from twirlsim.cli import ExperimentConfig, run_experiment
 from conftest import random_kraus_channel, random_unitary, random_unitary_ensemble
 
 TEN_POOLS = [build_pool("full-24"), build_pool("half-12")] + [
@@ -44,24 +50,62 @@ def channel_on_leading_qubits(kind: str, k: int, n: int, rng) -> QuantumChannel:
 @pytest.mark.parametrize("kind", ["kraus", "unitary-ensemble"])
 @pytest.mark.parametrize("index", range(len(TEN_POOLS)), ids=lambda i: TEN_POOLS[i].label)
 def test_exact_engine_matches_density_matrix_twirl(index, kind):
-    # the 12- and 24-element pools stop at pairs: their triple twirls
-    # (1728 and 13824 assignments) are too slow for the quick test tier
+    # every part is checked against the chi diagonal; the density-matrix
+    # twirl is summed over K^m dense products, so the triples of the 12-
+    # and 24-element pools (1728 and 13824 assignments) skip it
     pool = TEN_POOLS[index]
     rng = np.random.default_rng([index, len(kind)])
-    for m in (1, 2, 3) if pool.size == 6 else (1, 2):
+    for m in (1, 2, 3):
         n = m + 1
         # the channel leaves qubit n alone; the target always measures it
         channel = channel_on_leading_qubits(kind, n - 1, n, rng)
         others = rng.choice(np.arange(1, n), size=m - 1, replace=False)
         target = tuple(sorted(int(q) for q in others)) + (n,)
         got = run_exact_campaign(channel, target, pool)
+        chi = chi_diagonal(channel)
         assert len(got) == 2**m - 1
         for sub, est in got.items():
-            rho = twirl_exact(channel, sub, protocol_initial_state(n, sub), pool)
-            want = 1.0 - projection_probability(rho, sub)
+            want = fidelity_decay_from_chi(chi, dict.fromkeys(sub, 1.0), sub)
             assert abs(est.value - want) <= 1e-12, (sub, est.value, want)
+            if m < 3 or pool.size == 6:
+                rho = twirl_exact(channel, sub, protocol_initial_state(n, sub), pool)
+                want = 1.0 - projection_probability(rho, sub)
+                assert abs(est.value - want) <= 1e-12, (sub, est.value, want)
             assert est.std_error == 0.0 and est.realizations == 0
         assert got[(n,)].value == 0.0
+
+
+@pytest.mark.parametrize("target", [(1, 2, 3), (2, 3, 4)], ids=["1-2-3", "2-3-4"])
+def test_exact_closed_forms_at_ten_qubits(target):
+    # c12(beta): decay 0 off the pair, 2/3 sin^2 beta with one pair qubit
+    # measured, 8/9 sin^2 beta with both; no three-body coefficient
+    beta = 0.7
+    config = ExperimentConfig(gate=f"c12({beta})", n=10, subsets=(target,))
+    (result,) = run_experiment(config).results
+    s2 = math.sin(beta) ** 2
+    for sub, est in result.decays.items():
+        hits = len({1, 2} & set(sub))
+        if hits:
+            assert abs(est.value - (0.0, 2 / 3 * s2, 8 / 9 * s2)[hits]) <= 1e-12, sub
+        else:
+            assert est.value == 0.0, sub
+    assert abs(result.eta_col) <= 1e-12
+
+
+def test_sampled_memory_stays_per_block():
+    # a sampled full-24 triple at n = 8 has 13824 assignments and 32
+    # complement states; tables for all of them at once would take 28 MB,
+    # one state's table and its reordered copy take 1.8 MB
+    channel = QuantumChannel.from_unitary(cnot_gate(1, 2, 8))
+    pool = build_pool("full-24")
+    run_sampled_campaign(channel, (1, 2, 3), plan_from_count(50), pool, seed=1)
+    tracemalloc.start()
+    try:
+        run_sampled_campaign(channel, (1, 2, 3), plan_from_count(2000), pool, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * channel.terms[0][1].nbytes, peak
 
 
 def pinned_channel() -> QuantumChannel:

@@ -126,6 +126,27 @@ class TestQuantumChannel:
         with pytest.raises(DimensionError):
             QuantumChannel.unitary_ensemble([(0.5, I2), (0.5, np.eye(4))])
 
+    @pytest.mark.parametrize("w", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, w):
+        with pytest.raises(ValueError, match="finite"):
+            QuantumChannel.unitary_ensemble([(w, I2), (0.5, SZ)])
+
+    def test_raw_non_unitary_array_rejected(self):
+        with pytest.raises(ValueError, match="unitary"):
+            QuantumChannel.from_unitary(np.diag([1.0, 2.0]))
+
+    def test_unitary_matrix_not_checked_again(self, monkeypatch):
+        u = UnitaryMatrix(SZ)
+
+        def recheck(self):
+            raise AssertionError("UnitaryMatrix rebuilt")
+
+        monkeypatch.setattr(UnitaryMatrix, "__post_init__", recheck)
+        ch = QuantumChannel.from_unitary(u)
+        assert ch.terms[0][1] is u.data
+        ens = QuantumChannel.unitary_ensemble([(0.5, u), (0.5, u)])
+        assert all(op is u.data for _, op in ens.terms)
+
     def test_valid_kraus(self):
         k0 = np.diag([1.0, np.sqrt(0.5)]).astype(complex)
         k1 = np.array([[0, np.sqrt(0.5)], [0, 0]], dtype=complex)
