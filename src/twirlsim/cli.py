@@ -8,16 +8,18 @@ timing goes to the console only.
 
 Exit codes: 0 on success, 1 for configuration problems, 2 when an
 exact-mode result disagrees with the chi-diagonal oracle beyond tolerance.
+Every bad input, a malformed or unknown flag included, gives exit 1 and one
+``twirlsim: config error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
+import cmath
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,7 @@ from .paulis import (
     collective_coefficients,
 )
 from .protocol import (
+    CLT_EPSILON,
     DecayEstimate,
     ErrorBudget,
     SamplePlan,
@@ -63,28 +66,6 @@ class OracleMismatch(Exception):
     """Exact-mode result off the oracle beyond tolerance; exit code 2."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    gate: str = "identity"
-    n: int = 4
-    subsets: tuple[tuple[int, ...], ...] = ()
-    mode: str = "exact"
-    pool: str = "S1:I:X"
-    seed: int = 0
-    delta: float | None = None
-    epsilon: float | None = None
-    realizations: int | None = None
-    prep_error: float = 0.0
-    clifford_error: float = 0.0
-    out: str | None = None
-    threads: int = 1
-    oracle: bool = True
-    assignment_order: str = "random"
-    channel_sampling: str = "exact"
-    ie_duration: float = 12.2e-3
-    ie_pulse_error: float = 0.0
-
-
 def parse_subsets(text: str) -> tuple[tuple[int, ...], ...]:
     """Parse ``1-2,2-3,1-4`` style target lists (dash-joined qubits per subset)."""
     text = text.strip()
@@ -104,26 +85,61 @@ def format_subset(subset: tuple[int, ...]) -> str:
     return "-".join(str(q) for q in subset)
 
 
-_CONFIG_KEYS = {
-    "gate": str,
-    "n": int,
-    "subsets": parse_subsets,
-    "mode": str,
-    "pool": str,
-    "seed": int,
-    "delta": float,
-    "epsilon": float,
-    "realizations": int,
-    "prep_error": float,
-    "clifford_error": float,
-    "out": str,
-    "threads": int,
-    "oracle": lambda s: s.lower() in ("on", "true", "1", "yes"),
-    "assignment_order": str,
-    "channel_sampling": str,
-    "ie_duration": float,
-    "ie_pulse_error": float,
-}
+def _finite(text: str, kind: type = float) -> float | complex:
+    """``kind(text)``, refusing NaN and infinite values."""
+    value = kind(text)
+    if not cmath.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+_SWITCH = {**dict.fromkeys(("on", "true", "yes", "1"), True),
+           **dict.fromkeys(("off", "false", "no", "0"), False)}
+
+
+def _option(default, parse, doc=None, choices=(), flag=None):
+    """A config field that is also a CLI option: ``parse`` reads its value
+    from text, ``choices`` (if any) lists the values it may take, and its
+    flag is the name with dashes unless ``flag`` says otherwise."""
+    return field(default=default,
+                 metadata={"parse": parse, "help": doc, "choices": choices, "flag": flag})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One experiment; each field is a config-file key and a command-line flag."""
+
+    gate: str = _option("identity", str, "identity | ie-sequence | c12(beta) | cnot | "
+                                         "cnot2 | matrix:<file> | ensemble:<file>")
+    n: int = _option(4, int, "register size")
+    subsets: tuple[tuple[int, ...], ...] = _option((), parse_subsets,
+                                                   "targets, e.g. 1-2,2-3,1-4")
+    mode: str = _option("exact", str, choices=("exact", "sampled"))
+    pool: str = _option("S1:I:X", str, "full-24 | half-12[:S] | S:P1:P2 (e.g. S1:I:X)")
+    seed: int = _option(0, int)
+    delta: float | None = _option(None, _finite, "target precision")
+    epsilon: float | None = _option(None, _finite, "allowed failure probability")
+    realizations: int | None = _option(None, int, flag="--n-realizations")
+    prep_error: float = _option(0.0, _finite)
+    clifford_error: float = _option(0.0, _finite)
+    out: str | None = _option(None, str, "output base path (writes .report.txt and .table.csv)")
+    threads: int = _option(1, int)
+    oracle: bool = _option(True, lambda text: _SWITCH[text.lower()], "on | off")
+    assignment_order: str = _option("random", str, choices=("random", "cyclic"))
+    channel_sampling: str = _option("exact", str, choices=("exact", "per-shot-ensemble"))
+    ie_duration: float = _option(12.2e-3, _finite)
+    ie_pulse_error: float = _option(0.0, _finite)
+
+
+def _parse_option(key: str, text: str):
+    """The value of option ``key`` read from ``text``, from a config line or a flag."""
+    option = ExperimentConfig.__dataclass_fields__.get(key)
+    if option is None:
+        raise ConfigError(f"unknown config key {key!r}")
+    try:
+        return option.metadata["parse"](text)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {text!r}") from exc
 
 
 def _read_lines(path: str | Path, what: str) -> list[tuple[str, str]]:
@@ -138,23 +154,18 @@ def _read_lines(path: str | Path, what: str) -> list[tuple[str, str]]:
 def parse_config_file(path: str | Path) -> ExperimentConfig:
     values = {}
     for _, line in _read_lines(path, "config"):
-        if not line:
-            continue
-        key, _, value = line.partition(" ")
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        try:
-            values[key] = _CONFIG_KEYS[key](value.strip())
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+        if line:
+            key, _, value = line.partition(" ")
+            values[key] = _parse_option(key, value.strip())
     return ExperimentConfig(**values)
 
 
 def build_channel(config: ExperimentConfig) -> QuantumChannel:
     """The gate or noise process named by the config, as a channel on n qubits."""
     try:
-        channel = _gate_channel(config)
-    except ValueError as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            channel = _gate_channel(config)
+    except (ValueError, ArithmeticError) as exc:
         raise ConfigError(f"gate {config.gate!r}: {exc}") from exc
     if channel.n != config.n:
         raise ConfigError(f"gate {config.gate!r} acts on {channel.n} qubits, not n = {config.n}")
@@ -174,7 +185,7 @@ def _gate_channel(config: ExperimentConfig) -> QuantumChannel:
     if gate.startswith("c12"):
         arg = gate[3:].strip().strip(":()")
         try:
-            beta = float(arg)
+            beta = _finite(arg)
         except ValueError as exc:
             raise ConfigError(f"cannot parse coupling angle in {gate!r}") from exc
         return QuantumChannel.from_unitary(zz_coupling(beta, (1, 2), n))
@@ -194,7 +205,7 @@ def _parse_matrix_rows(lines: list[str], origin: str) -> np.ndarray:
     rows = []
     for line in lines:
         try:
-            rows.append([complex(tok) for tok in line.split()])
+            rows.append([_finite(tok, complex) for tok in line.split()])
         except ValueError as exc:
             raise ConfigError(f"bad matrix entry in {origin}: {line!r}") from exc
     if not rows or any(len(r) != len(rows) for r in rows):
@@ -230,7 +241,7 @@ def _read_ensemble_file(path: str) -> list[tuple[float, np.ndarray]]:
         if line.startswith("weight"):
             flush()
             try:
-                weight = float(line[len("weight"):])
+                weight = _finite(line[len("weight"):])
             except ValueError as exc:
                 raise ConfigError(f"bad weight line in {path}: {raw!r}") from exc
         else:
@@ -311,8 +322,10 @@ class Report:
 def _validate_config(config: ExperimentConfig) -> tuple[SamplePlan | None, ErrorBudget]:
     if not 1 <= config.n <= MAX_QUBITS:
         raise ConfigError(f"register size {config.n} out of range 1..{MAX_QUBITS}")
-    if config.mode not in ("exact", "sampled"):
-        raise ConfigError(f"mode must be exact or sampled, got {config.mode!r}")
+    for option in fields(config):
+        choices, value = option.metadata["choices"], getattr(config, option.name)
+        if choices and value not in choices:
+            raise ConfigError(f"{option.name} must be {' or '.join(choices)}, got {value!r}")
     for subset in config.subsets:
         if len(subset) != len(set(subset)):
             raise ConfigError(f"duplicate qubits in subset {subset}")
@@ -324,29 +337,29 @@ def _validate_config(config: ExperimentConfig) -> tuple[SamplePlan | None, Error
         raise ConfigError("thread count must be at least 1")
     if config.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {config.seed}")
+    if config.epsilon is not None and config.delta is None:
+        raise ConfigError("epsilon needs delta")
     try:
         parse_pool(config.pool)
         budget = ErrorBudget(config.prep_error, config.clifford_error)
+        decay_error_bound(budget, 1.0)  # the largest bound any decay gets
+        count = None if config.realizations is None else plan_from_count(config.realizations)
+        target = None if config.delta is None else plan_realizations(
+            config.delta, CLT_EPSILON if config.epsilon is None else config.epsilon)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except ArithmeticError as exc:
+        raise ConfigError(f"a number is too large or too small to compute with: {exc}") from exc
     if config.mode != "sampled":
         return None, budget
-    if config.realizations is not None:
-        if config.realizations <= 0:
-            raise ConfigError("realization count must be positive")
-        if config.delta is not None:
-            floor = math.ceil(1.0 / config.delta**2)
-            if config.realizations < floor:
-                raise ConfigError(
-                    f"{config.realizations} realizations below the "
-                    f"1/delta^2 floor of {floor}")
-        return plan_from_count(config.realizations), budget
-    if config.delta is None or config.epsilon is None:
-        raise ConfigError("sampled mode needs realizations, or delta and epsilon")
-    try:
-        return plan_realizations(config.delta, config.epsilon), budget
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if count is None:
+        if config.epsilon is None:
+            raise ConfigError("sampled mode needs realizations, or delta and epsilon")
+        return target, budget
+    if target is not None and count.realizations < target.realizations:
+        raise ConfigError(f"{count.realizations} realizations below the floor of "
+                          f"{target.realizations} for delta {config.delta}")
+    return count, budget
 
 
 def _run_subset(
@@ -424,66 +437,47 @@ def report_write(report: Report, out_base: str | Path) -> tuple[Path, Path]:
     return report_path, table_path
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="twirlsim",
         description="Measure spatially resolved error coefficients of a gate "
                     "by Clifford twirling.")
     parser.add_argument("--config", help="flat key-value config file")
-    parser.add_argument("--gate", help="identity | ie-sequence | c12(beta) | cnot | "
-                                       "cnot2 | matrix:<file> | ensemble:<file>")
-    parser.add_argument("--n", type=int, help="register size")
-    parser.add_argument("--subsets", help="targets, e.g. 1-2,2-3,1-4")
-    parser.add_argument("--mode", choices=["exact", "sampled"])
-    parser.add_argument("--pool", help="full-24 | half-12[:S] | S:P1:P2 (e.g. S1:I:X)")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--delta", type=float, help="target precision")
-    parser.add_argument("--epsilon", type=float, help="allowed failure probability")
-    parser.add_argument("--n-realizations", type=int, dest="realizations")
-    parser.add_argument("--prep-error", type=float, dest="prep_error")
-    parser.add_argument("--clifford-error", type=float, dest="clifford_error")
-    parser.add_argument("--out", help="output base path (writes .report.txt and .table.csv)")
-    parser.add_argument("--threads", type=int)
-    parser.add_argument("--oracle", choices=["on", "off"])
-    parser.add_argument("--assignment-order", choices=["random", "cyclic"],
-                        dest="assignment_order")
-    parser.add_argument("--channel-sampling", choices=["exact", "per-shot-ensemble"],
-                        dest="channel_sampling")
-    parser.add_argument("--ie-duration", type=float, dest="ie_duration")
-    parser.add_argument("--ie-pulse-error", type=float, dest="ie_pulse_error")
+    for option in fields(ExperimentConfig):
+        meta = option.metadata
+        parser.add_argument(meta["flag"] or "--" + option.name.replace("_", "-"),
+                            dest=option.name,
+                            help=meta["help"] or " | ".join(meta["choices"]) or None)
     return parser
 
 
 def _merge_args(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    updates = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
-    if args.subsets is not None:
-        updates["subsets"] = parse_subsets(args.subsets)
-    if args.oracle is not None:
-        updates["oracle"] = args.oracle == "on"
-    return replace(config, **updates)
+    return replace(config, **{key: _parse_option(key, text) for key, text in vars(args).items()
+                              if text is not None and key != "config"})
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = parse_config_file(args.config) if args.config else ExperimentConfig()
         config = _merge_args(config, args)
         started = time.perf_counter()
         report = run_experiment(config)
         elapsed = time.perf_counter() - started
+        paths = report_write(report, config.out) if config.out else None
     except ConfigError as exc:
         print(f"twirlsim: config error: {exc}", file=sys.stderr)
         return 1
     except OracleMismatch as exc:
         print(f"twirlsim: numerical invariant violated: {exc}", file=sys.stderr)
         return 2
-    if config.out:
-        try:
-            report_path, table_path = report_write(report, config.out)
-        except ConfigError as exc:
-            print(f"twirlsim: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {report_path} and {table_path} ({elapsed:.2f} s)")
+    if paths:
+        print(f"wrote {paths[0]} and {paths[1]} ({elapsed:.2f} s)")
     else:
         sys.stdout.write(report.to_report_text())
         print(f"# elapsed {elapsed:.2f} s", file=sys.stderr)

@@ -125,7 +125,7 @@ def hamiltonian_matrix(h: NmrHamiltonian) -> np.ndarray:
 
 def free_evolution(h: NmrHamiltonian, tau: float) -> UnitaryMatrix:
     """Propagator of a delay of ``tau`` seconds under the internal Hamiltonian."""
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError(f"delay must be positive, got {tau}")
     return UnitaryMatrix(np.diag(np.exp(-1j * hamiltonian_diagonal(h) * tau)))
 
@@ -137,7 +137,7 @@ class Delay:
     tau: float
 
     def __post_init__(self) -> None:
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise ValueError(f"delay must be positive, got {self.tau}")
 
 
@@ -253,7 +253,7 @@ def time_suspension_sequence(
     Only the total duration is configurable; the equal split across the
     eight segments is a modeling choice, not a measured timing.
     """
-    if total_duration <= 0.0:
+    if not total_duration > 0.0:
         raise ValueError(f"total duration must be positive, got {total_duration}")
     tau = total_duration / len(_SUSPENSION_PATTERN)
     events: list[Delay | Pulse] = []

@@ -91,8 +91,8 @@ def _parse_text(text: str, what: str) -> tuple[int, list[list[str]]]:
 
 
 def _clamp(value: float, label: str) -> float:
-    if value < 0.0:
-        if value < -CLAMP_TOL:
+    if not value >= 0.0:
+        if not value >= -CLAMP_TOL:
             raise ValueError(f"entry {label} is negative beyond rounding: {value}")
         return 0.0
     return value
@@ -119,7 +119,7 @@ class ChiDiagonal:
                 raise ValueError(f"string {lab!r} does not span {self.n} qubits")
             clean[lab] = _clamp(float(v), lab)
         total = sum(clean.values())
-        if self.trace_preserving and abs(total - 1.0) > ATOL:
+        if self.trace_preserving and not abs(total - 1.0) <= ATOL:
             raise ValueError(f"chi diagonal sums to {total}, expected 1")
         object.__setattr__(self, "values", clean)
 

@@ -90,6 +90,10 @@ class SamplePlan:
                 f"concentration bound {math.ceil(floor)}")
 
 
+#: failure probability at which the Chernoff count equals the 1/delta^2 floor
+CLT_EPSILON = 2.0 * math.exp(-2.0)
+
+
 def plan_realizations(delta: float, epsilon: float) -> SamplePlan:
     """Realizations needed for precision ``delta`` at failure rate ``epsilon``.
 
@@ -118,7 +122,7 @@ def plan_from_count(realizations: int) -> SamplePlan:
     if realizations <= 0:
         raise ValueError(f"realization count must be positive, got {realizations}")
     delta = 1.0 / math.sqrt(realizations)
-    return SamplePlan(delta, 2.0 * math.exp(-2.0), realizations, "tie")
+    return SamplePlan(delta, CLT_EPSILON, realizations, "tie")
 
 
 @dataclass(frozen=True)

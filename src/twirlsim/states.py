@@ -52,10 +52,11 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         arr = _freeze(self.data)
         n = _check_square_pow2(arr, "density matrix")
-        if np.max(np.abs(arr - arr.conj().T)) > ATOL:
+        if not np.max(np.abs(arr - arr.conj().T)) <= ATOL:
             raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(arr).real - 1.0) > ATOL or abs(np.trace(arr).imag) > ATOL:
-            raise ValueError(f"density matrix trace {np.trace(arr)} is not 1")
+        trace = np.trace(arr)
+        if not (abs(trace.real - 1.0) <= ATOL and abs(trace.imag) <= ATOL):
+            raise ValueError(f"density matrix trace {trace} is not 1")
         if np.min(np.linalg.eigvalsh(arr)) < -ATOL:
             raise ValueError("density matrix has a negative eigenvalue")
         object.__setattr__(self, "data", arr)
@@ -102,7 +103,7 @@ class UnitaryMatrix:
         arr = _freeze(self.data)
         n = _check_square_pow2(arr, "unitary")
         dev = np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0]))
-        if dev > ATOL:
+        if not dev <= ATOL:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "n", n)
@@ -158,7 +159,7 @@ class QuantumChannel:
                 if abs(w - 1.0) > ATOL:
                     raise ValueError("kraus terms must carry weight 1")
                 acc += op.conj().T @ op
-            if np.max(np.abs(acc - np.eye(2**n))) > ATOL:
+            if not np.max(np.abs(acc - np.eye(2**n))) <= ATOL:
                 raise ValueError("kraus operators do not resolve the identity")
         object.__setattr__(self, "terms", tuple(frozen))
         object.__setattr__(self, "n", n)

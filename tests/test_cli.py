@@ -1,9 +1,15 @@
+import contextlib
+import io
 import math
 import statistics
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twirlsim.cli import (
     ConfigError,
@@ -315,8 +321,36 @@ class TestMain:
         ["--mode", "sampled", "--n-realizations", "100", "--seed", "-1"],
         ["--prep-error", "-1"],
         ["--prep-error", "nan"],
-    ], ids=["negative-seed", "negative-prep-error", "nan-prep-error"])
-    def test_bad_numbers_are_config_errors(self, capsys, args):
+        ["--mode", "bogus"],
+        ["--n", "abc"],
+        ["--oracle", "maybe"],
+        ["--bogus-flag"],
+        ["--assignment-order", "bogus"],
+        ["--mode", "sampled", "--n-realizations", "100", "--channel-sampling", "nope"],
+        ["--epsilon", "7"],
+        ["--mode", "sampled", "--n-realizations", "100", "--delta", "0.5", "--epsilon", "7"],
+        ["--mode", "sampled", "--n-realizations", "100", "--epsilon", "0.2"],
+        ["--config", "assignment_order bogus\n"],
+        ["--config", "oracle of\n"],
+        ["--gate", "ie", "--n", "4", "--ie-pulse-error", "nan"],
+        ["--gate", "ie", "--n", "4", "--ie-duration", "nan"],
+        ["--gate", "ie", "--n", "4", "--ie-duration", "inf"],
+        ["--gate", "ie", "--n", "4", "--ie-duration", "1e308"],
+        ["--prep-error", "1e308"],
+        ["--mode", "sampled", "--delta", "1e-300", "--epsilon", "0.5"],
+        ["--mode", "sampled", "--n-realizations", "200", "--delta", "0.1", "--epsilon", "0.01"],
+    ], ids=["negative-seed", "negative-prep-error", "nan-prep-error", "bad-mode",
+            "non-integer-n", "bad-oracle", "unknown-flag", "bad-assignment-order",
+            "bad-channel-sampling", "epsilon-out-of-range", "epsilon-out-of-range-with-count",
+            "epsilon-without-delta", "config-bad-assignment-order", "config-bad-oracle",
+            "nan-ie-pulse-error", "nan-ie-duration", "inf-ie-duration",
+            "overflowing-ie-duration", "overflowing-prep-error", "underflowing-delta",
+            "count-below-chernoff-floor"])
+    def test_bad_numbers_are_config_errors(self, tmp_path, capsys, args):
+        if args[0] == "--config":
+            path = tmp_path / "exp.config"
+            path.write_text(args[1])
+            args = ["--config", str(path)]
         assert main(["--gate", "cnot", "--n", "2", "--subsets", "1-2", *args]) == 1
         err = capsys.readouterr().err
         assert err.startswith("twirlsim: config error: ")
@@ -328,8 +362,12 @@ class TestMain:
         ("matrix", 1, "1 0 0 0\n0 1 0 0\n0 0 0 1\n0 0 1 0\n"),
         ("ensemble", 1, "weight nan\n1 0\n0 1\n\nweight 1\n0 1\n1 0\n"),
         ("cnot", 1, None),
+        ("c12(nan)", 2, None),
+        ("c12(inf)", 2, None),
+        ("matrix", 1, "1 0\n0 nan\n"),
+        ("matrix", 1, "1 0\n0 inf\n"),
     ], ids=["non-unitary", "three-by-three", "size-differs-from-n", "nan-weight",
-            "cnot-on-one-qubit"])
+            "cnot-on-one-qubit", "nan-angle", "inf-angle", "nan-entry", "inf-entry"])
     def test_unbuildable_gates_are_config_errors(self, tmp_path, capsys, gate, n, contents):
         if contents is not None:
             path = tmp_path / "gate.txt"
@@ -339,6 +377,16 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("twirlsim: config error: ")
         assert err.count("\n") == 1
+
+    def test_oracle_switch_words(self, tmp_path, capsys):
+        path = tmp_path / "exp.config"
+        for word, on in [*((w, True) for w in ("on", "true", "yes", "1", "ON")),
+                         *((w, False) for w in ("off", "false", "no", "0", "Off"))]:
+            path.write_text(f"oracle {word}\n")
+            assert parse_config_file(path).oracle is on
+            assert main(["--gate", "cnot", "--n", "2", "--subsets", "1-2",
+                         "--oracle", word]) == 0
+            assert ("\noracle " in capsys.readouterr().out) is on
 
     def test_oracle_mismatch_exit_code(self, monkeypatch, capsys):
         import twirlsim.cli as cli_mod
@@ -358,3 +406,73 @@ class TestMain:
                      "--out", str(out)])
         assert code == 0
         assert "gate identity" in (tmp_path / "run.report.txt").read_text()
+
+
+# Valid and wrong values per config key. Valid ones keep runs small (n <= 4,
+# at most 500 realizations, at most 4 threads); "{dir}" is a temp dir, and
+# every output path lies in it.
+OPTION_VALUES = {
+    "gate": (["identity", "cnot", "cnot2", "c12(0.3)", "ie-sequence", "matrix:{dir}/x.mat",
+              "ensemble:{dir}/flip.ens"],
+             ["c12(nan)", "warp", "matrix:{dir}/nan.mat", "matrix:{dir}/missing.mat"]),
+    "n": (["1", "2", "3", "4"], ["0", "-1"]),
+    "subsets": (["1", "1-2", "2-3,1-2", "1-2-3", "none"], ["1-5", "1-1", "1-x"]),
+    "mode": (["exact", "sampled"], []),
+    "pool": (["S1:I:X", "S2:Z:Y", "half-12", "full-24"], ["S9:I:X"]),
+    "seed": (["0", "7"], ["-1"]),
+    "delta": (["0.5", "0.2", "0.1"], ["0", "2", "1e-300"]),
+    "epsilon": (["0.5", "0.1", "0.01"], ["0", "7"]),
+    "realizations": (["50", "200", "500"], ["1", "0", "-3"]),
+    "prep_error": (["0", "0.01"], ["-1", "1e308"]),
+    "clifford_error": (["0", "0.02", "1e154"], ["-1", "1e200"]),
+    "out": (["{dir}/run", "{dir}/sub/run"], ["{dir}/x.mat/run"]),
+    "threads": (["1", "2", "4"], ["0", "-1"]),
+    "oracle": (["on", "off", "yes", "0"], ["maybe"]),
+    "assignment_order": (["random", "cyclic"], ["bogus"]),
+    "channel_sampling": (["exact", "per-shot-ensemble"], ["nope"]),
+    "ie_duration": (["0.0122", "1"], ["0", "-1", "1e308"]),
+    "ie_pulse_error": (["0", "0.05"], ["1e308"]),
+}
+JUNK = ["", "abc", "nan", "inf", "-inf", "1e999", "1.5"]
+
+
+def _flag(key: str) -> str:
+    return "--n-realizations" if key == "realizations" else "--" + key.replace("_", "-")
+
+
+def _value(key: str):
+    valid, wrong = OPTION_VALUES[key]
+    junk = [] if key == "out" else JUNK
+    return st.sampled_from(valid * 3 + wrong + junk)  # valid values drawn more often
+
+
+_key_values = st.sampled_from(sorted(OPTION_VALUES)).flatmap(
+    lambda key: st.tuples(st.just(key), _value(key)))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(flags=st.lists(_key_values, max_size=6),
+       config=st.none() | st.lists(_key_values, max_size=5),
+       # an unknown flag, a flag missing its value, an unknown config key
+       bad_flag=st.sampled_from([[], [], [], ["--bogus-flag"], ["--n"]]),
+       bad_line=st.sampled_from(["", "", "", "bogus_key 1\n"]))
+def test_main_exits_cleanly_on_any_input(flags, config, bad_flag, bad_line):
+    """``main`` returns 0, 1 or 2 and raises nothing; exit 1 prints one line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "x.mat").write_text("0 1\n1 0\n")
+        Path(tmp, "nan.mat").write_text("1 0\n0 nan\n")
+        Path(tmp, "flip.ens").write_text("weight 0.5\n1 0\n0 1\n\nweight 0.5\n0 1\n1 0\n")
+        argv = [token.format(dir=tmp) for k, v in flags for token in (_flag(k), v)] + bad_flag
+        if config is not None:
+            path = Path(tmp, "exp.config")
+            path.write_text("".join(f"{k} {v.format(dir=tmp)}\n" for k, v in config) + bad_line)
+            argv = ["--config", str(path), *argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("twirlsim: config error: ")
+        assert err.getvalue().count("\n") == 1

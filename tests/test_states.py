@@ -81,6 +81,10 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]))
 
+    def test_rejects_nan_entry(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
     def test_rejects_oversized_register(self):
         with pytest.raises(DimensionError):
             DensityMatrix(np.eye(2**11) / 2**11)
@@ -108,6 +112,10 @@ class TestUnitaryMatrix:
         with pytest.raises(ValueError, match="unitary"):
             UnitaryMatrix(np.array([[1, 0], [0, 2]], dtype=complex))
 
+    def test_rejects_nan_entry(self):
+        with pytest.raises(ValueError, match="unitary"):
+            UnitaryMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
 
 class TestQuantumChannel:
     def test_ensemble_weights_must_sum_to_one(self):
@@ -121,6 +129,10 @@ class TestQuantumChannel:
     def test_kraus_must_resolve_identity(self):
         with pytest.raises(ValueError, match="identity"):
             QuantumChannel.from_kraus([np.diag([0.5, 0.5])])
+
+    def test_kraus_nan_entry_rejected(self):
+        with pytest.raises(ValueError, match="identity"):
+            QuantumChannel.from_kraus([np.array([[np.nan, 0.0], [0.0, 1.0]])])
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionError):
