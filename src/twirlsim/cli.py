@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -39,7 +40,10 @@ from .paulis import (
     collective_coefficients,
 )
 from .protocol import (
+    ASSIGNMENT_ORDERS,
+    CHANNEL_SAMPLING_MODES,
     CLT_EPSILON,
+    MAX_EXACT_SUBSET,
     DecayEstimate,
     ErrorBudget,
     SamplePlan,
@@ -53,7 +57,7 @@ from .protocol import (
     sampled_coefficient_error,
     subset_coefficient_error,
 )
-from .states import MAX_QUBITS, QuantumChannel
+from .states import MAX_QUBITS, QuantumChannel, content_lines
 
 ORACLE_TOL = 1e-9
 
@@ -125,8 +129,8 @@ class ExperimentConfig:
     out: str | None = _option(None, str, "output base path (writes .report.txt and .table.csv)")
     threads: int = _option(1, int)
     oracle: bool = _option(True, lambda text: _SWITCH[text.lower()], "on | off")
-    assignment_order: str = _option("random", str, choices=("random", "cyclic"))
-    channel_sampling: str = _option("exact", str, choices=("exact", "per-shot-ensemble"))
+    assignment_order: str = _option("random", str, choices=ASSIGNMENT_ORDERS)
+    channel_sampling: str = _option("exact", str, choices=CHANNEL_SAMPLING_MODES)
     ie_duration: float = _option(12.2e-3, _finite)
     ie_pulse_error: float = _option(0.0, _finite)
 
@@ -145,10 +149,9 @@ def _parse_option(key: str, text: str):
 def _read_lines(path: str | Path, what: str) -> list[tuple[str, str]]:
     """Each line of a ``what`` file, with its text before any ``#`` comment."""
     try:
-        text = Path(path).read_text()
+        return content_lines(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
-    return [(raw, raw.split("#", 1)[0].strip()) for raw in text.splitlines()]
 
 
 def parse_config_file(path: str | Path) -> ExperimentConfig:
@@ -194,10 +197,9 @@ def _gate_channel(config: ExperimentConfig) -> QuantumChannel:
             raise ConfigError("the ie-sequence gate requires n = 4")
         seq = time_suspension_sequence(config.ie_duration, config.ie_pulse_error)
         return QuantumChannel.from_unitary(compile_sequence(seq, crotonic_preset()))
-    if gate.startswith("matrix:"):
-        return QuantumChannel.from_unitary(_read_matrix_file(gate[len("matrix:"):]))
-    if gate.startswith("ensemble:"):
-        return QuantumChannel.unitary_ensemble(_read_ensemble_file(gate[len("ensemble:"):]))
+    if gate.startswith(("matrix:", "ensemble:")):
+        kind, _, path = gate.partition(":")
+        return QuantumChannel.unitary_ensemble(_read_operators(path, kind))
     raise ConfigError(f"unknown gate {config.gate!r}")
 
 
@@ -208,48 +210,31 @@ def _parse_matrix_rows(lines: list[str], origin: str) -> np.ndarray:
             rows.append([_finite(tok, complex) for tok in line.split()])
         except ValueError as exc:
             raise ConfigError(f"bad matrix entry in {origin}: {line!r}") from exc
-    if not rows or any(len(r) != len(rows) for r in rows):
+    if any(len(r) != len(rows) for r in rows):
         raise ConfigError(f"matrix in {origin} is not square")
     return np.array(rows, dtype=complex)
 
 
-def _read_matrix_file(path: str) -> np.ndarray:
-    """Whitespace-separated complex entries (Python syntax, e.g. 0.5+0.5j),
-    one matrix row per line."""
-    return _parse_matrix_rows([ln for _, ln in _read_lines(path, "matrix") if ln], path)
-
-
-def _read_ensemble_file(path: str) -> list[tuple[float, np.ndarray]]:
-    """Blocks of ``weight w`` followed by matrix rows, separated by blank lines."""
-    terms = []
-    block: list[str] = []
-    weight: float | None = None
-
-    def flush() -> None:
-        nonlocal block, weight
-        if weight is None and not block:
-            return
-        if weight is None or not block:
-            raise ConfigError(f"incomplete ensemble block in {path}")
-        terms.append((weight, _parse_matrix_rows(block, path)))
-        block, weight = [], None
-
-    for raw, line in _read_lines(path, "ensemble"):
-        if not line:
-            flush()
-            continue
-        if line.startswith("weight"):
-            flush()
+def _read_operators(path: str, kind: str) -> list[tuple[float, np.ndarray]]:
+    """The weighted matrices of a ``matrix`` or ``ensemble`` file: a ``weight w`` line
+    opens a block of matrix rows, complex entries in Python syntax (e.g. 0.5+0.5j);
+    a ``matrix`` file has no weight lines and is one block of weight 1."""
+    blocks: list[tuple[float, list[str]]] = [(1.0, [])] if kind == "matrix" else []
+    for raw, line in _read_lines(path, kind):
+        if kind == "ensemble" and line.startswith("weight"):
             try:
-                weight = _finite(line[len("weight"):])
+                blocks.append((_finite(line[len("weight"):]), []))
             except ValueError as exc:
                 raise ConfigError(f"bad weight line in {path}: {raw!r}") from exc
-        else:
-            block.append(line)
-    flush()
-    if not terms:
+        elif line:
+            if not blocks:
+                raise ConfigError(f"incomplete ensemble block in {path}")
+            blocks[-1][1].append(line)
+    if not blocks:
         raise ConfigError(f"no ensemble terms in {path}")
-    return terms
+    if any(not rows for _, rows in blocks):
+        raise ConfigError(f"incomplete {kind} block in {path}")
+    return [(weight, _parse_matrix_rows(rows, path)) for weight, rows in blocks]
 
 
 @dataclass(frozen=True)
@@ -319,7 +304,7 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _validate_config(config: ExperimentConfig) -> tuple[SamplePlan | None, ErrorBudget]:
+def _validate_config(config: ExperimentConfig) -> tuple[SamplePlan | None, ErrorBudget, CliffordPool]:
     if not 1 <= config.n <= MAX_QUBITS:
         raise ConfigError(f"register size {config.n} out of range 1..{MAX_QUBITS}")
     for option in fields(config):
@@ -331,8 +316,8 @@ def _validate_config(config: ExperimentConfig) -> tuple[SamplePlan | None, Error
             raise ConfigError(f"duplicate qubits in subset {subset}")
         if any(not 1 <= q <= config.n for q in subset):
             raise ConfigError(f"subset {format_subset(subset)} outside 1..{config.n}")
-        if not 1 <= len(subset) <= 3:
-            raise ConfigError("target subsets must have 1 to 3 qubits")
+        if not 1 <= len(subset) <= MAX_EXACT_SUBSET:
+            raise ConfigError(f"target subsets must have 1 to {MAX_EXACT_SUBSET} qubits")
     if config.threads < 1:
         raise ConfigError("thread count must be at least 1")
     if config.seed < 0:
@@ -340,9 +325,11 @@ def _validate_config(config: ExperimentConfig) -> tuple[SamplePlan | None, Error
     if config.epsilon is not None and config.delta is None:
         raise ConfigError("epsilon needs delta")
     try:
-        parse_pool(config.pool)
+        pool = parse_pool(config.pool)
         budget = ErrorBudget(config.prep_error, config.clifford_error)
-        decay_error_bound(budget, 1.0)  # the largest bound any decay gets
+        # the largest eta_bound the run prints: every decay of its largest target at 1
+        largest = subset_coefficient_error(
+            [decay_error_bound(budget, 1.0)] * (2 ** max(map(len, config.subsets), default=0) - 1))
         count = None if config.realizations is None else plan_from_count(config.realizations)
         target = None if config.delta is None else plan_realizations(
             config.delta, CLT_EPSILON if config.epsilon is None else config.epsilon)
@@ -350,16 +337,19 @@ def _validate_config(config: ExperimentConfig) -> tuple[SamplePlan | None, Error
         raise ConfigError(str(exc)) from exc
     except ArithmeticError as exc:
         raise ConfigError(f"a number is too large or too small to compute with: {exc}") from exc
+    if not math.isfinite(largest):
+        raise ConfigError(f"prep_error {config.prep_error} and clifford_error "
+                          f"{config.clifford_error} give an infinite error bound")
     if config.mode != "sampled":
-        return None, budget
+        return None, budget, pool
     if count is None:
         if config.epsilon is None:
             raise ConfigError("sampled mode needs realizations, or delta and epsilon")
-        return target, budget
+        return target, budget, pool
     if target is not None and count.realizations < target.realizations:
         raise ConfigError(f"{count.realizations} realizations below the floor of "
                           f"{target.realizations} for delta {config.delta}")
-    return count, budget
+    return count, budget, pool
 
 
 def _run_subset(
@@ -406,9 +396,8 @@ def _run_subset(
 
 def run_experiment(config: ExperimentConfig) -> Report:
     """Execute the configured experiment over every target subset."""
-    plan, budget = _validate_config(config)
+    plan, budget, pool = _validate_config(config)
     channel = build_channel(config)
-    pool = parse_pool(config.pool)
     oracle = (collective_coefficients(chi_diagonal(channel))
               if config.oracle and config.n <= MAX_CHI_QUBITS else None)
     jobs = list(enumerate(config.subsets))

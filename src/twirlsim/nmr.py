@@ -31,7 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from .paulis import SINGLE_QUBIT_PAULIS
-from .states import UnitaryMatrix, _validate_subset, apply_local
+from .states import UnitaryMatrix, _validate_subset, apply_local, content_lines, outcome_codes
 
 PULSE_AXES = ("+x", "-x", "+y", "-y")
 
@@ -41,10 +41,9 @@ CROTONIC_QUBITS = 4
 
 def _entries(path: str | Path):
     """Each line of a file that holds more than a comment, with its tokens."""
-    for raw in Path(path).read_text().splitlines():
-        parts = raw.split("#", 1)[0].split()
-        if parts:
-            yield raw, parts
+    for raw, line in content_lines(Path(path).read_text()):
+        if line:
+            yield raw, line.split()
 
 
 @dataclass(frozen=True)
@@ -104,8 +103,7 @@ def crotonic_preset() -> NmrHamiltonian:
 
 def _z_signs(n: int, q: int) -> np.ndarray:
     """+1/-1 per basis state for the z operator of qubit q (MSB = qubit 1)."""
-    idx = np.arange(2**n)
-    return 1.0 - 2.0 * ((idx >> (n - q)) & 1)
+    return 1.0 - 2.0 * outcome_codes(n, [q])
 
 
 def hamiltonian_diagonal(h: NmrHamiltonian) -> np.ndarray:
@@ -270,24 +268,17 @@ def zz_coupling(beta: float, pair: tuple[int, int] = (1, 2), n: int = 4) -> Unit
     zz string of the pair; applying it k times equals one application at
     k*beta exactly (commuting diagonals).
     """
-    j, k = pair
-    qs = _validate_subset((j, k), n)
-    if len(qs) != 2:
-        raise ValueError(f"coupling gate needs two distinct qubits, got {pair}")
+    j, k = _validate_subset(pair, n)
     phase = beta * _z_signs(n, j) * _z_signs(n, k)
     return UnitaryMatrix(np.diag(np.exp(-1j * phase)))
 
 
 def cnot_gate(control: int = 1, target: int = 2, n: int = 4) -> UnitaryMatrix:
     """Controlled-NOT embedded in an n-qubit register; squares to identity."""
-    if control == target:
-        raise ValueError("control and target must differ")
-    _validate_subset((control, target), n)
-    dim = 2**n
-    mat = np.zeros((dim, dim), dtype=complex)
-    for x in range(dim):
-        y = x
-        if (x >> (n - control)) & 1:
-            y = x ^ (1 << (n - target))
-        mat[y, x] = 1.0
+    control, target = _validate_subset((control, target), n)
+    idx = np.arange(2**n)
+    # flip the target bit where the control bit is 1
+    perm = idx ^ (outcome_codes(n, [control]) << (n - target))
+    mat = np.zeros((2**n, 2**n), dtype=complex)
+    mat[perm, idx] = 1.0
     return UnitaryMatrix(mat)

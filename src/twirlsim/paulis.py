@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .states import ATOL, QuantumChannel, UnitaryMatrix, tensor
+from .states import ATOL, QuantumChannel, UnitaryMatrix, content_lines, tensor
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -84,8 +84,8 @@ _PAULI_ROWS = np.array([SINGLE_QUBIT_PAULIS[c].T.ravel() for c in "IXYZ"])
 
 def _parse_text(text: str, what: str) -> tuple[int, list[list[str]]]:
     """The register size of an ``n <count>`` header and the (key, value) rows after it."""
-    lines = [ln.split() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if lines[0][0] != "n":
+    lines = [line.split() for _, line in content_lines(text) if line]
+    if not lines or len(lines[0]) != 2 or lines[0][0] != "n":
         raise ValueError(f"{what} text must start with an 'n <count>' line")
     return int(lines[0][1]), lines[1:]
 

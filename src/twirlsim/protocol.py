@@ -42,6 +42,14 @@ from .states import (
 #: decays with |M| beyond this are out of exact-mode scope
 MAX_EXACT_SUBSET = 3
 
+#: shots per target: a sampled campaign holds five N-long 8-byte arrays of
+#: draws and outcomes, so this caps them at 400 MB
+MAX_REALIZATIONS = 10**7
+
+#: how ``run_sampled_campaign`` picks twirl assignments and channel terms
+ASSIGNMENT_ORDERS = ("random", "cyclic")
+CHANNEL_SAMPLING_MODES = ("exact", "per-shot-ensemble")
+
 
 @dataclass(frozen=True)
 class DecayEstimate:
@@ -83,6 +91,9 @@ class SamplePlan:
             raise ValueError(f"precision delta must lie in (0, 1), got {self.delta}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"failure probability must lie in (0, 1), got {self.epsilon}")
+        if self.realizations > MAX_REALIZATIONS:
+            raise ValueError(
+                f"{self.realizations} realizations exceed the limit of {MAX_REALIZATIONS}")
         floor = math.log(2.0 / self.epsilon) / (2.0 * self.delta**2)
         if self.realizations < math.ceil(floor - 1e-9):
             raise ValueError(
@@ -450,9 +461,9 @@ def run_sampled_campaign(
         pool = build_pool()
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    if assignment_order not in ("random", "cyclic"):
+    if assignment_order not in ASSIGNMENT_ORDERS:
         raise ValueError(f"unknown assignment order {assignment_order!r}")
-    if channel_sampling not in ("exact", "per-shot-ensemble"):
+    if channel_sampling not in CHANNEL_SAMPLING_MODES:
         raise ValueError(f"unknown channel sampling mode {channel_sampling!r}")
     if channel_sampling == "per-shot-ensemble" and channel.kind != "unitary-ensemble":
         raise ValueError("per-shot sampling requires a unitary-ensemble channel")

@@ -36,6 +36,11 @@ def _check_square_pow2(data: np.ndarray, what: str) -> int:
     return n
 
 
+def content_lines(text: str) -> list[tuple[str, str]]:
+    """Each line of ``text`` with its text before any ``#`` comment, stripped."""
+    return [(raw, raw.split("#", 1)[0].strip()) for raw in text.splitlines()]
+
+
 def _freeze(data: np.ndarray) -> np.ndarray:
     arr = np.array(data, dtype=complex)
     arr.setflags(write=False)

@@ -134,6 +134,30 @@ class TestBuildChannel:
         assert err.startswith("twirlsim: config error: bad weight line")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind, contents, terms", [
+        ("matrix", "1 0  # first row\n0 1\n", 1),
+        ("ensemble", "weight 1  # the only term\n1 0\n0 1\n", 1),
+        ("matrix", "\n1 0\n\n# a comment line\n0 1\n\n", 1),
+        ("ensemble", "weight 0.5\n1 0\n\n0 1\n\nweight 0.5\n0 1\n  # indented\n1 0\n", 2),
+        ("ensemble", "weight 0.5\n\n1 0\n0 1\nweight 0.5\n\n0 1\n1 0\n", 2),
+        ("ensemble", "1 0\n0 1\nweight 1\n1 0\n0 1\n", None),
+        ("ensemble", "weight 0.5\n1 0\n0 1\nweight 0.5\n", None),
+        ("matrix", "", None),
+        ("ensemble", "# only a comment\n", None),
+        ("matrix", "weight 1\n1 0\n0 1\n", None),
+    ], ids=["comment-after-row", "comment-after-weight", "blank-lines-in-matrix",
+            "blank-line-inside-block", "blank-line-after-weight", "rows-before-weight",
+            "weight-without-rows", "empty-matrix", "empty-ensemble", "weight-in-matrix"])
+    def test_operator_files(self, tmp_path, kind, contents, terms):
+        path = tmp_path / "gate.txt"
+        path.write_text(contents)
+        config = ExperimentConfig(gate=f"{kind}:{path}", n=1)
+        if terms is None:
+            with pytest.raises(ConfigError):
+                build_channel(config)
+        else:
+            assert len(build_channel(config).terms) == terms
+
 
 class TestValidation:
     def test_subset_out_of_range(self):
@@ -339,13 +363,18 @@ class TestMain:
         ["--prep-error", "1e308"],
         ["--mode", "sampled", "--delta", "1e-300", "--epsilon", "0.5"],
         ["--mode", "sampled", "--n-realizations", "200", "--delta", "0.1", "--epsilon", "0.01"],
+        ["--mode", "sampled", "--n-realizations", "10000000000000"],
+        ["--mode", "sampled", "--delta", "1e-6", "--epsilon", "0.1"],
+        ["--prep-error", "1e154"],
+        ["--clifford-error", "1e154"],
     ], ids=["negative-seed", "negative-prep-error", "nan-prep-error", "bad-mode",
             "non-integer-n", "bad-oracle", "unknown-flag", "bad-assignment-order",
             "bad-channel-sampling", "epsilon-out-of-range", "epsilon-out-of-range-with-count",
             "epsilon-without-delta", "config-bad-assignment-order", "config-bad-oracle",
             "nan-ie-pulse-error", "nan-ie-duration", "inf-ie-duration",
             "overflowing-ie-duration", "overflowing-prep-error", "underflowing-delta",
-            "count-below-chernoff-floor"])
+            "count-below-chernoff-floor", "huge-realization-count", "tiny-delta",
+            "infinite-prep-bound", "infinite-clifford-bound"])
     def test_bad_numbers_are_config_errors(self, tmp_path, capsys, args):
         if args[0] == "--config":
             path = tmp_path / "exp.config"

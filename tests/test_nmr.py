@@ -292,6 +292,14 @@ class TestGateLibrary:
         cc = collective_coefficients(chi)
         assert cc.total() < 1e-12
 
+    def test_cnot_matches_loop_reference(self):
+        for n in range(2, 6):
+            for control, target in itertools.permutations(range(1, n + 1), 2):
+                ref = np.zeros((2**n, 2**n))
+                for x in range(2**n):
+                    ref[x ^ (1 << (n - target)) if (x >> (n - control)) & 1 else x, x] = 1.0
+                assert np.array_equal(cnot_gate(control, target, n).data, ref)
+
     def test_cnot_validation(self):
         with pytest.raises(ValueError):
             cnot_gate(1, 1, n=2)

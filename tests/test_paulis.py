@@ -145,6 +145,21 @@ class TestChiDiagonal:
         assert back["ZX"] == pytest.approx(0.25, abs=1e-12)
         assert back.trace_preserving
 
+    @pytest.mark.parametrize("text, value", [
+        ("", None),
+        ("n\nI 1.0\n", None),
+        ("I 1.0\n", None),
+        ("n 1\nI 1.0  # note\n", 1.0),
+        ("n 1\n  # note\nI 1.0\n", 1.0),
+    ], ids=["empty", "header-without-count", "no-header", "inline-comment",
+            "indented-comment"])
+    def test_from_text_comments_and_header(self, text, value):
+        if value is None:
+            with pytest.raises(ValueError):
+                ChiDiagonal.from_text(text)
+        else:
+            assert ChiDiagonal.from_text(text)["I"] == value
+
 
 class TestCollectiveCoefficients:
     def test_identity_channel_all_zero(self):

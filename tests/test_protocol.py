@@ -232,7 +232,8 @@ class TestSamplePlanning:
         assert chernoff == clt == plan.realizations
         assert plan.dominant_bound == "tie"
 
-    @pytest.mark.parametrize("delta,eps", [(0.0, 0.1), (1.0, 0.1), (0.1, 0.0), (0.1, 1.5)])
+    @pytest.mark.parametrize("delta,eps", [(0.0, 0.1), (1.0, 0.1), (0.1, 0.0), (0.1, 1.5),
+                                           (1e-6, 0.1)])
     def test_domain_errors(self, delta, eps):
         with pytest.raises(ValueError):
             plan_realizations(delta, eps)
