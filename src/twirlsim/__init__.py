@@ -4,58 +4,38 @@ Simulates the twirl-and-measure workflow on dense few-qubit registers and
 checks every estimate against the channel's exact chi-matrix diagonal.
 """
 
-from .states import (
-    DensityMatrix,
-    DimensionError,
-    QuantumChannel,
-    UnitaryMatrix,
-    apply_channel,
-    partial_trace,
-    projection_probability,
-    purity,
-    tensor,
-)
+from .states import DimensionError, QuantumChannel, UnitaryMatrix
 from .paulis import (
     ChiDiagonal,
     CollectiveCoefficients,
     PauliString,
     chi_diagonal,
     collective_coefficients,
-    enumerate_pauli_strings,
     max_weight_coefficient,
-    pauli_matrix,
     pauli_weight,
 )
 from .cliffords import (
     CliffordElement,
     CliffordPool,
-    PoolEquivalenceReport,
     build_pool,
     enumerate_cliffords,
     minimal_pool_choices,
     parse_pool,
-    pool_equivalence_check,
-    twirl_exact,
 )
 from .protocol import (
     DecayEstimate,
     ErrorBudget,
     ExperimentCounts,
     SamplePlan,
-    combine_pair,
     combine_subset,
     decay_error_bound,
-    decays_from_twirled_state,
     derive_seed,
     experiment_counts,
-    fidelity_decay_exact,
     fidelity_decay_from_chi,
     plan_from_count,
     plan_realizations,
-    protocol_initial_state,
     run_exact_campaign,
     run_sampled_campaign,
-    run_sampled_protocol,
     sampled_coefficient_error,
     subset_coefficient_error,
 )
@@ -77,20 +57,15 @@ from .nmr import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DensityMatrix", "DimensionError", "QuantumChannel", "UnitaryMatrix",
-    "apply_channel", "partial_trace", "projection_probability", "purity", "tensor",
+    "DimensionError", "QuantumChannel", "UnitaryMatrix",
     "ChiDiagonal", "CollectiveCoefficients", "PauliString", "chi_diagonal",
-    "collective_coefficients", "enumerate_pauli_strings", "max_weight_coefficient",
-    "pauli_matrix", "pauli_weight",
-    "CliffordElement", "CliffordPool", "PoolEquivalenceReport", "build_pool",
-    "enumerate_cliffords", "minimal_pool_choices", "parse_pool",
-    "pool_equivalence_check", "twirl_exact",
+    "collective_coefficients", "max_weight_coefficient", "pauli_weight",
+    "CliffordElement", "CliffordPool", "build_pool", "enumerate_cliffords",
+    "minimal_pool_choices", "parse_pool",
     "DecayEstimate", "ErrorBudget", "ExperimentCounts", "SamplePlan",
-    "combine_pair", "combine_subset", "decay_error_bound",
-    "decays_from_twirled_state", "derive_seed", "experiment_counts",
-    "fidelity_decay_exact", "fidelity_decay_from_chi",
-    "plan_from_count", "plan_realizations", "protocol_initial_state",
-    "run_exact_campaign", "run_sampled_campaign", "run_sampled_protocol",
+    "combine_subset", "decay_error_bound", "derive_seed", "experiment_counts",
+    "fidelity_decay_from_chi", "plan_from_count", "plan_realizations",
+    "run_exact_campaign", "run_sampled_campaign",
     "sampled_coefficient_error", "subset_coefficient_error",
     "Delay", "NmrHamiltonian", "Pulse", "PulseSequence", "cnot_gate",
     "compile_sequence", "crotonic_preset", "free_evolution",

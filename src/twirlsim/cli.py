@@ -156,9 +156,11 @@ def _read_lines(path: str | Path, what: str) -> list[tuple[str, str]]:
 
 def parse_config_file(path: str | Path) -> ExperimentConfig:
     values = {}
-    for _, line in _read_lines(path, "config"):
+    for raw, line in _read_lines(path, "config"):
         if line:
             key, _, value = line.partition(" ")
+            if key in values:
+                raise ConfigError(f"repeated config key {key!r} in line {raw!r}")
             values[key] = _parse_option(key, value.strip())
     return ExperimentConfig(**values)
 

@@ -1,4 +1,4 @@
-"""Single-qubit Clifford group as symplectic-times-Pauli products, and twirls.
+"""Single-qubit Clifford group as symplectic-times-Pauli products, and twirl pools.
 
 The 24 group elements (mod phase) factor as S*P where S comes from six
 symplectic rotations and P from the four Paulis. The S family splits into
@@ -21,17 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (
-    ATOL,
-    DensityMatrix,
-    DimensionError,
-    QuantumChannel,
-    _apply_channel_raw,
-    _validate_subset,
-    apply_local,
-    projection_probability,
-    protocol_initial_state,
-)
 from .paulis import SINGLE_QUBIT_PAULIS
 
 #: hard cap on the number of exact twirl terms before sampling is required
@@ -67,9 +56,6 @@ class CliffordElement:
     @property
     def label(self) -> str:
         return f"{self.symplectic}*{self.pauli}"
-
-    def inverse_matrix(self) -> np.ndarray:
-        return self.matrix.conj().T
 
 
 def _build_elements() -> tuple[CliffordElement, ...]:
@@ -156,103 +142,3 @@ def parse_pool(text: str) -> CliffordPool:
     if len(parts) == 3:
         return build_pool("minimal-6", symplectic=parts[0], pauli_pair=(parts[1], parts[2]))
     raise ValueError(f"cannot parse pool description {text!r}")
-
-
-def assignment_ops(
-    pool: CliffordPool, qs: tuple[int, ...], index: int
-) -> dict[int, np.ndarray]:
-    """Pool matrices of twirl assignment ``index`` on the qubits ``qs``.
-
-    ``index`` is a base-K number whose most significant digit picks the
-    element on ``qs[0]``, the order of itertools.product over the pool.
-    """
-    K, m = pool.size, len(qs)
-    return {q: pool.elements[(index // K ** (m - 1 - pos)) % K].matrix
-            for pos, q in enumerate(qs)}
-
-
-def _conjugate(ops: dict[int, np.ndarray], n: int, rho: np.ndarray) -> np.ndarray:
-    """C rho C^dag for the local operator C given by ``ops``."""
-    return apply_local(ops, n, apply_local(ops, n, rho).conj().T).conj().T
-
-
-def twirl_exact(
-    channel: QuantumChannel,
-    subset,
-    rho0: DensityMatrix,
-    pool: CliffordPool,
-) -> DensityMatrix:
-    """Average the channel over every pool assignment on the given qubits.
-
-    Returns (1/K^m) sum_k C_k^dag S(C_k rho0 C_k^dag) C_k with C_k ranging
-    over all m-fold tensor products drawn from the pool; unmeasured qubits
-    are untouched. Assignments are summed in ``assignment_ops`` order; this
-    is the density-matrix reference for the reduced-map engine of ``protocol``.
-    """
-    if channel.n != rho0.n:
-        raise DimensionError(
-            f"channel acts on {channel.n} qubits, state has {rho0.n}")
-    qs = tuple(sorted(_validate_subset(subset, rho0.n)))
-    m = len(qs)
-    if pool.size**m > MAX_EXACT_ASSIGNMENTS:
-        raise ValueError(
-            f"{pool.size}^{m} assignments exceed the exact-twirl cap; use sampling")
-    n = rho0.n
-    acc = np.zeros_like(rho0.data)
-    for index in range(pool.size**m):
-        ops = assignment_ops(pool, qs, index)
-        out = _apply_channel_raw(channel, _conjugate(ops, n, rho0.data))
-        acc += _conjugate({q: op.conj().T for q, op in ops.items()}, n, out)
-    acc /= pool.size**m
-    return DensityMatrix(acc)
-
-
-@dataclass(frozen=True)
-class PoolEquivalenceReport:
-    """Projection probabilities per pool, and their maximum spread."""
-
-    subset: tuple[int, ...]
-    probabilities: dict[str, float]
-    max_spread: float
-    tolerance: float
-    passed: bool
-
-    def to_text(self) -> str:
-        lines = [
-            f"subset {','.join(str(q) for q in self.subset)}",
-            f"tolerance {self.tolerance:.1e}",
-        ]
-        for label in sorted(self.probabilities):
-            lines.append(f"projection {label} {self.probabilities[label]:.12e}")
-        lines.append(f"max_spread {self.max_spread:.12e}")
-        lines.append(f"passed {str(self.passed).lower()}")
-        return "\n".join(lines) + "\n"
-
-
-def pool_equivalence_check(
-    channel: QuantumChannel,
-    subset,
-    rho0: DensityMatrix | None = None,
-    tolerance: float = ATOL,
-) -> PoolEquivalenceReport:
-    """Compare the measured projection across all ten pool variants.
-
-    Runs the exact twirl with the full 24-element group, the 12-element
-    half, and each of the eight 6-element pools, and records the
-    probability of reading 0 on every measured qubit. Limited to one or
-    two measured qubits to keep the full-group twirl small.
-    """
-    qs = tuple(sorted(_validate_subset(subset, channel.n)))
-    if len(qs) > 2:
-        raise ValueError("pool equivalence check supports at most 2 measured qubits")
-    if rho0 is None:
-        rho0 = protocol_initial_state(channel.n, qs)
-    pools = [build_pool("full-24"), build_pool("half-12")]
-    pools += [build_pool("minimal-6", symplectic=s, pauli_pair=(p1, p2))
-              for s, p1, p2 in minimal_pool_choices()]
-    probs = {}
-    for pool in pools:
-        rho1 = twirl_exact(channel, qs, rho0, pool)
-        probs[pool.label] = projection_probability(rho1, qs)
-    spread = max(probs.values()) - min(probs.values())
-    return PoolEquivalenceReport(qs, probs, spread, tolerance, spread <= tolerance)

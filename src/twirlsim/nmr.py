@@ -8,7 +8,8 @@ delays evolve under the internal Hamiltonian alone.
 
 File formats:
 
-* Hamiltonian preset, one entry per line::
+* Hamiltonian preset, one entry per line and at most one per qubit or
+  pair (``coupling 2 1`` repeats ``coupling 1 2``)::
 
       shift 1 6650.6
       coupling 1 2 72.6
@@ -79,11 +80,14 @@ class NmrHamiltonian:
         couplings: dict[tuple[int, int], float] = {}
         for raw, parts in _entries(path):
             if parts[0] == "shift" and len(parts) == 3:
-                shifts[int(parts[1])] = float(parts[2])
+                table, key = shifts, int(parts[1])
             elif parts[0] == "coupling" and len(parts) == 4:
-                couplings[(int(parts[1]), int(parts[2]))] = float(parts[3])
+                table, key = couplings, tuple(sorted((int(parts[1]), int(parts[2]))))
             else:
                 raise ValueError(f"cannot parse Hamiltonian line {raw!r}")
+            if key in table:
+                raise ValueError(f"repeated Hamiltonian entry in line {raw!r}")
+            table[key] = float(parts[-1])
         qubits = set(shifts) | {q for pair in couplings for q in pair}
         size = n if n is not None else max(qubits, default=1)
         return cls(size, shifts, couplings)

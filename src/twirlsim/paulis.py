@@ -1,9 +1,9 @@
-"""Pauli-string enumeration and the exact chi-matrix-diagonal oracle.
+"""Pauli strings and the exact chi-matrix-diagonal oracle.
 
 Strings are written left to right for qubits 1..n ("ZX" puts Z on qubit 1,
-X on qubit 2) and enumerated in lexicographic order over the alphabet
-I < X < Y < Z. The diagonal of a channel's chi matrix in this basis is the
-ground truth every protocol estimate is checked against.
+X on qubit 2); the chi diagonal lists them in lexicographic order over the
+alphabet I < X < Y < Z. The diagonal of a channel's chi matrix in this basis
+is the ground truth every protocol estimate is checked against.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .states import ATOL, QuantumChannel, UnitaryMatrix, content_lines, tensor
+from .states import ATOL, QuantumChannel, content_lines
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -53,19 +53,8 @@ class PauliString:
         """1-based labels of the qubits carrying a non-identity factor."""
         return tuple(i + 1 for i, c in enumerate(self.letters) if c != "I")
 
-    def matrix(self) -> np.ndarray:
-        out = np.array([[1.0 + 0j]])
-        for c in self.letters:
-            out = tensor(out, SINGLE_QUBIT_PAULIS[c])
-        return out
-
     def __str__(self) -> str:
         return self.letters
-
-
-def pauli_matrix(s: PauliString | str) -> UnitaryMatrix:
-    """Dense matrix of a Pauli string; Hermitian and unitary."""
-    return UnitaryMatrix(PauliString(str(s)).matrix())
 
 
 def pauli_weight(s: PauliString | str) -> int:
@@ -73,21 +62,25 @@ def pauli_weight(s: PauliString | str) -> int:
     return PauliString(str(s)).weight
 
 
-def enumerate_pauli_strings(n: int) -> list[PauliString]:
-    """All 4^n strings on n qubits, lexicographic, identity first."""
-    return [PauliString("".join(p)) for p in itertools.product("IXYZ", repeat=n)]
-
-
 #: sigma^T of I, X, Y, Z flattened over one qubit's (row, column) bits
 _PAULI_ROWS = np.array([SINGLE_QUBIT_PAULIS[c].T.ravel() for c in "IXYZ"])
 
 
-def _parse_text(text: str, what: str) -> tuple[int, list[list[str]]]:
-    """The register size of an ``n <count>`` header and the (key, value) rows after it."""
-    lines = [line.split() for _, line in content_lines(text) if line]
-    if not lines or len(lines[0]) != 2 or lines[0][0] != "n":
+def _parse_text(text: str, what: str, key) -> tuple[int, dict]:
+    """The register size of an ``n <count>`` header, and the value of each
+    ``<key> <value>`` row after it by ``key(<key>)``; a repeated key is an error."""
+    lines = [(raw, line.split()) for raw, line in content_lines(text) if line]
+    if not lines or len(lines[0][1]) != 2 or lines[0][1][0] != "n":
         raise ValueError(f"{what} text must start with an 'n <count>' line")
-    return int(lines[0][1]), lines[1:]
+    values: dict = {}
+    for raw, tokens in lines[1:]:
+        if len(tokens) != 2:
+            raise ValueError(f"{what} row {raw!r} is not '<key> <value>'")
+        label = key(tokens[0])
+        if label in values:
+            raise ValueError(f"repeated {what} row {raw!r}")
+        values[label] = float(tokens[1])
+    return int(lines[0][1][1]), values
 
 
 def _clamp(value: float, label: str) -> float:
@@ -137,8 +130,7 @@ class ChiDiagonal:
 
     @classmethod
     def from_text(cls, text: str) -> "ChiDiagonal":
-        n, rows = _parse_text(text, "chi")
-        values = {lab: float(val) for lab, val in rows}
+        n, values = _parse_text(text, "chi", str)
         total = sum(values.values())
         return cls(n, values, trace_preserving=abs(total - 1.0) <= ATOL)
 
@@ -185,8 +177,8 @@ class CollectiveCoefficients:
 
     @classmethod
     def from_text(cls, text: str) -> "CollectiveCoefficients":
-        n, rows = _parse_text(text, "collective")
-        values = {tuple(int(q) for q in key.split(",")): float(val) for key, val in rows}
+        n, values = _parse_text(text, "collective",
+                                lambda key: tuple(sorted(int(q) for q in key.split(","))))
         return cls(n, values, complete=False)
 
 

@@ -29,15 +29,7 @@ import numpy as np
 
 from .cliffords import CliffordPool, MAX_EXACT_ASSIGNMENTS, build_pool
 from .paulis import SINGLE_QUBIT_PAULIS, ChiDiagonal
-from .states import (
-    ATOL,
-    DensityMatrix,
-    QuantumChannel,
-    _validate_subset,
-    checked_probability,
-    outcome_codes,
-    protocol_initial_state,  # noqa: F401  (part of this module's API)
-)
+from .states import ATOL, QuantumChannel, _validate_subset, checked_probability, outcome_codes
 
 #: decays with |M| beyond this are out of exact-mode scope
 MAX_EXACT_SUBSET = 3
@@ -194,8 +186,10 @@ def _local_superops(pool: CliffordPool) -> np.ndarray:
 def _twirl_tables(maps: np.ndarray, superops: np.ndarray, m: int) -> np.ndarray:
     """(B, K^m, 2^m) outcome tables of every assignment, one per reduced map.
 
-    Row k is assignment k in ``assignment_ops`` order, column x the target's
-    outcome bits (first most significant) after C^dag S(C |0, f><0, f| C^dag) C.
+    Row k is the assignment whose pool element on the i-th target qubit is
+    digit i of k in base K, first qubit most significant (the order of
+    itertools.product over the pool); column x holds the target's outcome
+    bits (first most significant) after C^dag S(C |0, f><0, f| C^dag) C.
     A map is Hermitian: its coefficients on products of ``_PAULI_PAIRS`` are real.
     """
     batch, K = maps.shape[0], superops.shape[0] // 2
@@ -257,27 +251,6 @@ def run_exact_campaign(
     return _readout(weights, qs, 0)
 
 
-def fidelity_decay_exact(
-    channel: QuantumChannel, subset, pool: CliffordPool | None = None
-) -> DecayEstimate:
-    """Decay for one subset from a full enumeration of twirl assignments."""
-    qs = tuple(sorted(_validate_subset(subset, channel.n)))
-    return run_exact_campaign(channel, qs, pool)[qs]
-
-
-def decays_from_twirled_state(rho1: DensityMatrix, subset) -> dict[tuple[int, ...], float]:
-    """Decays of every nonempty sub-subset, read off one twirled state.
-
-    A twirl of the full subset already determines the decay of each smaller
-    subset through the corresponding marginal projection; this is the
-    density-matrix form of the engine's single-preparation readout.
-    """
-    qs = tuple(sorted(_validate_subset(subset, rho1.n)))
-    weights = np.bincount(outcome_codes(rho1.n, qs), weights=np.diag(rho1.data).real,
-                          minlength=2 ** len(qs))
-    return {sub: est.value for sub, est in _readout(weights, qs, 0).items()}
-
-
 def _purity_factor(purity: float, letter: str) -> float:
     if letter == "I":
         return purity
@@ -319,17 +292,6 @@ def _as_value(x) -> float:
     return float(x.value) if isinstance(x, DecayEstimate) else float(x)
 
 
-def combine_pair(decay_a, decay_b, decay_ab) -> float:
-    """Collective coefficient of a pair from its three decays.
-
-    Assumes pure preparation on both qubits: 9/4 (g_a + g_b - g_ab). Equals
-    the pair coefficient exactly when the channel has no terms that touch
-    the pair plus further qubits; any such terms add on top. Sampling noise
-    can push the result slightly negative; it is reported unclamped.
-    """
-    return 2.25 * (_as_value(decay_a) + _as_value(decay_b) - _as_value(decay_ab))
-
-
 def combine_subset(decays: Mapping) -> float:
     """Collective coefficient of a set M from the decays of all its subsets.
 
@@ -341,8 +303,9 @@ def combine_subset(decays: Mapping) -> float:
     which cancels every term supported on fewer than all of M and returns
     the coefficient on M plus the coefficients of its strict supersets.
     The alternating-sign pattern is pinned by the brute-force oracle tests
-    before anything downstream relies on it; for |M| = 2 it reduces to
-    ``combine_pair``.
+    before anything downstream relies on it; for a pair it reduces to
+    9/4 (g_a + g_b - g_ab). Sampling noise can push the result slightly
+    negative; it is reported unclamped.
     """
     table: dict[tuple[int, ...], float] = {}
     for key, val in decays.items():
@@ -508,20 +471,3 @@ def run_sampled_campaign(
         outcomes[sel] = np.minimum(drawn, 2**m - 1)
         del cdf  # the next block's table is built without this one beside it
     return _readout(np.bincount(outcomes, minlength=2**m), qs, N)
-
-
-def run_sampled_protocol(
-    channel: QuantumChannel,
-    subset,
-    plan: SamplePlan,
-    pool: CliffordPool | None = None,
-    seed: int = 0,
-    assignment_order: str = "random",
-    channel_sampling: str = "exact",
-) -> DecayEstimate:
-    """Sampled decay of one subset (the full-subset entry of the campaign)."""
-    qs = tuple(sorted(_validate_subset(subset, channel.n)))
-    campaign = run_sampled_campaign(
-        channel, qs, plan, pool, seed,
-        assignment_order=assignment_order, channel_sampling=channel_sampling)
-    return campaign[qs]

@@ -1,4 +1,9 @@
-"""Dense density-matrix linear algebra for registers of up to 10 qubits.
+"""Validated unitaries and channels on registers of up to 10 qubits.
+
+The module also owns the low-level rules the other modules share: the comment
+rule of every text format, qubit-subset checks, the bit order of measurement
+outcomes, probability clamping, and the kernel that applies local 2x2
+operators.
 
 Qubits are labelled 1..n, with qubit 1 the leftmost tensor factor (most
 significant bit of the computational-basis index). All wrapper types are
@@ -16,7 +21,7 @@ import numpy as np
 
 MAX_QUBITS = 10
 
-#: tolerance for validity checks (hermiticity, trace, unitarity, ...)
+#: tolerance for validity checks (unitarity, normalization, probabilities)
 ATOL = 1e-9
 
 
@@ -45,56 +50,6 @@ def _freeze(data: np.ndarray) -> np.ndarray:
     arr = np.array(data, dtype=complex)
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """A valid n-qubit density matrix (Hermitian, unit trace, PSD)."""
-
-    data: np.ndarray
-    n: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        arr = _freeze(self.data)
-        n = _check_square_pow2(arr, "density matrix")
-        if not np.max(np.abs(arr - arr.conj().T)) <= ATOL:
-            raise ValueError("density matrix is not Hermitian")
-        trace = np.trace(arr)
-        if not (abs(trace.real - 1.0) <= ATOL and abs(trace.imag) <= ATOL):
-            raise ValueError(f"density matrix trace {trace} is not 1")
-        if np.min(np.linalg.eigvalsh(arr)) < -ATOL:
-            raise ValueError("density matrix has a negative eigenvalue")
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "n", n)
-
-    @classmethod
-    def computational_basis(cls, n: int, bits: int = 0) -> "DensityMatrix":
-        """|bits><bits| with the bit of qubit 1 in the most significant position."""
-        dim = 2**n
-        if not 0 <= bits < dim:
-            raise ValueError(f"basis index {bits} out of range for {n} qubits")
-        arr = np.zeros((dim, dim), dtype=complex)
-        arr[bits, bits] = 1.0
-        return cls(arr)
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "DensityMatrix":
-        v = np.asarray(vec, dtype=complex).reshape(-1)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
-
-    @classmethod
-    def maximally_mixed(cls, n: int) -> "DensityMatrix":
-        dim = 2**n
-        return cls(np.eye(dim, dtype=complex) / dim)
-
-    @classmethod
-    def product(cls, factors: Sequence[np.ndarray]) -> "DensityMatrix":
-        """Tensor product of single-qubit (or multi-qubit) density blocks."""
-        out = np.array([[1.0 + 0j]])
-        for f in factors:
-            out = tensor(out, np.asarray(f, dtype=complex))
-        return cls(out)
 
 
 @dataclass(frozen=True)
@@ -188,23 +143,9 @@ class QuantumChannel:
         return cls.from_unitary(np.eye(2**n, dtype=complex))
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square power-of-two matrices.
-
-    Rejects results that would exceed the 10-qubit register cap.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    na = _check_square_pow2(a, "left factor") if a.shape != (1, 1) else 0
-    nb = _check_square_pow2(b, "right factor") if b.shape != (1, 1) else 0
-    if na + nb > MAX_QUBITS:
-        raise DimensionError(f"tensor product spans {na + nb} qubits, limit is {MAX_QUBITS}")
-    return np.kron(a, b)
-
-
-def _validate_subset(subset: Iterable[int], n: int, *, allow_empty: bool = False) -> tuple[int, ...]:
+def _validate_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
     qs = tuple(int(q) for q in subset)
-    if not qs and not allow_empty:
+    if not qs:
         raise ValueError("qubit subset must be nonempty")
     if len(set(qs)) != len(qs):
         raise ValueError(f"duplicate qubit labels in {qs}")
@@ -212,36 +153,6 @@ def _validate_subset(subset: Iterable[int], n: int, *, allow_empty: bool = False
         if not 1 <= q <= n:
             raise ValueError(f"qubit label {q} out of range 1..{n}")
     return qs
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced state on the ``keep`` qubits, tracing out the rest.
-
-    ``keep`` orders the qubits of the result; labels are 1-based.
-    """
-    kept = _validate_subset(keep, rho.n)
-    order = [q - 1 for q in kept] + [q - 1 for q in range(1, rho.n + 1) if q not in kept]
-    # axes (row bits, column bits), kept qubits first in each
-    tens = rho.data.reshape([2] * (2 * rho.n)).transpose(order + [rho.n + a for a in order])
-    d, rest = 2 ** len(kept), 2 ** (rho.n - len(kept))
-    return DensityMatrix(np.einsum("ajbj->ab", tens.reshape(d, rest, d, rest)))
-
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr[rho^2], between 2^-n (maximally mixed) and 1 (pure)."""
-    return float(np.trace(rho.data @ rho.data).real)
-
-
-def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Propagate ``rho`` through the channel: sum_k w_k A_k rho A_k^dag."""
-    if channel.n != rho.n:
-        raise DimensionError(
-            f"channel acts on {channel.n} qubits, state has {rho.n}")
-    return DensityMatrix(_apply_channel_raw(channel, rho.data))
-
-
-def _apply_channel_raw(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
-    return sum(w * (op @ rho @ op.conj().T) for w, op in channel.terms)
 
 
 def outcome_codes(n: int, subset: Sequence[int]) -> np.ndarray:
@@ -259,23 +170,6 @@ def checked_probability(p: float) -> float:
     if not -ATOL <= p <= 1.0 + ATOL:
         raise ValueError(f"projection probability {p} outside [0, 1]")
     return min(max(p, 0.0), 1.0)
-
-
-def projection_probability(rho: DensityMatrix, subset: Iterable[int]) -> float:
-    """Probability that every qubit in ``subset`` reads 0.
-
-    Tr[rho (|0..0><0..0|_subset x I_rest)], clamped to [0, 1].
-    """
-    qs = _validate_subset(subset, rho.n)
-    diag = np.diag(rho.data).real
-    return checked_probability(float(diag[outcome_codes(rho.n, qs) == 0].sum()))
-
-
-def protocol_initial_state(n: int, subset: Iterable[int]) -> DensityMatrix:
-    """|0> on each measured qubit, maximally mixed on the rest."""
-    qs = _validate_subset(subset, n)
-    zero = outcome_codes(n, qs) == 0
-    return DensityMatrix(np.diag(zero / 2.0 ** (n - len(qs))).astype(complex))
 
 
 def apply_local(ops: Mapping[int, np.ndarray], n: int, arr: np.ndarray) -> np.ndarray:

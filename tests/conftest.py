@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from twirlsim import QuantumChannel
+from twirlsim import QuantumChannel, run_exact_campaign
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -40,6 +40,17 @@ def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho)
+
+
+def exact_decay(channel: QuantumChannel, subset):
+    """Exact decay of ``subset`` from a twirl of that subset alone."""
+    qs = tuple(sorted(subset))
+    return run_exact_campaign(channel, qs)[qs]
+
+
+def dedicated_decays(channel: QuantumChannel, subsets) -> dict:
+    """Each subset's decay from its own twirl, keyed by the subset."""
+    return {tuple(s): exact_decay(channel, s) for s in subsets}
 
 
 @pytest.fixture

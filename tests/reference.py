@@ -1,0 +1,114 @@
+"""Slow, dense references for the decay engine, on plain arrays.
+
+States are 2^n x 2^n density matrices and every operator is a dense Kronecker
+product, so each function here follows its textbook definition term by term:
+the twirl is the average over every pool assignment of C^dag S(C rho C^dag) C
+(Emerson et al., "Symmetrized characterization of noisy quantum processes",
+2007). Nothing here comes from ``twirlsim.protocol``; the engine's results
+are checked against these.
+"""
+
+from __future__ import annotations
+
+import itertools
+from functools import reduce
+
+import numpy as np
+
+from twirlsim import CliffordPool, QuantumChannel, build_pool, minimal_pool_choices
+
+#: tolerance of the density-matrix checks on every twirled state
+ATOL = 1e-9
+
+SIGMAS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.diag([1.0, -1.0]).astype(complex),
+}
+
+TEN_POOLS = [build_pool("full-24"), build_pool("half-12")] + [
+    build_pool("minimal-6", symplectic=s, pauli_pair=(p1, p2))
+    for s, p1, p2 in minimal_pool_choices()]
+
+
+def kron(factors) -> np.ndarray:
+    """Kronecker product of ``factors``, the first one leftmost."""
+    return reduce(np.kron, factors, np.eye(1, dtype=complex))
+
+
+def pauli(letters: str) -> np.ndarray:
+    """Dense matrix of a Pauli string; letter i acts on qubit i + 1."""
+    return kron(SIGMAS[c] for c in letters)
+
+
+def pauli_strings(n: int) -> list[str]:
+    """All 4^n strings on n qubits, lexicographic over I < X < Y < Z."""
+    return ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
+
+
+def zero_mask(n: int, subset) -> np.ndarray:
+    """True at each basis index where every qubit of ``subset`` reads 0."""
+    if not all(1 <= q <= n for q in subset):
+        raise ValueError(f"subset {subset} outside 1..{n}")
+    idx = np.arange(2**n)
+    return np.all([(idx >> (n - q)) & 1 == 0 for q in subset], axis=0)
+
+
+def initial_state(n: int, subset) -> np.ndarray:
+    """|0> on each qubit of ``subset``, maximally mixed on the rest."""
+    return np.diag(zero_mask(n, subset) / 2.0 ** (n - len(subset))).astype(complex)
+
+
+def projection(rho: np.ndarray, subset) -> float:
+    """Tr[rho (|0..0><0..0|_subset x I_rest)]."""
+    n = rho.shape[0].bit_length() - 1
+    return float(np.diag(rho).real[zero_mask(n, subset)].sum())
+
+
+def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
+    """Reduced state on the ``keep`` qubits, in that order."""
+    n = rho.shape[0].bit_length() - 1
+    order = [q - 1 for q in keep] + [q for q in range(n) if q + 1 not in keep]
+    t = rho.reshape((2,) * (2 * n)).transpose(order + [n + q for q in order])
+    d, rest = 2 ** len(keep), 2 ** (n - len(keep))
+    return np.einsum("ajbj->ab", t.reshape(d, rest, d, rest))
+
+
+def check_density(rho: np.ndarray) -> np.ndarray:
+    """``rho`` itself, asserted Hermitian, of unit trace and with no
+    eigenvalue below -ATOL."""
+    assert np.max(np.abs(rho - rho.conj().T)) <= ATOL, "not Hermitian"
+    assert abs(np.trace(rho) - 1.0) <= ATOL, f"trace {np.trace(rho)} is not 1"
+    assert np.min(np.linalg.eigvalsh(rho)) >= -ATOL, "negative eigenvalue"
+    return rho
+
+
+def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
+    """sum_k w_k A_k rho A_k^dag over the channel's terms."""
+    return sum(w * (op @ rho @ op.conj().T) for w, op in channel.terms)
+
+
+def twirl(channel: QuantumChannel, subset, rho0: np.ndarray,
+          pool: CliffordPool) -> np.ndarray:
+    """(1/K^m) sum_k C_k^dag S(C_k rho0 C_k^dag) C_k over every assignment C_k
+    of pool elements to the m qubits of ``subset``, identity elsewhere.
+
+    Assignments are summed in the order of itertools.product over the pool,
+    first qubit most significant; the result is checked to be a state.
+    """
+    n, qs = channel.n, sorted(subset)
+    acc = 0.0
+    for choice in itertools.product(pool.elements, repeat=len(qs)):
+        ops = dict(zip(qs, (e.matrix for e in choice)))
+        c = kron(ops.get(q, SIGMAS["I"]) for q in range(1, n + 1))
+        acc = acc + c.conj().T @ apply_channel(channel, c @ rho0 @ c.conj().T) @ c
+    return check_density(acc / pool.size ** len(qs))
+
+
+def pool_projections(channel: QuantumChannel, subset) -> dict[str, float]:
+    """Projection onto |0> of ``subset`` after the exact twirl with each of
+    the ten pools, by pool label."""
+    rho0 = initial_state(channel.n, subset)
+    return {pool.label: projection(twirl(channel, subset, rho0, pool), subset)
+            for pool in TEN_POOLS}

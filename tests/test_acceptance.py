@@ -17,22 +17,25 @@ from twirlsim import (
     chi_diagonal,
     cnot_gate,
     collective_coefficients,
-    combine_pair,
     combine_subset,
     compile_sequence,
     crotonic_preset,
-    fidelity_decay_exact,
     fidelity_decay_from_chi,
     max_weight_coefficient,
     plan_from_count,
     plan_realizations,
-    pool_equivalence_check,
-    run_sampled_protocol,
+    run_sampled_campaign,
     time_suspension_sequence,
     zz_coupling,
 )
 from twirlsim.cli import ExperimentConfig, run_experiment, report_write
-from conftest import random_kraus_channel, random_unitary_ensemble
+from conftest import (
+    dedicated_decays,
+    exact_decay,
+    random_kraus_channel,
+    random_unitary_ensemble,
+)
+from reference import ATOL, pool_projections
 
 
 def _verdict(number: int, name: str, failures: list[str], elapsed: float,
@@ -89,7 +92,7 @@ def test_criterion_2_oracle_equivalence():
         subsets = [s for r in (1, 2)
                    for s in itertools.combinations(range(1, ch.n + 1), r)]
         for subset in subsets:
-            simulated = fidelity_decay_exact(ch, subset).value
+            simulated = exact_decay(ch, subset).value
             predicted = fidelity_decay_from_chi(chi, {q: 1.0 for q in subset}, subset)
             if abs(simulated - predicted) > 1e-9:
                 failures.append(f"channel {i} subset {subset}: "
@@ -98,7 +101,7 @@ def test_criterion_2_oracle_equivalence():
     spot = [ch for ch in channels if ch.n == 3][:5]
     for i, ch in enumerate(spot):
         chi = chi_diagonal(ch)
-        simulated = fidelity_decay_exact(ch, (1, 2, 3)).value
+        simulated = exact_decay(ch, (1, 2, 3)).value
         predicted = fidelity_decay_from_chi(chi, {1: 1.0, 2: 1.0, 3: 1.0}, (1, 2, 3))
         if abs(simulated - predicted) > 1e-9:
             failures.append(f"spot check {i}: |{simulated} - {predicted}| > 1e-9")
@@ -114,9 +117,10 @@ def test_criterion_3_pool_equivalence():
         ch = (random_unitary_ensemble(2, 3, rng) if i % 2 == 0
               else random_kraus_channel(2, 3, rng))
         subset = (1, 2) if i % 3 else (1,)
-        report = pool_equivalence_check(ch, subset)
-        if not report.passed:
-            failures.append(f"channel {i}: pools spread by {report.max_spread:.2e}")
+        probs = pool_projections(ch, subset).values()
+        spread = max(probs) - min(probs)
+        if not spread <= ATOL:
+            failures.append(f"channel {i}: pools spread by {spread:.2e}")
     _verdict(3, "all ten twirl pools agree on the measured projection", failures,
              time.perf_counter() - started, 60.0)
 
@@ -131,9 +135,7 @@ def test_criterion_4_combination_correctness():
         ch = (random_unitary_ensemble(2, 4, rng) if i % 2 == 0
               else random_kraus_channel(2, 4, rng))
         cc = collective_coefficients(chi_diagonal(ch))
-        combined = combine_pair(fidelity_decay_exact(ch, (1,)),
-                                fidelity_decay_exact(ch, (2,)),
-                                fidelity_decay_exact(ch, (1, 2)))
+        combined = combine_subset(dedicated_decays(ch, [(1,), (2,), (1, 2)]))
         if abs(combined - cc[(1, 2)]) > 1e-9:
             failures.append(f"pair inversion {i}: |{combined} - {cc[(1, 2)]}| > 1e-9")
 
@@ -142,7 +144,7 @@ def test_criterion_4_combination_correctness():
     signs = np.array([1.0, -1.0])
     z3 = np.kron(np.kron(signs, signs), signs)
     ch3 = QuantumChannel.from_unitary(np.diag(np.exp(-1j * theta * z3)))
-    decays = {s: fidelity_decay_exact(ch3, s)
+    decays = {s: exact_decay(ch3, s)
               for r in (1, 2, 3) for s in itertools.combinations((1, 2, 3), r)}
     combined = combine_subset(decays)
     if abs(combined - math.sin(theta) ** 2) > 1e-9:
@@ -153,9 +155,7 @@ def test_criterion_4_combination_correctness():
     mix = QuantumChannel.unitary_ensemble(
         [(0.6, zz_coupling(0.25, (1, 2), n=3).data), (0.4, np.diag(np.exp(-1j * 0.3 * z3)))])
     cc = collective_coefficients(chi_diagonal(mix))
-    combined = combine_pair(fidelity_decay_exact(mix, (1,)),
-                            fidelity_decay_exact(mix, (2,)),
-                            fidelity_decay_exact(mix, (1, 2)))
+    combined = combine_subset(dedicated_decays(mix, [(1,), (2,), (1, 2)]))
     with_tail = cc[(1, 2)] + cc[(1, 2, 3)]
     if abs(combined - with_tail) > 1e-9:
         failures.append(f"weight-3 tail: |{combined} - {with_tail}| > 1e-9")
@@ -175,8 +175,8 @@ def test_criterion_5_sampling_statistics():
     envelope = 3.0 / math.sqrt(n_shots)
     hits = 0
     for seed in range(100):
-        estimate = run_sampled_protocol(ch, (1, 2), plan_from_count(n_shots),
-                                        seed=seed)
+        estimate = run_sampled_campaign(ch, (1, 2), plan_from_count(n_shots),
+                                        seed=seed)[(1, 2)]
         if abs(estimate.value - 5.0 / 9.0) <= envelope:
             hits += 1
     if hits < 99:

@@ -71,6 +71,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config_file("/nonexistent/exp.config")
 
+    def test_repeated_key(self, tmp_path, capsys):
+        path = tmp_path / "exp.config"
+        path.write_text("n 4\ngate cnot\nn 2  # again\n")
+        with pytest.raises(ConfigError, match="repeated config key 'n' in line 'n 2  # again'"):
+            parse_config_file(path)
+        assert main(["--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("twirlsim: config error: repeated") and err.count("\n") == 1
+
 
 class TestBuildChannel:
     def test_named_gates(self):

@@ -1,8 +1,7 @@
 """The decay engine against its references, closed forms and recorded pins.
 
-The exact engine must agree with the chi-diagonal prediction and with
-``twirl_exact`` followed by ``projection_probability`` for every part of a
-target. ``PINNED`` holds sampled-campaign results (decay value, standard
+The exact engine must agree with the chi-diagonal prediction and with the
+dense density-matrix twirl of ``reference`` for every part of a target. ``PINNED`` holds sampled-campaign results (decay value, standard
 error) for the assignment orders and channel-sampling modes the golden files
 do not cover. They were recorded before the engine moved to outcome tables,
 and every engine since must reproduce each one bit for bit.
@@ -20,21 +19,14 @@ from twirlsim import (
     chi_diagonal,
     cnot_gate,
     fidelity_decay_from_chi,
-    minimal_pool_choices,
     parse_pool,
     plan_from_count,
-    projection_probability,
-    protocol_initial_state,
     run_exact_campaign,
     run_sampled_campaign,
-    twirl_exact,
 )
 from twirlsim.cli import ExperimentConfig, run_experiment
 from conftest import random_kraus_channel, random_unitary, random_unitary_ensemble
-
-TEN_POOLS = [build_pool("full-24"), build_pool("half-12")] + [
-    build_pool("minimal-6", symplectic=s, pauli_pair=(p1, p2))
-    for s, p1, p2 in minimal_pool_choices()]
+from reference import TEN_POOLS, initial_state, projection, twirl
 
 
 def channel_on_leading_qubits(kind: str, k: int, n: int, rng) -> QuantumChannel:
@@ -68,8 +60,8 @@ def test_exact_engine_matches_density_matrix_twirl(index, kind):
             want = fidelity_decay_from_chi(chi, dict.fromkeys(sub, 1.0), sub)
             assert abs(est.value - want) <= 1e-12, (sub, est.value, want)
             if m < 3 or pool.size == 6:
-                rho = twirl_exact(channel, sub, protocol_initial_state(n, sub), pool)
-                want = 1.0 - projection_probability(rho, sub)
+                rho = twirl(channel, sub, initial_state(n, sub), pool)
+                want = 1.0 - projection(rho, sub)
                 assert abs(est.value - want) <= 1e-12, (sub, est.value, want)
             assert est.std_error == 0.0 and est.realizations == 0
         assert got[(n,)].value == 0.0

@@ -121,6 +121,17 @@ class TestHamiltonian:
         with pytest.raises(ValueError, match="parse"):
             NmrHamiltonian.from_file(path)
 
+    @pytest.mark.parametrize("lines, repeated", [
+        ("shift 1 10\nshift 1 10\n", "shift 1 10"),
+        ("coupling 1 2 5\ncoupling 1 2 7\n", "coupling 1 2 7"),
+        ("coupling 1 2 5\ncoupling 2 1 5\n", "coupling 2 1 5"),
+    ], ids=["shift", "coupling", "coupling-reversed"])
+    def test_file_repeated_entry(self, tmp_path, lines, repeated):
+        path = tmp_path / "register.txt"
+        path.write_text(lines)
+        with pytest.raises(ValueError, match=f"repeated Hamiltonian entry in line '{repeated}'"):
+            NmrHamiltonian.from_file(path)
+
 
 class TestFreeEvolution:
     def test_short_delay_near_identity(self):

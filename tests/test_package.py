@@ -1,0 +1,36 @@
+"""The package's public surface, and the independence of the test references."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import twirlsim
+
+REFERENCE = Path(__file__).with_name("reference.py")
+
+
+def test_all_names_resolve():
+    missing = [name for name in twirlsim.__all__ if not hasattr(twirlsim, name)]
+    assert not missing
+    assert len(set(twirlsim.__all__)) == len(twirlsim.__all__)
+
+
+def test_all_lists_every_public_binding():
+    bound = {name for name, value in vars(twirlsim).items()
+             if not name.startswith("_") and not inspect.ismodule(value)}
+    assert bound == set(twirlsim.__all__)
+
+
+def test_reference_shares_nothing_with_the_engine():
+    # the dense references check the decay engine, so they may not use it:
+    # no import of twirlsim.protocol, directly or through the package root
+    engine = "twirlsim.protocol"
+    for node in ast.walk(ast.parse(REFERENCE.read_text())):
+        if isinstance(node, ast.Import):
+            assert all(alias.name != engine for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != engine
+            if node.module == "twirlsim":
+                for alias in node.names:
+                    assert alias.name != "protocol"
+                    assert getattr(twirlsim, alias.name).__module__ != engine, alias.name

@@ -11,14 +11,14 @@ from twirlsim import (
     QuantumChannel,
     chi_diagonal,
     cnot_gate,
+    UnitaryMatrix,
     collective_coefficients,
-    enumerate_pauli_strings,
     max_weight_coefficient,
-    pauli_matrix,
     pauli_weight,
     zz_coupling,
 )
-from conftest import random_unitary
+from conftest import random_kraus_channel, random_unitary, random_unitary_ensemble
+from reference import pauli, pauli_strings
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -44,35 +44,35 @@ class TestPauliString:
         assert PauliString("IXIZ").support == (2, 4)
 
     def test_identity_matrix(self):
-        assert np.array_equal(pauli_matrix("II").data, np.eye(4))
+        assert np.array_equal(pauli("II"), np.eye(4))
 
     def test_zz_matrix(self):
-        assert np.array_equal(pauli_matrix("ZZ").data, np.diag([1, -1, -1, 1]))
+        assert np.array_equal(pauli("ZZ"), np.diag([1, -1, -1, 1]))
 
     def test_xz_against_kron_oracle(self):
-        assert np.array_equal(pauli_matrix("XZ").data, np.kron(SX, SZ))
+        assert np.array_equal(pauli("XZ"), np.kron(SX, SZ))
 
     def test_matrices_hermitian_and_unitary(self):
-        for s in enumerate_pauli_strings(2):
-            mat = pauli_matrix(s).data  # constructor enforces unitarity
+        for s in pauli_strings(2):
+            mat = UnitaryMatrix(pauli(s)).data  # constructor enforces unitarity
             assert np.array_equal(mat, mat.conj().T)
 
     def test_orthogonality_exhaustive_small(self):
         for n in (1, 2):
-            strings = enumerate_pauli_strings(n)
+            strings = pauli_strings(n)
             dim = 2**n
             for a, b in itertools.product(strings, repeat=2):
-                tr = np.trace(a.matrix() @ b.matrix())
-                expect = dim if a.letters == b.letters else 0.0
+                tr = np.trace(pauli(a) @ pauli(b))
+                expect = dim if a == b else 0.0
                 assert abs(tr - expect) < 1e-12
 
     def test_orthogonality_randomized_larger(self, rng):
         for n in (3, 4):
-            strings = enumerate_pauli_strings(n)
+            strings = pauli_strings(n)
             dim = 2**n
             for _ in range(50):
                 a, b = rng.choice(len(strings), size=2)
-                tr = np.trace(strings[a].matrix() @ strings[b].matrix())
+                tr = np.trace(pauli(strings[a]) @ pauli(strings[b]))
                 expect = dim if a == b else 0.0
                 assert abs(tr - expect) < 1e-12
 
@@ -80,14 +80,14 @@ class TestPauliString:
         for n in (1, 2, 3):
             dim = 2**n
             u = random_unitary(dim, rng)
-            total = sum(abs(np.trace(s.matrix() @ u)) ** 2 / dim**2
-                        for s in enumerate_pauli_strings(n))
+            total = sum(abs(np.trace(pauli(s) @ u)) ** 2 / dim**2
+                        for s in pauli_strings(n))
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_enumeration_is_lexicographic(self):
-        labels = [s.letters for s in enumerate_pauli_strings(2)]
+        labels = list(chi_diagonal(QuantumChannel.identity(2)).values)
         assert labels[:5] == ["II", "IX", "IY", "IZ", "XI"]
-        assert labels == sorted(labels)
+        assert labels == sorted(labels) == pauli_strings(2)
 
 
 class TestChiDiagonal:
@@ -95,6 +95,18 @@ class TestChiDiagonal:
         chi = chi_diagonal(QuantumChannel.identity(2))
         assert chi["II"] == pytest.approx(1.0, abs=1e-12)
         assert all(v < 1e-12 for lab, v in chi.values.items() if lab != "II")
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_definition(self, n, rng):
+        # sum_k w_k |Tr[P_s A_k]|^2 / D^2 for every string, by dense traces
+        for make in (random_kraus_channel, random_unitary_ensemble):
+            for _ in range(3):
+                ch = make(n, 4, rng)
+                chi = chi_diagonal(ch)
+                for s in pauli_strings(n):
+                    p = pauli(s)
+                    want = sum(w * abs(np.trace(p @ op)) ** 2 for w, op in ch.terms) / 4**n
+                    assert abs(chi[s] - want) <= 1e-14, (make.__name__, s)
 
     @pytest.mark.parametrize("beta", [0.1, 0.4, 1.3])
     def test_zz_phase_gate_closed_form(self, beta):
@@ -160,6 +172,15 @@ class TestChiDiagonal:
         else:
             assert ChiDiagonal.from_text(text)["I"] == value
 
+    @pytest.mark.parametrize("row", ["I 1.0 extra", "I"])
+    def test_from_text_row_needs_two_tokens(self, row):
+        with pytest.raises(ValueError, match=f"chi row '{row}' is not '<key> <value>'"):
+            ChiDiagonal.from_text(f"n 1\n{row}\n")
+
+    def test_from_text_repeated_row(self):
+        with pytest.raises(ValueError, match="repeated chi row 'I 0.5'"):
+            ChiDiagonal.from_text("n 1\nI 0.5\nX 0.5\nI 0.5\n")
+
 
 class TestCollectiveCoefficients:
     def test_identity_channel_all_zero(self):
@@ -192,6 +213,16 @@ class TestCollectiveCoefficients:
         assert "1,3 5" in text
         back = CollectiveCoefficients.from_text(text)
         assert back[(1, 3)] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("rows", ["1,3 0.5\n1,3 0.2", "1,3 0.5\n3,1 0.2"],
+                             ids=["same", "reordered"])
+    def test_from_text_repeated_subset(self, rows):
+        with pytest.raises(ValueError, match="repeated collective row"):
+            CollectiveCoefficients.from_text(f"n 3\n{rows}\n")
+
+    def test_from_text_row_needs_two_tokens(self):
+        with pytest.raises(ValueError, match="collective row '1,3' is not"):
+            CollectiveCoefficients.from_text("n 3\n1,3\n")
 
 
 class TestMaxWeightCoefficient:

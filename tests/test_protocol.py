@@ -12,29 +12,35 @@ from twirlsim import (
     build_pool,
     chi_diagonal,
     cnot_gate,
-    combine_pair,
     combine_subset,
     decay_error_bound,
-    decays_from_twirled_state,
     experiment_counts,
-    fidelity_decay_exact,
     fidelity_decay_from_chi,
     plan_from_count,
     plan_realizations,
-    projection_probability,
-    protocol_initial_state,
     run_sampled_campaign,
-    run_sampled_protocol,
     sampled_coefficient_error,
     subset_coefficient_error,
-    twirl_exact,
     zz_coupling,
 )
-from conftest import random_kraus_channel, random_unitary, random_unitary_ensemble
+from conftest import (
+    dedicated_decays,
+    exact_decay,
+    random_kraus_channel,
+    random_unitary,
+    random_unitary_ensemble,
+)
+from reference import initial_state, projection, twirl
 
 
 def cnot_channel(n=2):
     return QuantumChannel.from_unitary(cnot_gate(1, 2, n=n))
+
+
+def sampled_decay(channel, subset, plan, **options):
+    """Sampled decay of ``subset``: the full-subset entry of its campaign."""
+    qs = tuple(sorted(subset))
+    return run_sampled_campaign(channel, qs, plan, **options)[qs]
 
 
 def zzz_channel(theta):
@@ -45,40 +51,40 @@ def zzz_channel(theta):
 
 class TestInitialState:
     def test_structure(self):
-        rho = protocol_initial_state(3, [2])
+        rho = initial_state(3, [2])
         # qubit 2 pinned to |0>, the rest maximally mixed
-        diag = np.diag(rho.data).real
+        diag = np.diag(rho).real
         assert diag[0] == pytest.approx(0.25)
-        assert projection_probability(rho, [2]) == pytest.approx(1.0)
-        assert projection_probability(rho, [1]) == pytest.approx(0.5)
+        assert projection(rho, [2]) == pytest.approx(1.0)
+        assert projection(rho, [1]) == pytest.approx(0.5)
 
     def test_all_measured(self):
-        rho = protocol_initial_state(2, [1, 2])
-        assert rho.data[0, 0] == pytest.approx(1.0)
+        rho = initial_state(2, [1, 2])
+        assert rho[0, 0] == pytest.approx(1.0)
 
 
 class TestFidelityDecayExact:
     def test_identity_channel(self):
-        est = fidelity_decay_exact(QuantumChannel.identity(2), [1, 2])
+        est = exact_decay(QuantumChannel.identity(2), [1, 2])
         assert est.value == pytest.approx(0.0, abs=1e-12)
         assert est.std_error == 0.0
         assert est.realizations == 0
 
     def test_cnot_values(self):
         ch = cnot_channel()
-        assert fidelity_decay_exact(ch, [1]).value == pytest.approx(1 / 3, abs=1e-12)
-        assert fidelity_decay_exact(ch, [2]).value == pytest.approx(1 / 3, abs=1e-12)
-        assert fidelity_decay_exact(ch, [1, 2]).value == pytest.approx(5 / 9, abs=1e-12)
+        assert exact_decay(ch, [1]).value == pytest.approx(1 / 3, abs=1e-12)
+        assert exact_decay(ch, [2]).value == pytest.approx(1 / 3, abs=1e-12)
+        assert exact_decay(ch, [1, 2]).value == pytest.approx(5 / 9, abs=1e-12)
 
     def test_zz_gate_closed_form(self):
         ch = QuantumChannel.from_unitary(zz_coupling(0.4, (1, 2), n=2))
         expect = (8 / 9) * math.sin(0.4) ** 2
-        assert fidelity_decay_exact(ch, [1, 2]).value == pytest.approx(expect, abs=1e-12)
+        assert exact_decay(ch, [1, 2]).value == pytest.approx(expect, abs=1e-12)
         assert expect == pytest.approx(0.1348, abs=5e-5)
 
     def test_subset_size_cap(self):
         with pytest.raises(ValueError, match="at most 3"):
-            fidelity_decay_exact(QuantumChannel.identity(4), [1, 2, 3, 4])
+            exact_decay(QuantumChannel.identity(4), [1, 2, 3, 4])
 
 
 class TestFidelityDecayFromChi:
@@ -91,7 +97,7 @@ class TestFidelityDecayFromChi:
         ch = cnot_channel()
         chi = chi_diagonal(ch)
         for subset in ([1], [2], [1, 2]):
-            want = fidelity_decay_exact(ch, subset).value
+            want = exact_decay(ch, subset).value
             got = fidelity_decay_from_chi(chi, {q: 1.0 for q in subset}, subset)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -112,13 +118,13 @@ class TestFidelityDecayFromChi:
             ch = random_unitary_ensemble(2, 4, rng)
             chi = chi_diagonal(ch)
             for subset in ([1], [2], [1, 2]):
-                want = fidelity_decay_exact(ch, subset).value
+                want = exact_decay(ch, subset).value
                 got = fidelity_decay_from_chi(chi, {q: 1.0 for q in subset}, subset)
                 assert abs(want - got) < 1e-9
         ch = random_kraus_channel(2, 4, rng)
         chi = chi_diagonal(ch)
         for subset in ([1], [2], [1, 2]):
-            want = fidelity_decay_exact(ch, subset).value
+            want = exact_decay(ch, subset).value
             got = fidelity_decay_from_chi(chi, {q: 1.0 for q in subset}, subset)
             assert abs(want - got) < 1e-9
 
@@ -126,7 +132,7 @@ class TestFidelityDecayFromChi:
         for _ in range(5):
             ch = random_kraus_channel(2, 3, rng)
             for subset in ([1], [1, 2]):
-                v = fidelity_decay_exact(ch, subset).value
+                v = exact_decay(ch, subset).value
                 assert -1e-9 <= v <= 1.0 + 1e-9
 
     def test_linear_in_mixing_weight(self, rng):
@@ -135,7 +141,7 @@ class TestFidelityDecayFromChi:
         vals = []
         for p in (0.1, 0.2, 0.4):
             ch = QuantumChannel.unitary_ensemble([(1 - p, eye), (p, u)])
-            vals.append(fidelity_decay_exact(ch, [1, 2]).value)
+            vals.append(exact_decay(ch, [1, 2]).value)
         assert vals[1] == pytest.approx(2 * vals[0], abs=1e-9)
         assert vals[2] == pytest.approx(4 * vals[0], abs=1e-9)
 
@@ -144,39 +150,33 @@ class TestJointReadout:
     def test_marginals_match_dedicated_twirls(self, rng):
         # one twirl of the pair determines the single-qubit decays too
         for ch in (cnot_channel(), random_unitary_ensemble(2, 3, rng)):
-            rho0 = protocol_initial_state(2, [1, 2])
-            rho1 = twirl_exact(ch, [1, 2], rho0, build_pool())
-            joint = decays_from_twirled_state(rho1, [1, 2])
+            rho1 = twirl(ch, [1, 2], initial_state(2, [1, 2]), build_pool())
             for subset in ((1,), (2,), (1, 2)):
-                dedicated = fidelity_decay_exact(ch, subset).value
-                assert joint[subset] == pytest.approx(dedicated, abs=1e-9)
+                dedicated = exact_decay(ch, subset).value
+                assert 1.0 - projection(rho1, subset) == pytest.approx(dedicated, abs=1e-9)
 
 
 class TestCombination:
     def test_pair_cnot(self):
         ch = cnot_channel()
-        got = combine_pair(fidelity_decay_exact(ch, [1]),
-                           fidelity_decay_exact(ch, [2]),
-                           fidelity_decay_exact(ch, [1, 2]))
+        got = combine_subset(dedicated_decays(ch, [(1,), (2,), (1, 2)]))
         assert got == pytest.approx(0.25, abs=1e-12)
 
     def test_pair_zz_gate(self):
         ch = QuantumChannel.from_unitary(zz_coupling(0.4, (1, 2), n=2))
-        got = combine_pair(fidelity_decay_exact(ch, [1]),
-                           fidelity_decay_exact(ch, [2]),
-                           fidelity_decay_exact(ch, [1, 2]))
+        got = combine_subset(dedicated_decays(ch, [(1,), (2,), (1, 2)]))
         assert got == pytest.approx(math.sin(0.4) ** 2, abs=1e-12)
         assert got == pytest.approx(0.15, abs=2e-3)
 
     def test_pair_identity(self):
-        assert combine_pair(0.0, 0.0, 0.0) == 0.0
+        assert combine_subset({(1,): 0.0, (2,): 0.0, (1, 2): 0.0}) == 0.0
 
     def test_subset_matches_pair(self):
         ch = cnot_channel()
-        decays = {s: fidelity_decay_exact(ch, s)
-                  for s in ((1,), (2,), (1, 2))}
-        assert combine_subset(decays) == pytest.approx(
-            combine_pair(decays[(1,)], decays[(2,)], decays[(1, 2)]), abs=1e-12)
+        g = {s: est.value for s, est in dedicated_decays(ch, [(1,), (2,), (1, 2)]).items()}
+        # the pair case written out: 9/4 (g_1 + g_2 - g_12)
+        assert combine_subset(g) == pytest.approx(
+            2.25 * (g[(1,)] + g[(2,)] - g[(1, 2)]), abs=1e-12)
 
     def test_triple_recovers_three_body_weight(self):
         # brute-force route: all seven decays of the zzz phase channel
@@ -185,7 +185,7 @@ class TestCombination:
         decays = {}
         for r in (1, 2, 3):
             for sub in itertools.combinations((1, 2, 3), r):
-                decays[sub] = fidelity_decay_exact(ch, sub)
+                decays[sub] = exact_decay(ch, sub)
         got = combine_subset(decays)
         assert got == pytest.approx(math.sin(theta) ** 2, abs=1e-9)
         assert got == pytest.approx(0.0873, abs=5e-5)
@@ -203,7 +203,7 @@ class TestCombination:
         decays = {}
         for r in (1, 2, 3):
             for sub in itertools.combinations((1, 2, 3), r):
-                decays[sub] = fidelity_decay_exact(ch, sub)
+                decays[sub] = exact_decay(ch, sub)
         assert combine_subset(decays) == pytest.approx(0.0, abs=1e-9)
 
     def test_missing_subset_rejected(self):
@@ -263,7 +263,7 @@ class TestDecayEstimateInvariants:
 
 class TestSampledProtocol:
     def test_identity_channel_exactly_zero(self):
-        est = run_sampled_protocol(QuantumChannel.identity(2), [1, 2],
+        est = sampled_decay(QuantumChannel.identity(2), [1, 2],
                                    plan_from_count(1000), seed=5)
         assert est.value == 0.0
         assert est.std_error == 0.0
@@ -271,31 +271,28 @@ class TestSampledProtocol:
 
     def test_cnot_within_clt_envelope(self):
         plan = plan_from_count(40000)
-        est = run_sampled_protocol(cnot_channel(), [1, 2], plan, seed=11)
+        est = sampled_decay(cnot_channel(), [1, 2], plan, seed=11)
         assert abs(est.value - 5 / 9) <= 3 / math.sqrt(plan.realizations)
         assert est.std_error <= 1 / math.sqrt(plan.realizations)
 
     def test_zz_gate_within_clt_envelope(self):
         plan = plan_from_count(40000)
         ch = QuantumChannel.from_unitary(zz_coupling(0.1, (1, 2), n=2))
-        est = run_sampled_protocol(ch, [1, 2], plan, seed=11)
+        est = sampled_decay(ch, [1, 2], plan, seed=11)
         expect = (8 / 9) * math.sin(0.1) ** 2
         assert abs(est.value - expect) <= 3 / math.sqrt(plan.realizations)
 
     def test_seeded_determinism(self):
         plan = plan_from_count(2000)
-        a = run_sampled_protocol(cnot_channel(), [1, 2], plan, seed=123)
-        b = run_sampled_protocol(cnot_channel(), [1, 2], plan, seed=123)
-        c = run_sampled_protocol(cnot_channel(), [1, 2], plan, seed=124)
+        a = sampled_decay(cnot_channel(), [1, 2], plan, seed=123)
+        b = sampled_decay(cnot_channel(), [1, 2], plan, seed=123)
+        c = sampled_decay(cnot_channel(), [1, 2], plan, seed=124)
         assert a == b
         assert a != c
 
     def test_campaign_covers_all_subsets(self):
         camp = run_sampled_campaign(cnot_channel(), [1, 2], plan_from_count(2000), seed=9)
         assert set(camp) == {(1,), (2,), (1, 2)}
-        # the protocol entry point is the full-subset row of the campaign
-        est = run_sampled_protocol(cnot_channel(), [1, 2], plan_from_count(2000), seed=9)
-        assert est == camp[(1, 2)]
 
     def test_campaign_marginals_near_exact(self):
         camp = run_sampled_campaign(cnot_channel(), [1, 2], plan_from_count(40000), seed=21)
@@ -312,38 +309,38 @@ class TestSampledProtocol:
         plan = plan_from_count(5000)
         bound = 3 / math.sqrt(plan.realizations)
         hits = sum(
-            abs(run_sampled_protocol(cnot_channel(), [1, 2], plan, seed=s).value - 5 / 9) <= bound
+            abs(sampled_decay(cnot_channel(), [1, 2], plan, seed=s).value - 5 / 9) <= bound
             for s in range(20))
         assert hits >= 19
 
     def test_cyclic_assignments(self):
         plan = plan_from_count(3600)  # multiple of the 36-assignment pool
-        est = run_sampled_protocol(cnot_channel(), [1, 2], plan, seed=2,
+        est = sampled_decay(cnot_channel(), [1, 2], plan, seed=2,
                                    assignment_order="cyclic")
         # cycling covers the pool uniformly, so only shot noise remains
         assert abs(est.value - 5 / 9) <= 3 / math.sqrt(plan.realizations)
 
     def test_per_shot_ensemble_mode(self, rng):
         ch = random_unitary_ensemble(2, 3, rng)
-        exact = fidelity_decay_exact(ch, [1, 2]).value
+        exact = exact_decay(ch, [1, 2]).value
         plan = plan_from_count(40000)
-        est = run_sampled_protocol(ch, [1, 2], plan, seed=17,
+        est = sampled_decay(ch, [1, 2], plan, seed=17,
                                    channel_sampling="per-shot-ensemble")
         assert abs(est.value - exact) <= 4 / math.sqrt(plan.realizations)
 
     def test_per_shot_requires_ensemble(self, rng):
         ch = random_kraus_channel(2, 3, rng)
         with pytest.raises(ValueError, match="unitary-ensemble"):
-            run_sampled_protocol(ch, [1, 2], plan_from_count(100), seed=0,
+            sampled_decay(ch, [1, 2], plan_from_count(100), seed=0,
                                  channel_sampling="per-shot-ensemble")
 
     def test_invalid_options(self):
         plan = plan_from_count(100)
         with pytest.raises(ValueError, match="assignment order"):
-            run_sampled_protocol(cnot_channel(), [1, 2], plan, seed=0,
+            sampled_decay(cnot_channel(), [1, 2], plan, seed=0,
                                  assignment_order="alphabetical")
         with pytest.raises(ValueError, match="seed"):
-            run_sampled_protocol(cnot_channel(), [1, 2], plan, seed=-1)
+            sampled_decay(cnot_channel(), [1, 2], plan, seed=-1)
 
 
 class TestErrorPropagation:

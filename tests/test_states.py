@@ -1,20 +1,10 @@
 import numpy as np
 import pytest
 
-from twirlsim import (
-    DensityMatrix,
-    DimensionError,
-    QuantumChannel,
-    UnitaryMatrix,
-    apply_channel,
-    partial_trace,
-    projection_probability,
-    purity,
-    tensor,
-    zz_coupling,
-)
+from twirlsim import DimensionError, QuantumChannel, UnitaryMatrix, zz_coupling
 from twirlsim.states import apply_local, checked_probability, outcome_codes
 from conftest import random_density, random_kraus_channel, random_unitary
+from reference import apply_channel, check_density, kron, partial_trace, projection
 
 I2 = np.eye(2, dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -40,68 +30,43 @@ def brute_force_partial_trace(rho: np.ndarray, n: int, keep: tuple[int, ...]) ->
 
 
 class TestTensor:
+    """The reference's Kronecker product: the first factor is qubit 1."""
+
     def test_identity_case(self):
-        assert np.array_equal(tensor(I2, I2), np.eye(4))
+        assert np.array_equal(kron([I2, I2]), np.eye(4))
 
     def test_zz(self):
-        assert np.array_equal(tensor(SZ, SZ), np.diag([1, -1, -1, 1]).astype(complex))
+        assert np.array_equal(kron([SZ, SZ]), np.diag([1, -1, -1, 1]).astype(complex))
 
     def test_projector_times_mixed(self):
-        got = tensor(KET0, I2 / 2)
-        assert np.allclose(got, np.diag([0.5, 0.5, 0.0, 0.0]))
-
-    def test_dimension_cap(self):
-        big = np.eye(2**6)
-        with pytest.raises(DimensionError):
-            tensor(big, np.eye(2**5))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionError):
-            tensor(np.ones((2, 3)), I2)
-
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(DimensionError):
-            tensor(np.eye(3), I2)
+        assert np.allclose(kron([KET0, I2 / 2]), np.diag([0.5, 0.5, 0.0, 0.0]))
 
 
 class TestDensityMatrix:
+    """The checks the reference twirl makes on every state it returns."""
+
     def test_valid(self):
-        rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
-        assert rho.n == 1
+        check_density(np.diag([0.25, 0.75]).astype(complex))
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
+        with pytest.raises(AssertionError, match="Hermitian"):
+            check_density(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
     def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(np.diag([0.5, 0.6]))
+        with pytest.raises(AssertionError, match="trace"):
+            check_density(np.diag([0.5, 0.6]))
 
     def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValueError, match="negative eigenvalue"):
-            DensityMatrix(np.diag([1.5, -0.5]))
+        with pytest.raises(AssertionError, match="negative eigenvalue"):
+            check_density(np.diag([1.5, -0.5]))
 
     def test_rejects_nan_entry(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    def test_rejects_oversized_register(self):
-        with pytest.raises(DimensionError):
-            DensityMatrix(np.eye(2**11) / 2**11)
-
-    def test_immutable(self):
-        rho = DensityMatrix.maximally_mixed(1)
-        with pytest.raises(ValueError):
-            rho.data[0, 0] = 3.0
-
-    def test_computational_basis(self):
-        rho = DensityMatrix.computational_basis(2, 0b10)
-        assert rho.data[2, 2] == 1.0
+        with pytest.raises(AssertionError, match="Hermitian"):
+            check_density(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_product_constructor(self):
-        rho = DensityMatrix.product([KET0, I2 / 2, KET0])
-        assert rho.n == 3
-        assert projection_probability(rho, [1, 3]) == pytest.approx(1.0)
+        rho = check_density(kron([KET0, I2 / 2, KET0]))
+        assert projection(rho, [1, 3]) == pytest.approx(1.0)
 
 
 class TestUnitaryMatrix:
@@ -171,125 +136,87 @@ class TestPartialTrace:
     def test_product_state_recovers_factor(self, rng):
         rho_a = random_density(1, rng)
         rho_b = random_density(2, rng)
-        joint = DensityMatrix(tensor(rho_a, rho_b))
-        reduced = partial_trace(joint, [1])
-        assert np.max(np.abs(reduced.data - rho_a)) < 1e-12
+        reduced = partial_trace(np.kron(rho_a, rho_b), [1])
+        assert np.max(np.abs(reduced - rho_a)) < 1e-12
 
     def test_bell_state_reduces_to_mixed(self):
-        bell = DensityMatrix.from_vector(np.array([1, 0, 0, 1]) / np.sqrt(2))
+        v = np.array([1, 0, 0, 1]) / np.sqrt(2)
+        bell = np.outer(v, v.conj())
         for q in (1, 2):
-            reduced = partial_trace(bell, [q])
-            assert np.allclose(reduced.data, I2 / 2)
+            assert np.allclose(partial_trace(bell, [q]), I2 / 2)
 
     def test_against_bruteforce_oracle(self):
-        rho = DensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
+        rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         reduced = partial_trace(rho, [2])
-        expected = brute_force_partial_trace(rho.data, 2, (2,))
-        assert np.allclose(reduced.data, expected)
-        assert np.allclose(reduced.data, np.diag([0.5, 0.5]))
+        expected = brute_force_partial_trace(rho, 2, (2,))
+        assert np.allclose(reduced, expected)
+        assert np.allclose(reduced, np.diag([0.5, 0.5]))
 
     def test_random_states_match_oracle(self, rng):
         for _ in range(5):
-            rho = DensityMatrix(random_density(3, rng))
+            rho = random_density(3, rng)
             for keep in [(1,), (2,), (3,), (1, 3), (3, 1), (2, 3)]:
-                got = partial_trace(rho, keep).data
-                want = brute_force_partial_trace(rho.data, 3, keep)
+                got = partial_trace(rho, keep)
+                want = brute_force_partial_trace(rho, 3, keep)
                 assert np.max(np.abs(got - want)) < 1e-12
 
     def test_trace_preserved(self, rng):
-        rho = DensityMatrix(random_density(3, rng))
-        assert abs(np.trace(partial_trace(rho, [2]).data) - 1.0) < 1e-12
-
-    def test_empty_keep_rejected(self):
-        rho = DensityMatrix.maximally_mixed(2)
-        with pytest.raises(ValueError, match="nonempty"):
-            partial_trace(rho, [])
-
-    def test_duplicate_keep_rejected(self):
-        rho = DensityMatrix.maximally_mixed(2)
-        with pytest.raises(ValueError, match="duplicate"):
-            partial_trace(rho, [1, 1])
-
-
-class TestPurity:
-    def test_pure_state(self):
-        assert purity(DensityMatrix(KET0)) == pytest.approx(1.0)
-
-    def test_maximally_mixed(self):
-        assert purity(DensityMatrix.maximally_mixed(1)) == pytest.approx(0.5)
-
-    def test_three_quarter_mixture(self):
-        # 9/16 + 1/16 by direct evaluation
-        rho = DensityMatrix(np.diag([0.75, 0.25]).astype(complex))
-        assert purity(rho) == pytest.approx(0.625, abs=1e-12)
-
-    def test_range_after_partial_trace(self, rng):
-        for _ in range(10):
-            rho = DensityMatrix(random_density(3, rng))
-            for keep in [(1,), (1, 2)]:
-                p = purity(partial_trace(rho, keep))
-                assert 2.0 ** (-len(keep)) - 1e-9 <= p <= 1.0 + 1e-9
+        rho = random_density(3, rng)
+        assert abs(np.trace(partial_trace(rho, [2])) - 1.0) < 1e-12
 
 
 class TestApplyChannel:
     def test_identity_channel(self, rng):
-        rho = DensityMatrix(random_density(2, rng))
+        rho = random_density(2, rng)
         out = apply_channel(QuantumChannel.identity(2), rho)
-        assert np.max(np.abs(out.data - rho.data)) < 1e-12
+        assert np.max(np.abs(out - rho)) < 1e-12
 
     def test_bit_flip_mixing(self):
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         ch = QuantumChannel.unitary_ensemble([(0.5, I2), (0.5, sx)])
-        out = apply_channel(ch, DensityMatrix(KET0))
-        assert np.allclose(out.data, I2 / 2)
+        assert np.allclose(apply_channel(ch, KET0), I2 / 2)
 
     def test_diagonal_gate_fixes_basis_state(self):
         ch = QuantumChannel.from_unitary(zz_coupling(0.7, (1, 2), n=2))
-        rho = DensityMatrix.computational_basis(2, 0)
+        rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
         out = apply_channel(ch, rho)
-        assert np.max(np.abs(out.data - rho.data)) < 1e-12
+        assert np.max(np.abs(out - rho)) < 1e-12
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            apply_channel(QuantumChannel.identity(2), DensityMatrix.maximally_mixed(1))
+        with pytest.raises(ValueError):
+            apply_channel(QuantumChannel.identity(2), I2 / 2)
 
     def test_random_kraus_channels_preserve_trace(self, rng):
         for _ in range(100):
             n = int(rng.integers(1, 4))
             ch = random_kraus_channel(n, 4, rng)
-            rho = DensityMatrix(random_density(n, rng))
-            out = apply_channel(ch, rho)
-            assert abs(np.trace(out.data).real - 1.0) < 1e-9
+            out = check_density(apply_channel(ch, random_density(n, rng)))
+            assert abs(np.trace(out).real - 1.0) < 1e-9
 
 
 class TestProjectionProbability:
     def test_all_zeros_state(self):
-        rho = DensityMatrix.computational_basis(2, 0)
-        assert projection_probability(rho, [1, 2]) == pytest.approx(1.0)
+        rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        assert projection(rho, [1, 2]) == pytest.approx(1.0)
 
     def test_uniform(self):
-        rho = DensityMatrix.maximally_mixed(2)
-        assert projection_probability(rho, [1, 2]) == pytest.approx(0.25)
+        assert projection(np.eye(4) / 4, [1, 2]) == pytest.approx(0.25)
 
     def test_separable_projector(self):
-        rho = DensityMatrix(tensor(I2 / 2, KET0))
-        assert projection_probability(rho, [2]) == pytest.approx(1.0)
+        assert projection(np.kron(I2 / 2, KET0), [2]) == pytest.approx(1.0)
 
     def test_linear_in_state(self, rng):
         for _ in range(5):
             a = random_density(2, rng)
             b = random_density(2, rng)
             lam = rng.random()
-            mix = DensityMatrix(lam * a + (1 - lam) * b)
-            direct = projection_probability(mix, [1])
-            parts = (lam * projection_probability(DensityMatrix(a), [1])
-                     + (1 - lam) * projection_probability(DensityMatrix(b), [1]))
+            direct = projection(lam * a + (1 - lam) * b, [1])
+            parts = lam * projection(a, [1]) + (1 - lam) * projection(b, [1])
             assert direct == pytest.approx(parts, abs=1e-12)
 
     def test_invalid_subset(self):
-        rho = DensityMatrix.maximally_mixed(2)
         with pytest.raises(ValueError):
-            projection_probability(rho, [3])
+            projection(np.eye(4) / 4, [3])
 
 
 class TestLocalKernel:
