@@ -185,8 +185,10 @@ def _gate_channel(config: ExperimentConfig) -> QuantumChannel:
     if gate == "cnot":
         return QuantumChannel.from_unitary(cnot_gate(1, 2, n))
     if gate == "cnot2":
+        # CNOT is a permutation: column j of U has its 1 in row perm[j], so column j
+        # of U U is column perm[j] of U
         u = cnot_gate(1, 2, n).data
-        return QuantumChannel.from_unitary(u @ u)
+        return QuantumChannel.from_unitary(u[:, np.argmax(u.real, axis=0)])
     if gate.startswith("c12"):
         arg = gate[3:].strip().strip(":()")
         try:
@@ -433,16 +435,25 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+class _StoreOnce(argparse.Action):
+    """Store a flag's text; a flag given twice is an error, as a repeated config key is."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"repeated flag {option_string} {values!r}")
+        setattr(namespace, self.dest, values)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="twirlsim",
         description="Measure spatially resolved error coefficients of a gate "
                     "by Clifford twirling.")
-    parser.add_argument("--config", help="flat key-value config file")
+    parser.add_argument("--config", action=_StoreOnce, help="flat key-value config file")
     for option in fields(ExperimentConfig):
         meta = option.metadata
         parser.add_argument(meta["flag"] or "--" + option.name.replace("_", "-"),
-                            dest=option.name,
+                            dest=option.name, action=_StoreOnce,
                             help=meta["help"] or " | ".join(meta["choices"]) or None)
     return parser
 

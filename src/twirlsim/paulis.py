@@ -68,19 +68,27 @@ _PAULI_ROWS = np.array([SINGLE_QUBIT_PAULIS[c].T.ravel() for c in "IXYZ"])
 
 def _parse_text(text: str, what: str, key) -> tuple[int, dict]:
     """The register size of an ``n <count>`` header, and the value of each
-    ``<key> <value>`` row after it by ``key(<key>)``; a repeated key is an error."""
+    ``<key> <value>`` row after it by ``key(<key>)``. A row that does not read
+    in its form, or repeats a key, is an error that names the row."""
     lines = [(raw, line.split()) for raw, line in content_lines(text) if line]
     if not lines or len(lines[0][1]) != 2 or lines[0][1][0] != "n":
         raise ValueError(f"{what} text must start with an 'n <count>' line")
+
+    def row(raw: str, tokens: list[str], form: str, read_key, read_value):
+        try:
+            left, right = tokens
+            return read_key(left), read_value(right)
+        except ValueError as exc:
+            raise ValueError(f"{what} row {raw!r} is not {form}") from exc
+
+    _, n = row(*lines[0], "'n <count>'", str, int)
     values: dict = {}
     for raw, tokens in lines[1:]:
-        if len(tokens) != 2:
-            raise ValueError(f"{what} row {raw!r} is not '<key> <value>'")
-        label = key(tokens[0])
+        label, value = row(raw, tokens, "'<key> <value>'", key, float)
         if label in values:
             raise ValueError(f"repeated {what} row {raw!r}")
-        values[label] = float(tokens[1])
-    return int(lines[0][1][1]), values
+        values[label] = value
+    return n, values
 
 
 def _clamp(value: float, label: str) -> float:

@@ -80,12 +80,29 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("twirlsim: config error: repeated") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--n", "4", "--n", "2", "--gate", "cnot", "--subsets", "1-2"], "--n"),
+        (["--gate", "cnot", "--n", "2", "--gate", "cnot"], "--gate"),
+        (["--n-realizations", "50", "--n-realizations", "60"], "--n-realizations"),
+        (["--config", "a", "--config", "b"], "--config"),
+    ])
+    def test_repeated_flag(self, argv, flag, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"twirlsim: config error: repeated flag {flag} ")
+        assert err.count("\n") == 1
+
 
 class TestBuildChannel:
     def test_named_gates(self):
         for gate in ("identity", "cnot", "cnot2", "c12(0.4)", "c12:0.4", "ie-sequence"):
             ch = build_channel(ExperimentConfig(gate=gate, n=4))
             assert ch.n == 4
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10])
+    def test_cnot2_is_identity(self, n):
+        (weight, op), = build_channel(ExperimentConfig(gate="cnot2", n=n)).terms
+        assert weight == 1.0 and np.array_equal(op, np.eye(2**n))
 
     def test_unknown_gate(self):
         with pytest.raises(ConfigError, match="unknown gate"):

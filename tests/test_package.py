@@ -1,4 +1,5 @@
-"""The package's public surface, and the independence of the test references."""
+"""The package's public surface, the independence of the test references, and
+the absence of dense Kronecker products from the package."""
 
 import ast
 import inspect
@@ -7,6 +8,7 @@ from pathlib import Path
 import twirlsim
 
 REFERENCE = Path(__file__).with_name("reference.py")
+SOURCES = sorted(Path(twirlsim.__file__).parent.glob("*.py"))
 
 
 def test_all_names_resolve():
@@ -34,3 +36,14 @@ def test_reference_shares_nothing_with_the_engine():
                 for alias in node.names:
                     assert alias.name != "protocol"
                     assert getattr(twirlsim, alias.name).__module__ != engine, alias.name
+
+
+def test_package_builds_no_kronecker_product():
+    # local operators go through states.apply_local, never a dense 2^n x 2^n kron
+    assert SOURCES
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "kron":
+                raise AssertionError(f"{path.name}:{node.lineno} uses kron")
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                assert all(alias.name != "kron" for alias in node.names), path.name

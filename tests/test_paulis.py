@@ -177,6 +177,15 @@ class TestChiDiagonal:
         with pytest.raises(ValueError, match=f"chi row '{row}' is not '<key> <value>'"):
             ChiDiagonal.from_text(f"n 1\n{row}\n")
 
+    @pytest.mark.parametrize("text, row, form", [
+        ("n 1\nI abc\n", "I abc", "<key> <value>"),
+        ("n x\nI 1.0\n", "n x", "n <count>"),
+        ("n 1.5\nI 1.0\n", "n 1.5", "n <count>"),
+    ])
+    def test_from_text_bad_number_names_row(self, text, row, form):
+        with pytest.raises(ValueError, match=f"chi row '{row}' is not '{form}'"):
+            ChiDiagonal.from_text(text)
+
     def test_from_text_repeated_row(self):
         with pytest.raises(ValueError, match="repeated chi row 'I 0.5'"):
             ChiDiagonal.from_text("n 1\nI 0.5\nX 0.5\nI 0.5\n")
@@ -223,6 +232,15 @@ class TestCollectiveCoefficients:
     def test_from_text_row_needs_two_tokens(self):
         with pytest.raises(ValueError, match="collective row '1,3' is not"):
             CollectiveCoefficients.from_text("n 3\n1,3\n")
+
+    @pytest.mark.parametrize("text, row", [
+        ("n 3\n1,x 0.5\n", "1,x 0.5"),
+        ("n 3\n1,3 half\n", "1,3 half"),
+        ("n x\n1,3 0.5\n", "n x"),
+    ])
+    def test_from_text_bad_token_names_row(self, text, row):
+        with pytest.raises(ValueError, match=f"collective row '{row}' is not"):
+            CollectiveCoefficients.from_text(text)
 
 
 class TestMaxWeightCoefficient:

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from twirlsim import DimensionError, QuantumChannel, UnitaryMatrix, zz_coupling
-from twirlsim.states import apply_local, checked_probability, outcome_codes
+from twirlsim import DimensionError, QuantumChannel, UnitaryMatrix, cnot_gate, zz_coupling
+from twirlsim.states import ATOL, apply_local, checked_probability, outcome_codes
 from conftest import random_density, random_kraus_channel, random_unitary
 from reference import apply_channel, check_density, kron, partial_trace, projection
 
@@ -80,6 +82,69 @@ class TestUnitaryMatrix:
     def test_rejects_nan_entry(self):
         with pytest.raises(ValueError, match="unitary"):
             UnitaryMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_monomial_verdict_matches_dense_formula(self, n):
+        rng = np.random.default_rng(100 + n)
+        dim = 2**n
+        verdicts = set()
+        for scale in (1e-11, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8):
+            for _ in range(4):
+                # moduli 1 + delta_k, delta_k of either sign, on a random permutation
+                moduli = 1.0 + scale * rng.uniform(-1.0, 1.0, dim) / np.sqrt(dim)
+                u = np.zeros((dim, dim), dtype=complex)
+                u[rng.permutation(dim), np.arange(dim)] = moduli * np.exp(
+                    2j * np.pi * rng.random(dim))
+                accept = np.linalg.norm(u.conj().T @ u - np.eye(dim)) <= ATOL
+                verdicts.add(accept)
+                if accept:
+                    UnitaryMatrix(u)
+                else:
+                    with pytest.raises(ValueError, match="not unitary"):
+                        UnitaryMatrix(u)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0])
+    def test_monomial_rejects_bad_entry(self, bad):
+        u = np.eye(8, dtype=complex)[::-1].copy()
+        u[2, 5] = bad
+        # conj(inf) * inf has a NaN imaginary part, as in the dense product
+        with pytest.raises(ValueError, match="not unitary"), np.errstate(invalid="ignore"):
+            UnitaryMatrix(u)
+
+    def test_permutation_pattern_with_zero_row_rejected(self):
+        u = np.eye(8, dtype=complex)[[1, 0, 3, 2, 5, 4, 7, 6]]
+        u[3] = 0.0
+        with pytest.raises(ValueError, match="not unitary"):
+            UnitaryMatrix(u)
+
+    def test_branch_follows_nonzero_pattern(self, monkeypatch):
+        # only the dense branch forms the identity it compares U^dag U with
+        perm = np.eye(8, dtype=complex)[[1, 0, 3, 2, 5, 4, 7, 6]]
+        sizes = []
+        eye = np.eye
+
+        def counting_eye(dim, *args, **kwargs):
+            sizes.append(dim)
+            return eye(dim, *args, **kwargs)
+
+        monkeypatch.setattr(np, "eye", counting_eye)
+        UnitaryMatrix(perm)
+        assert sizes == []
+        perm[0, 7] = 1e-13
+        UnitaryMatrix(perm)
+        assert sizes == [8]
+
+    def test_permutation_check_memory(self):
+        # the dense check's conj, product and identity would each be 8-16 MB at n = 10
+        p = cnot_gate(1, 2, 10).data
+        tracemalloc.start()
+        try:
+            UnitaryMatrix(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * p.nbytes, peak
 
 
 class TestQuantumChannel:
