@@ -127,7 +127,7 @@ class ExperimentConfig:
     prep_error: float = _option(0.0, _finite)
     clifford_error: float = _option(0.0, _finite)
     out: str | None = _option(None, str, "output base path (writes .report.txt and .table.csv)")
-    threads: int = _option(1, int)
+    threads: int = _option(1, int, "worker threads over sampled-mode targets")
     oracle: bool = _option(True, lambda text: _SWITCH[text.lower()], "on | off")
     assignment_order: str = _option("random", str, choices=ASSIGNMENT_ORDERS)
     channel_sampling: str = _option("exact", str, choices=CHANNEL_SAMPLING_MODES)
@@ -405,7 +405,10 @@ def run_experiment(config: ExperimentConfig) -> Report:
     oracle = (collective_coefficients(chi_diagonal(channel))
               if config.oracle and config.n <= MAX_CHI_QUBITS else None)
     jobs = list(enumerate(config.subsets))
-    if config.threads > 1 and len(jobs) > 1:
+    # exact-mode targets run one after another: each is a chain of small numpy
+    # and BLAS calls that threads only take turns at, so a pool made them no
+    # faster at n = 6-10 and let any competing process stall them
+    if config.threads > 1 and len(jobs) > 1 and config.mode == "sampled":
         with ThreadPoolExecutor(max_workers=config.threads) as pool_exec:
             results = list(pool_exec.map(
                 lambda job: _run_subset(channel, config, plan, budget, pool, oracle, *job),

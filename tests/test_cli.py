@@ -331,6 +331,24 @@ class TestDeterminism:
         assert seq.to_report_text() == par.to_report_text()
         assert seq.to_table_csv() == par.to_table_csv()
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_only_sampled_targets_use_threads(self, monkeypatch, mode):
+        import twirlsim.cli as cli_mod
+
+        pools = []
+        real = cli_mod.ThreadPoolExecutor
+
+        def counted(*args, **kwargs):
+            pools.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "ThreadPoolExecutor", counted)
+        cfg = dict(self.CFG, mode=mode, threads=3)
+        par = run_experiment(ExperimentConfig(**cfg))
+        seq = run_experiment(ExperimentConfig(**dict(cfg, threads=1)))
+        assert len(pools) == (mode == "sampled")
+        assert par.to_report_text() == seq.to_report_text()
+
     def test_written_files_byte_identical(self, tmp_path):
         report = run_experiment(ExperimentConfig(**self.CFG))
         p1, t1 = report_write(report, tmp_path / "a" / "run")
