@@ -15,7 +15,6 @@ Every bad input, a malformed or unknown flag included, gives exit 1 and one
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
 import sys
 import time
@@ -57,7 +56,7 @@ from .protocol import (
     sampled_coefficient_error,
     subset_coefficient_error,
 )
-from .states import MAX_QUBITS, QuantumChannel, content_lines
+from .states import MAX_QUBITS, QuantumChannel, _finite, content_lines
 
 ORACLE_TOL = 1e-9
 
@@ -87,14 +86,6 @@ def parse_subsets(text: str) -> tuple[tuple[int, ...], ...]:
 
 def format_subset(subset: tuple[int, ...]) -> str:
     return "-".join(str(q) for q in subset)
-
-
-def _finite(text: str, kind: type = float) -> float | complex:
-    """``kind(text)``, refusing NaN and infinite values."""
-    value = kind(text)
-    if not cmath.isfinite(value):
-        raise ValueError(f"{text!r} is not finite")
-    return value
 
 
 _SWITCH = {**dict.fromkeys(("on", "true", "yes", "1"), True),
@@ -334,9 +325,12 @@ def _validate_config(config: ExperimentConfig) -> tuple[SamplePlan | None, Error
         # the largest eta_bound the run prints: every decay of its largest target at 1
         largest = subset_coefficient_error(
             [decay_error_bound(budget, 1.0)] * (2 ** max(map(len, config.subsets), default=0) - 1))
-        count = None if config.realizations is None else plan_from_count(config.realizations)
-        target = None if config.delta is None else plan_realizations(
-            config.delta, CLT_EPSILON if config.epsilon is None else config.epsilon)
+        if config.delta is None:
+            plan = None if config.realizations is None else plan_from_count(config.realizations)
+        else:
+            epsilon = CLT_EPSILON if config.epsilon is None else config.epsilon
+            plan = (plan_realizations(config.delta, epsilon) if config.realizations is None
+                    else SamplePlan(config.delta, epsilon, config.realizations))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     except ArithmeticError as exc:
@@ -346,14 +340,9 @@ def _validate_config(config: ExperimentConfig) -> tuple[SamplePlan | None, Error
                           f"{config.clifford_error} give an infinite error bound")
     if config.mode != "sampled":
         return None, budget, pool
-    if count is None:
-        if config.epsilon is None:
-            raise ConfigError("sampled mode needs realizations, or delta and epsilon")
-        return target, budget, pool
-    if target is not None and count.realizations < target.realizations:
-        raise ConfigError(f"{count.realizations} realizations below the floor of "
-                          f"{target.realizations} for delta {config.delta}")
-    return count, budget, pool
+    if config.realizations is None and config.epsilon is None:
+        raise ConfigError("sampled mode needs realizations, or delta and epsilon")
+    return plan, budget, pool
 
 
 def _run_subset(

@@ -32,7 +32,8 @@ from typing import Mapping
 import numpy as np
 
 from .paulis import SINGLE_QUBIT_PAULIS
-from .states import UnitaryMatrix, _validate_subset, apply_local, content_lines, outcome_codes
+from .states import (
+    UnitaryMatrix, _finite, _validate_subset, apply_local, content_lines, outcome_codes)
 
 PULSE_AXES = ("+x", "-x", "+y", "-y")
 
@@ -87,7 +88,7 @@ class NmrHamiltonian:
                 raise ValueError(f"cannot parse Hamiltonian line {raw!r}")
             if key in table:
                 raise ValueError(f"repeated Hamiltonian entry in line {raw!r}")
-            table[key] = float(parts[-1])
+            table[key] = _finite(parts[-1])
         qubits = set(shifts) | {q for pair in couplings for q in pair}
         size = n if n is not None else max(qubits, default=1)
         return cls(size, shifts, couplings)
@@ -182,10 +183,10 @@ class PulseSequence:
         events: list[Delay | Pulse] = []
         for raw, parts in _entries(path):
             if parts[0] == "delay" and len(parts) == 2:
-                events.append(Delay(float(parts[1])))
+                events.append(Delay(_finite(parts[1])))
             elif parts[0] == "pulse" and len(parts) == 4:
                 qubits = tuple(int(q) for q in parts[1].split(","))
-                events.append(Pulse(qubits, parts[2], float(parts[3])))
+                events.append(Pulse(qubits, parts[2], _finite(parts[3])))
             else:
                 raise ValueError(f"cannot parse sequence line {raw!r}")
         return cls(tuple(events))

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .states import ATOL, QuantumChannel, content_lines
+from .states import ATOL, MAX_QUBITS, QuantumChannel, _finite, _validate_subset, content_lines
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -92,8 +92,12 @@ def _parse_text(text: str, what: str, key) -> tuple[int, dict]:
 
 
 def _clamp(value: float, label: str) -> float:
-    if not value >= 0.0:
-        if not value >= -CLAMP_TOL:
+    try:
+        value = _finite(value)
+    except ValueError as exc:
+        raise ValueError(f"entry {label}: {exc}") from exc
+    if value < 0.0:
+        if value < -CLAMP_TOL:
             raise ValueError(f"entry {label} is negative beyond rounding: {value}")
         return 0.0
     return value
@@ -112,13 +116,15 @@ class ChiDiagonal:
     trace_preserving: bool = True
 
     def __post_init__(self) -> None:
+        if not 1 <= self.n <= MAX_QUBITS:
+            raise ValueError(f"register size {self.n} out of range 1..{MAX_QUBITS}")
         clean: dict[str, float] = {}
         for key, v in self.values.items():
             lab = str(key)
             PauliString(lab)
             if len(lab) != self.n:
                 raise ValueError(f"string {lab!r} does not span {self.n} qubits")
-            clean[lab] = _clamp(float(v), lab)
+            clean[lab] = _clamp(v, lab)
         total = sum(clean.values())
         if self.trace_preserving and not abs(total - 1.0) <= ATOL:
             raise ValueError(f"chi diagonal sums to {total}, expected 1")
@@ -153,17 +159,16 @@ class CollectiveCoefficients:
 
     n: int
     values: Mapping[tuple[int, ...], float]
-    complete: bool = True
 
     def __post_init__(self) -> None:
+        if not 1 <= self.n <= MAX_QUBITS:
+            raise ValueError(f"register size {self.n} out of range 1..{MAX_QUBITS}")
         clean: dict[tuple[int, ...], float] = {}
         for subset, v in self.values.items():
-            qs = tuple(sorted(int(q) for q in subset))
-            if not qs:
-                raise ValueError("collective coefficients exclude the empty subset")
-            if any(not 1 <= q <= self.n for q in qs):
-                raise ValueError(f"subset {qs} out of range for {self.n} qubits")
-            clean[qs] = _clamp(float(v), str(qs))
+            qs = tuple(sorted(_validate_subset(subset, self.n)))
+            if qs in clean:
+                raise ValueError(f"subset {qs} is given twice")
+            clean[qs] = _clamp(v, str(qs))
         object.__setattr__(self, "values", clean)
 
     def __getitem__(self, subset: Iterable[int]) -> float:
@@ -187,7 +192,7 @@ class CollectiveCoefficients:
     def from_text(cls, text: str) -> "CollectiveCoefficients":
         n, values = _parse_text(text, "collective",
                                 lambda key: tuple(sorted(int(q) for q in key.split(","))))
-        return cls(n, values, complete=False)
+        return cls(n, values)
 
 
 def chi_diagonal(channel: QuantumChannel) -> ChiDiagonal:
@@ -226,7 +231,7 @@ def collective_coefficients(chi: ChiDiagonal) -> CollectiveCoefficients:
         if not support:
             continue
         out[support] = out.get(support, 0.0) + v
-    return CollectiveCoefficients(chi.n, out, complete=chi.trace_preserving)
+    return CollectiveCoefficients(chi.n, out)
 
 
 def max_weight_coefficient(chi: ChiDiagonal, above: int) -> float:

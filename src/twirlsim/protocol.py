@@ -69,63 +69,59 @@ class DecayEstimate:
                 f"standard error {self.std_error} exceeds the 1/sqrt(N) bound")
 
 
-@dataclass(frozen=True)
-class SamplePlan:
-    """Realization count for a target precision and failure probability."""
-
-    delta: float
-    epsilon: float
-    realizations: int
-    dominant_bound: str = "chernoff"
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"precision delta must lie in (0, 1), got {self.delta}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"failure probability must lie in (0, 1), got {self.epsilon}")
-        if self.realizations > MAX_REALIZATIONS:
-            raise ValueError(
-                f"{self.realizations} realizations exceed the limit of {MAX_REALIZATIONS}")
-        floor = math.log(2.0 / self.epsilon) / (2.0 * self.delta**2)
-        if self.realizations < math.ceil(floor - 1e-9):
-            raise ValueError(
-                f"{self.realizations} realizations fall below the "
-                f"concentration bound {math.ceil(floor)}")
-
-
 #: failure probability at which the Chernoff count equals the 1/delta^2 floor
 CLT_EPSILON = 2.0 * math.exp(-2.0)
 
 
-def plan_realizations(delta: float, epsilon: float) -> SamplePlan:
-    """Realizations needed for precision ``delta`` at failure rate ``epsilon``.
-
-    Takes the larger of the Chernoff requirement ln(2/eps)/(2 delta^2) and
-    the central-limit floor 1/delta^2, and records which one decided. The
-    two coincide when eps = 2 e^-2; below that the Chernoff count is the
-    stricter one.
-    """
+def _required_counts(delta: float, epsilon: float) -> tuple[int, int]:
+    """(Chernoff, central-limit) counts ln(2/eps)/(2 delta^2) and 1/delta^2, rounded
+    up after a relative slack of 1e-12 so that N meets its own precision 1/sqrt(N)."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"precision delta must lie in (0, 1), got {delta}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"failure probability must lie in (0, 1), got {epsilon}")
-    chernoff = math.ceil(math.log(2.0 / epsilon) / (2.0 * delta**2))
-    clt = math.ceil(1.0 / delta**2)
-    if chernoff > clt:
-        dominant = "chernoff"
-    elif clt > chernoff:
-        dominant = "clt"
-    else:
-        dominant = "tie"
-    return SamplePlan(delta, epsilon, max(chernoff, clt), dominant)
+    clt = 1.0 / delta**2
+    chernoff = math.log(2.0 / epsilon) / 2.0 * clt
+    return math.ceil(chernoff * (1.0 - 1e-12)), math.ceil(clt * (1.0 - 1e-12))
+
+
+@dataclass(frozen=True)
+class SamplePlan:
+    """A realization count for precision ``delta`` at failure rate ``epsilon``: at
+    least the larger of the Chernoff and central-limit counts (equal at eps = 2 e^-2,
+    Chernoff larger below it) and at most ``MAX_REALIZATIONS``."""
+
+    delta: float
+    epsilon: float
+    realizations: int
+
+    def __post_init__(self) -> None:
+        floor = max(_required_counts(self.delta, self.epsilon))
+        if self.realizations > MAX_REALIZATIONS:
+            raise ValueError(
+                f"{self.realizations} realizations exceed the limit of {MAX_REALIZATIONS}")
+        if self.realizations < floor:
+            raise ValueError(
+                f"{self.realizations} realizations fall below the floor of {floor} "
+                f"for delta {self.delta} and epsilon {self.epsilon}")
+
+    @property
+    def dominant_bound(self) -> str:
+        """Which count sets the floor: ``chernoff``, ``clt`` or ``tie``."""
+        chernoff, clt = _required_counts(self.delta, self.epsilon)
+        return "chernoff" if chernoff > clt else "clt" if clt > chernoff else "tie"
+
+
+def plan_realizations(delta: float, epsilon: float) -> SamplePlan:
+    """The smallest plan for precision ``delta`` at failure rate ``epsilon``."""
+    return SamplePlan(delta, epsilon, max(_required_counts(delta, epsilon)))
 
 
 def plan_from_count(realizations: int) -> SamplePlan:
     """Plan for an explicitly chosen N; implies precision 1/sqrt(N)."""
     if realizations <= 0:
         raise ValueError(f"realization count must be positive, got {realizations}")
-    delta = 1.0 / math.sqrt(realizations)
-    return SamplePlan(delta, CLT_EPSILON, realizations, "tie")
+    return SamplePlan(1.0 / math.sqrt(realizations), CLT_EPSILON, realizations)
 
 
 @dataclass(frozen=True)

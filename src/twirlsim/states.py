@@ -13,6 +13,7 @@ values can be shared freely between threads.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -44,6 +45,14 @@ def _check_square_pow2(data: np.ndarray, what: str) -> int:
 def content_lines(text: str) -> list[tuple[str, str]]:
     """Each line of ``text`` with its text before any ``#`` comment, stripped."""
     return [(raw, raw.split("#", 1)[0].strip()) for raw in text.splitlines()]
+
+
+def _finite(text, kind: type = float) -> float | complex:
+    """``kind(text)``, refusing NaN and infinite values: every text format's number rule."""
+    value = kind(text)
+    if not cmath.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 def _freeze(data: np.ndarray) -> np.ndarray:
@@ -109,6 +118,8 @@ class QuantumChannel:
         frozen = []
         n = None
         for w, op in self.terms:
+            if self.kind == "unitary-ensemble" and not isinstance(op, UnitaryMatrix):
+                op = UnitaryMatrix(op)
             arr = op.data if isinstance(op, UnitaryMatrix) else _freeze(op)
             n_op = _check_square_pow2(arr, "channel operator")
             if n is None:
@@ -123,9 +134,6 @@ class QuantumChannel:
             total = sum(w for w, _ in frozen)
             if abs(total - 1.0) > ATOL:
                 raise ValueError(f"ensemble weights sum to {total}, expected 1")
-            for (_, arr), (_, op) in zip(frozen, self.terms):
-                if not isinstance(op, UnitaryMatrix):
-                    UnitaryMatrix(arr)
         else:
             acc = np.zeros((2**n, 2**n), dtype=complex)
             for w, op in frozen:

@@ -207,6 +207,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="floor"):
             run_experiment(cfg)
 
+    def test_count_with_precision_is_one_plan(self):
+        cfg = ExperimentConfig(gate="cnot", n=2, subsets=((1, 2),), mode="sampled",
+                               realizations=300, delta=0.1, epsilon=0.01)
+        assert run_experiment(cfg).plan.realizations == 300
+
     def test_bad_pool(self):
         cfg = ExperimentConfig(gate="cnot", n=2, subsets=((1, 2),), pool="S9:I:X")
         with pytest.raises(ConfigError):
@@ -376,6 +381,12 @@ class TestMain:
         code = main(["--gate", "identity", "--n", "1", "--subsets", "1"])
         assert code == 0
         assert "[subset 1]" in capsys.readouterr().out
+
+    def test_large_count_accepted_in_exact_mode(self, capsys):
+        # 3138376 once fell 1 short of its own rounded concentration bound
+        assert main(["--gate", "identity", "--n", "1", "--subsets", "1",
+                     "--n-realizations", "3138376"]) == 0
+        assert capsys.readouterr().err.startswith("# elapsed")
 
     def test_config_error_exit_code(self, capsys):
         code = main(["--gate", "warp-drive", "--subsets", "1-2"])

@@ -133,6 +133,14 @@ class TestHamiltonian:
             NmrHamiltonian.from_file(path)
 
 
+    @pytest.mark.parametrize("line", ["shift 1 inf", "coupling 1 2 nan", "shift 2 -inf"])
+    def test_file_refuses_non_finite(self, tmp_path, line):
+        path = tmp_path / "register.txt"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match="is not finite"):
+            NmrHamiltonian.from_file(path)
+
+
 class TestFreeEvolution:
     def test_short_delay_near_identity(self):
         u = free_evolution(crotonic_preset(), 1e-12)
@@ -192,6 +200,14 @@ class TestPulseSequence:
         path = tmp_path / "bad.txt"
         path.write_text("wait 0.1\n")
         with pytest.raises(ValueError, match="parse"):
+            PulseSequence.from_file(path)
+
+    @pytest.mark.parametrize("line", ["delay inf", "delay nan", "pulse 1 +x nan",
+                                      "pulse 1 +x inf"])
+    def test_sequence_file_refuses_non_finite(self, tmp_path, line):
+        path = tmp_path / "seq.txt"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match="is not finite"):
             PulseSequence.from_file(path)
 
     def test_pulse_order_matters(self):

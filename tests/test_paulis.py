@@ -186,6 +186,19 @@ class TestChiDiagonal:
         with pytest.raises(ValueError, match=f"chi row '{row}' is not '{form}'"):
             ChiDiagonal.from_text(text)
 
+    @pytest.mark.parametrize("text", ["n 1\nI 1\nX inf\n", "n 1\nI nan\n", "n 1\nI -inf\n"],
+                             ids=["inf", "nan", "-inf"])
+    def test_from_text_refuses_non_finite(self, text):
+        with pytest.raises(ValueError, match="is not finite"):
+            ChiDiagonal.from_text(text)
+
+    @pytest.mark.parametrize("n, text", [(0, "n 0\n"), (11, "n 11\n"), (-1, "n -1\nI 1\n")])
+    def test_register_size_in_range(self, n, text):
+        with pytest.raises(ValueError, match="out of range 1..10"):
+            ChiDiagonal.from_text(text)
+        with pytest.raises(ValueError, match="out of range 1..10"):
+            ChiDiagonal(n, {}, trace_preserving=False)
+
     def test_from_text_repeated_row(self):
         with pytest.raises(ValueError, match="repeated chi row 'I 0.5'"):
             ChiDiagonal.from_text("n 1\nI 0.5\nX 0.5\nI 0.5\n")
@@ -217,7 +230,7 @@ class TestCollectiveCoefficients:
         assert cc.total() == pytest.approx(1.0 - chi["III"], abs=1e-9)
 
     def test_text_round_trip(self):
-        cc = CollectiveCoefficients(3, {(1, 3): 0.5, (2,): 0.1}, complete=False)
+        cc = CollectiveCoefficients(3, {(1, 3): 0.5, (2,): 0.1})
         text = cc.to_text()
         assert "1,3 5" in text
         back = CollectiveCoefficients.from_text(text)
@@ -241,6 +254,33 @@ class TestCollectiveCoefficients:
     def test_from_text_bad_token_names_row(self, text, row):
         with pytest.raises(ValueError, match=f"collective row '{row}' is not"):
             CollectiveCoefficients.from_text(text)
+
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_value_refused(self, value):
+        with pytest.raises(ValueError, match="is not finite"):
+            CollectiveCoefficients(3, {(1, 2): value})
+        with pytest.raises(ValueError, match="is not finite"):
+            CollectiveCoefficients.from_text(f"n 3\n1,2 {value}\n")
+
+    @pytest.mark.parametrize("values, message", [
+        ({(1, 1): 0.5}, "duplicate qubit"),
+        ({(): 0.5}, "nonempty"),
+        ({(1, 4): 0.5}, "out of range"),
+        ({(1, 3): 0.5, (3, 1): 0.2}, "given twice"),
+    ], ids=["repeated-qubit", "empty", "out-of-range", "same-subset-twice"])
+    def test_bad_subset_refused(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            CollectiveCoefficients(3, values)
+
+    def test_from_text_repeated_qubit(self):
+        with pytest.raises(ValueError, match="duplicate qubit"):
+            CollectiveCoefficients.from_text("n 3\n1,1 0.5\n")
+
+    @pytest.mark.parametrize("n", [0, 11])
+    def test_register_size_in_range(self, n):
+        with pytest.raises(ValueError, match="out of range 1..10"):
+            CollectiveCoefficients.from_text(f"n {n}\n")
 
 
 class TestMaxWeightCoefficient:

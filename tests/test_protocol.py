@@ -249,6 +249,24 @@ class TestSamplePlanning:
         with pytest.raises(ValueError, match="below"):
             SamplePlan(delta=0.01, epsilon=0.05, realizations=100)
 
+    def test_sample_plan_enforces_clt_floor(self):
+        # eps = 0.5 needs 56 shots by Chernoff, but 100 by the central-limit count
+        with pytest.raises(ValueError, match="floor of 100"):
+            SamplePlan(0.1, 0.5, 80)
+        assert SamplePlan(0.1, 0.5, 100).dominant_bound == "clt"
+
+    def test_plan_from_count_accepts_every_count(self):
+        # a count always meets its own precision 1/sqrt(N), up to the 10^7 cap
+        rng = np.random.default_rng(8)
+        counts = np.unique(np.concatenate([
+            np.arange(2, 2000), rng.integers(2, 10**7 + 1, 20000),
+            np.rint(np.geomspace(2, 10**7, 20000)).astype(np.int64),
+            [3138376, 3174027, 10**7]]))
+        for count in counts.tolist():
+            assert plan_from_count(count).realizations == count
+        with pytest.raises(ValueError, match="limit"):
+            plan_from_count(10**7 + 1)
+
 
 class TestDecayEstimateInvariants:
     def test_exact_mode_zero_error(self):

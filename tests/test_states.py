@@ -189,6 +189,17 @@ class TestQuantumChannel:
         ens = QuantumChannel.unitary_ensemble([(0.5, u), (0.5, u)])
         assert all(op is u.data for _, op in ens.terms)
 
+    def test_raw_operator_checked_once(self):
+        # one frozen copy of a raw permutation; a second check would copy it again
+        p = np.array(cnot_gate(1, 2, 10).data)
+        tracemalloc.start()
+        try:
+            QuantumChannel.from_unitary(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * p.nbytes, peak
+
     def test_valid_kraus(self):
         k0 = np.diag([1.0, np.sqrt(0.5)]).astype(complex)
         k1 = np.array([[0, np.sqrt(0.5)], [0, 0]], dtype=complex)
