@@ -83,7 +83,6 @@ class CliffordPool:
     6-element pool for |0>-projection measurements."""
 
     elements: tuple[CliffordElement, ...]
-    kind: str
     label: str
 
     @property
@@ -104,12 +103,12 @@ def build_pool(
     from {X, Y} and only applies to ``minimal-6``.
     """
     if kind == "full-24":
-        return CliffordPool(_ELEMENTS, kind, "full-24")
+        return CliffordPool(_ELEMENTS, "full-24")
     if symplectic not in ("S1", "S2"):
         raise ValueError(f"symplectic half must be S1 or S2, got {symplectic!r}")
     subset = tuple(e for e in _ELEMENTS if e.symplectic.startswith(symplectic))
     if kind == "half-12":
-        return CliffordPool(subset, kind, f"half-12:{symplectic}")
+        return CliffordPool(subset, f"half-12:{symplectic}")
     if kind == "minimal-6":
         p1, p2 = pauli_pair
         if p1 not in PAULI_FIRST_CHOICES or p2 not in PAULI_SECOND_CHOICES:
@@ -117,7 +116,7 @@ def build_pool(
                 f"pauli pair must combine one of {PAULI_FIRST_CHOICES} with one of "
                 f"{PAULI_SECOND_CHOICES}, got {pauli_pair!r}")
         chosen = tuple(e for e in subset if e.pauli in (p1, p2))
-        return CliffordPool(chosen, kind, f"{symplectic}:{p1}:{p2}")
+        return CliffordPool(chosen, f"{symplectic}:{p1}:{p2}")
     raise ValueError(f"unknown pool kind {kind!r}")
 
 

@@ -19,7 +19,7 @@ File formats:
       delay 0.001525
       pulse 3,4 +x 3.141592653589793
 
-Blank lines and ``#`` comments are ignored in both.
+Blank lines and ``#`` comments are ignored in both; an error names its line.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import numpy as np
 
 from .paulis import SINGLE_QUBIT_PAULIS
 from .states import (
-    UnitaryMatrix, _finite, _validate_subset, apply_local, content_lines, outcome_codes)
+    MAX_QUBITS, UnitaryMatrix, _finite, _validate_subset, apply_local, content_lines,
+    outcome_codes)
 
 PULSE_AXES = ("+x", "-x", "+y", "-y")
 
@@ -41,11 +42,25 @@ PULSE_AXES = ("+x", "-x", "+y", "-y")
 CROTONIC_QUBITS = 4
 
 
-def _entries(path: str | Path):
-    """Each line of a file that holds more than a comment, with its tokens."""
+def _entries(path: str | Path, what: str, read):
+    """Each line of a file that holds more than a comment, with ``read`` of its
+    tokens. A ValueError raised while reading a line names it and keeps its reason."""
     for raw, line in content_lines(Path(path).read_text()):
         if line:
-            yield raw, line.split()
+            try:
+                entry = read(line.split())
+            except ValueError as exc:
+                raise ValueError(f"cannot parse {what} line {raw!r}: {exc}") from exc
+            yield raw, entry
+
+
+def _hamiltonian_entry(parts: list[str]) -> tuple[str, int | tuple[int, int], float]:
+    """(kind, key, value) of a ``shift`` or ``coupling`` line."""
+    if parts[0] == "shift" and len(parts) == 3:
+        return "shift", int(parts[1]), _finite(parts[2])
+    if parts[0] == "coupling" and len(parts) == 4:
+        return "coupling", tuple(sorted((int(parts[1]), int(parts[2])))), _finite(parts[3])
+    raise ValueError("expected 'shift <qubit> <Hz>' or 'coupling <qubit> <qubit> <Hz>'")
 
 
 @dataclass(frozen=True)
@@ -77,18 +92,12 @@ class NmrHamiltonian:
 
     @classmethod
     def from_file(cls, path: str | Path, n: int | None = None) -> "NmrHamiltonian":
-        shifts: dict[int, float] = {}
-        couplings: dict[tuple[int, int], float] = {}
-        for raw, parts in _entries(path):
-            if parts[0] == "shift" and len(parts) == 3:
-                table, key = shifts, int(parts[1])
-            elif parts[0] == "coupling" and len(parts) == 4:
-                table, key = couplings, tuple(sorted((int(parts[1]), int(parts[2]))))
-            else:
-                raise ValueError(f"cannot parse Hamiltonian line {raw!r}")
-            if key in table:
+        tables: dict[str, dict] = {"shift": {}, "coupling": {}}
+        for raw, (kind, key, value) in _entries(path, "Hamiltonian", _hamiltonian_entry):
+            if key in tables[kind]:
                 raise ValueError(f"repeated Hamiltonian entry in line {raw!r}")
-            table[key] = _finite(parts[-1])
+            tables[kind][key] = value
+        shifts, couplings = tables["shift"], tables["coupling"]
         qubits = set(shifts) | {q for pair in couplings for q in pair}
         size = n if n is not None else max(qubits, default=1)
         return cls(size, shifts, couplings)
@@ -153,13 +162,19 @@ class Pulse:
     angle: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qubits", tuple(sorted(int(q) for q in self.qubits)))
-        if not self.qubits:
-            raise ValueError("pulse must address at least one qubit")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"duplicate qubits in pulse {self.qubits}")
+        qubits = tuple(sorted(_validate_subset(self.qubits, MAX_QUBITS)))
+        object.__setattr__(self, "qubits", qubits)
         if self.axis not in PULSE_AXES:
             raise ValueError(f"pulse axis must be one of {PULSE_AXES}, got {self.axis!r}")
+
+
+def _event(parts: list[str]) -> Delay | Pulse:
+    """The event of a ``delay`` or ``pulse`` line."""
+    if parts[0] == "delay" and len(parts) == 2:
+        return Delay(_finite(parts[1]))
+    if parts[0] == "pulse" and len(parts) == 4:
+        return Pulse(tuple(int(q) for q in parts[1].split(",")), parts[2], _finite(parts[3]))
+    raise ValueError("expected 'delay <seconds>' or 'pulse <qubits> <axis> <radians>'")
 
 
 @dataclass(frozen=True)
@@ -180,26 +195,17 @@ class PulseSequence:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PulseSequence":
-        events: list[Delay | Pulse] = []
-        for raw, parts in _entries(path):
-            if parts[0] == "delay" and len(parts) == 2:
-                events.append(Delay(_finite(parts[1])))
-            elif parts[0] == "pulse" and len(parts) == 4:
-                qubits = tuple(int(q) for q in parts[1].split(","))
-                events.append(Pulse(qubits, parts[2], _finite(parts[3])))
-            else:
-                raise ValueError(f"cannot parse sequence line {raw!r}")
-        return cls(tuple(events))
+        return cls(tuple(event for _, event in _entries(path, "sequence", _event)))
 
 
-def _pulse_ops(n: int, pulse: Pulse) -> dict[int, np.ndarray]:
-    """The pulse's 2x2 rotation on each qubit it addresses."""
+def _pulse_ops(n: int, pulse: Pulse) -> list[np.ndarray]:
+    """One 2x2 factor per qubit: the pulse's rotation where it acts, the identity elsewhere."""
     qubits = _validate_subset(pulse.qubits, n)
     sign = -1.0 if pulse.axis[0] == "-" else 1.0
     sigma = sign * SINGLE_QUBIT_PAULIS[pulse.axis[1].upper()]
     half = pulse.angle / 2.0
     rotation = math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(half) * sigma
-    return {q: rotation for q in qubits}
+    return [rotation if q in qubits else SINGLE_QUBIT_PAULIS["I"] for q in range(1, n + 1)]
 
 
 def normalize_global_phase(mat: np.ndarray) -> np.ndarray:
@@ -227,10 +233,9 @@ def compile_sequence(seq: PulseSequence, h: NmrHamiltonian) -> UnitaryMatrix:
     total = np.eye(2**n, dtype=complex)
     for ev in seq.events:
         if isinstance(ev, Delay):
-            step = np.exp(-1j * hdiag * ev.tau)
-            total = step[:, None] * total
+            total = np.exp(-1j * hdiag * ev.tau)[:, None] * total
         else:
-            total = apply_local(_pulse_ops(n, ev), n, total)
+            total = apply_local(_pulse_ops(n, ev), total).reshape(2**n, 2**n).T
     return UnitaryMatrix(normalize_global_phase(total))
 
 

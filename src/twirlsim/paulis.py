@@ -14,7 +14,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .states import ATOL, MAX_QUBITS, QuantumChannel, _finite, _validate_subset, content_lines
+from .states import (
+    ATOL, MAX_QUBITS, QuantumChannel, _finite, _validate_subset, apply_local, content_lines)
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -211,12 +212,9 @@ def chi_diagonal(channel: QuantumChannel) -> ChiDiagonal:
             f"chi diagonal on {n} qubits needs {4**n} entries; limit is {MAX_CHI_QUBITS} qubits")
     acc = np.zeros(4**n)
     for w, op in channel.terms:
-        # (row, column) bit pairs of qubits 1..n; each contraction moves its
-        # string letter to the end
+        # (row, column) bit pairs of qubits 1..n; the letters come out in order
         t = op.reshape((2,) * (2 * n)).transpose([a for q in range(n) for a in (q, n + q)])
-        for _ in range(n):
-            t = (_PAULI_ROWS @ t.reshape(4, -1)).T
-        acc += w * np.abs(t.reshape(-1)) ** 2
+        acc += w * np.abs(apply_local([_PAULI_ROWS] * n, t).reshape(-1)) ** 2
     acc /= 4**n
     labels = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
     values = dict(zip(labels, acc.tolist()))

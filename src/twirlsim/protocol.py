@@ -29,7 +29,8 @@ import numpy as np
 
 from .cliffords import CliffordPool, MAX_EXACT_ASSIGNMENTS, build_pool
 from .paulis import SINGLE_QUBIT_PAULIS, ChiDiagonal
-from .states import ATOL, QuantumChannel, _validate_subset, checked_probability, outcome_codes
+from .states import (
+    ATOL, QuantumChannel, _validate_subset, apply_local, checked_probability, outcome_codes)
 
 #: decays with |M| beyond this are out of exact-mode scope
 MAX_EXACT_SUBSET = 3
@@ -80,9 +81,12 @@ def _required_counts(delta: float, epsilon: float) -> tuple[int, int]:
         raise ValueError(f"precision delta must lie in (0, 1), got {delta}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"failure probability must lie in (0, 1), got {epsilon}")
-    clt = 1.0 / delta**2
-    chernoff = math.log(2.0 / epsilon) / 2.0 * clt
-    return math.ceil(chernoff * (1.0 - 1e-12)), math.ceil(clt * (1.0 - 1e-12))
+    try:
+        clt = 1.0 / delta**2
+        chernoff = math.log(2.0 / epsilon) / 2.0 * clt
+        return math.ceil(chernoff * (1.0 - 1e-12)), math.ceil(clt * (1.0 - 1e-12))
+    except ArithmeticError as exc:
+        raise ValueError(f"delta {delta}, epsilon {epsilon}: too many realizations") from exc
 
 
 @dataclass(frozen=True)
@@ -138,8 +142,8 @@ class ErrorBudget:
 
 
 #: entries of the largest array built per block of complement states: 64 KB
-#: in exact mode leaves worker threads no large freed chunks to hold on to,
-#: 1 MB in sampled mode reads the scattered operator columns in longer runs
+#: bounds the peak memory of exact mode's serial Gram pass, 1 MB in sampled
+#: mode reads the scattered operator columns in longer runs
 EXACT_BLOCK, SAMPLED_BLOCK = 2**12, 2**16
 
 #: (sigma_mu x sigma_nu) / 2 on one qubit's bits (a, i), flattened over
@@ -189,16 +193,12 @@ def _twirl_tables(maps: np.ndarray, superops: np.ndarray, m: int) -> np.ndarray:
     A map is Hermitian: its coefficients on products of ``_PAULI_PAIRS`` are real.
     """
     batch, K = maps.shape[0], superops.shape[0] // 2
-    # per-qubit groups (a_q, i_q, b_q, j_q) first, the batch axis last; each
-    # contraction moves its result axis to the end
+    # per-qubit groups (a_q, i_q, b_q, j_q) first, the batch axis last
     t = maps.reshape((batch,) + (2,) * (4 * m))
     t = t.transpose([1 + p + g * m for p in range(m) for g in range(4)] + [0])
-    for _ in range(m):
-        t = (_PAULI_PAIRS.conj() @ t.reshape(16, -1)).T
-    t = t.real.reshape(batch, -1).T
-    for _ in range(m):
-        t = (superops @ t.reshape(16, -1)).T
-    t = t.reshape((batch,) + (K, 2) * m).transpose(0, *range(1, 2 * m, 2), *range(2, 2 * m + 1, 2))
+    t = apply_local([_PAULI_PAIRS.conj()] * m, t).real.reshape(batch, -1).T
+    t = apply_local([superops] * m, t).reshape((batch,) + (K, 2) * m)
+    t = t.transpose(0, *range(1, 2 * m, 2), *range(2, 2 * m + 1, 2))
     return t.reshape(batch, K**m, 2**m)
 
 
@@ -284,10 +284,6 @@ def fidelity_decay_from_chi(
     return total
 
 
-def _as_value(x) -> float:
-    return float(x.value) if isinstance(x, DecayEstimate) else float(x)
-
-
 def combine_subset(decays: Mapping) -> float:
     """Collective coefficient of a set M from the decays of all its subsets.
 
@@ -306,7 +302,7 @@ def combine_subset(decays: Mapping) -> float:
     table: dict[tuple[int, ...], float] = {}
     for key, val in decays.items():
         qs = tuple(sorted(int(q) for q in key))
-        table[qs] = _as_value(val)
+        table[qs] = float(val.value) if isinstance(val, DecayEstimate) else float(val)
     target = max(table, key=len)
     m = len(target)
     total = 0.0

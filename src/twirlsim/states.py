@@ -2,8 +2,8 @@
 
 The module also owns the low-level rules the other modules share: the comment
 rule of every text format, qubit-subset checks, the bit order of measurement
-outcomes, probability clamping, and the kernel that applies local 2x2
-operators.
+outcomes, probability clamping, and ``apply_local``, the one kernel that
+contracts an array one qubit's axis at a time.
 
 Qubits are labelled 1..n, with qubit 1 the leftmost tensor factor (most
 significant bit of the computational-basis index). All wrapper types are
@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -193,13 +193,13 @@ def checked_probability(p: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def apply_local(ops: Mapping[int, np.ndarray], n: int, arr: np.ndarray) -> np.ndarray:
-    """(tensor of ``ops``) @ arr for 2x2 ``ops`` keyed by qubit, identity elsewhere.
+def apply_local(mats: Sequence[np.ndarray], arr: np.ndarray) -> np.ndarray:
+    """Contract the leading axes of ``arr`` in turn, axis i with the k' x k ``mats[i]``.
 
-    ``arr`` has 2^n rows; each operator is one reshape and matmul on its
-    bit of the row index: O(2^n) per column, not a dense 2^n x 2^n product.
+    Each k'-long result axis moves to the end: the 2-d result has rows over the
+    untouched and earlier result axes, columns over the last. A 2x2 factor per
+    qubit on 2^n rows costs O(2^n) per column, not a dense 2^n x 2^n product.
     """
-    out = arr
-    for q, op in ops.items():
-        out = np.matmul(op, out.reshape(2 ** (q - 1), 2, -1))
-    return out.reshape(arr.shape)
+    for mat in mats:
+        arr = (mat @ arr.reshape(mat.shape[1], -1)).T
+    return arr

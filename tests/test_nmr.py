@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,16 @@ class TestHamiltonian:
         with pytest.raises(ValueError, match=f"repeated Hamiltonian entry in line '{repeated}'"):
             NmrHamiltonian.from_file(path)
 
+    @pytest.mark.parametrize("line, reason", [
+        ("shift 1 abc", "could not convert string to float"),
+        ("coupling 1 x 5", "invalid literal for int"),
+    ])
+    def test_file_error_names_its_line(self, tmp_path, line, reason):
+        path = tmp_path / "register.txt"
+        path.write_text("shift 2 10\n" + line + "\n")
+        message = f"cannot parse Hamiltonian line '{line}': {reason}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            NmrHamiltonian.from_file(path)
 
     @pytest.mark.parametrize("line", ["shift 1 inf", "coupling 1 2 nan", "shift 2 -inf"])
     def test_file_refuses_non_finite(self, tmp_path, line):
@@ -201,6 +212,23 @@ class TestPulseSequence:
         path.write_text("wait 0.1\n")
         with pytest.raises(ValueError, match="parse"):
             PulseSequence.from_file(path)
+
+    @pytest.mark.parametrize("line, reason", [
+        ("pulse 1,x +x 1", "invalid literal for int"),
+        ("pulse 1 +z 1", "pulse axis must be one of"),
+        ("delay -1", "delay must be positive"),
+    ])
+    def test_sequence_file_error_names_its_line(self, tmp_path, line, reason):
+        path = tmp_path / "seq.txt"
+        path.write_text("delay 0.001\n" + line + "\n")
+        message = f"cannot parse sequence line '{line}': {reason}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PulseSequence.from_file(path)
+
+    @pytest.mark.parametrize("qubits", [(0,), (11,)], ids=["zero", "beyond-max-qubits"])
+    def test_pulse_refuses_label_out_of_range(self, qubits):
+        with pytest.raises(ValueError, match="out of range 1..10"):
+            Pulse(qubits, "+x", 1.0)
 
     @pytest.mark.parametrize("line", ["delay inf", "delay nan", "pulse 1 +x nan",
                                       "pulse 1 +x inf"])

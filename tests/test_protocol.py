@@ -238,6 +238,13 @@ class TestSamplePlanning:
         with pytest.raises(ValueError):
             plan_realizations(delta, eps)
 
+    @pytest.mark.parametrize("delta", [1e-160, 1e-300], ids=["overflowing", "underflowing"])
+    def test_unrepresentable_counts_are_value_errors(self, delta):
+        with pytest.raises(ValueError, match="too many realizations"):
+            plan_realizations(delta, 0.5)
+        with pytest.raises(ValueError, match="too many realizations"):
+            SamplePlan(delta, 0.5, 100)
+
     def test_plan_from_count(self):
         plan = plan_from_count(40000)
         assert plan.realizations == 40000

@@ -301,13 +301,31 @@ class TestLocalKernel:
             qubits = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n + 1)),
                                 replace=False)
             ops = {int(q): random_unitary(2, rng) for q in qubits}
+            factors = [ops.get(q, I2) for q in range(1, n + 1)]
             dense = np.eye(1)
-            for q in range(1, n + 1):
-                dense = np.kron(dense, ops.get(q, I2))
+            for factor in factors:
+                dense = np.kron(dense, factor)
             batch = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
-            assert np.allclose(apply_local(ops, n, batch), dense @ batch, atol=1e-12)
-            assert np.allclose(apply_local(ops, n, batch[:, 0]), dense @ batch[:, 0],
+            # the column axis is untouched, so it leads the result
+            assert np.allclose(apply_local(factors, batch).reshape(3, 2**n).T, dense @ batch,
                                atol=1e-12)
+            assert np.allclose(apply_local(factors, batch[:, 0]).reshape(-1),
+                               dense @ batch[:, 0], atol=1e-12)
+
+    @pytest.mark.parametrize("m, spec", [
+        (1, "pa,az->zp"), (2, "pa,qb,abz->zpq"), (3, "pa,qb,rc,abcz->zpqr")])
+    def test_non_square_factors(self, rng, m, spec):
+        # 2K x 16 factors, the shape of a six-element pool's local superoperators
+        mats = [rng.normal(size=(12, 16)) for _ in range(m)]
+        arr = rng.normal(size=(16,) * m + (5,))
+        expect = np.einsum(spec, *mats, arr)
+        assert np.allclose(apply_local(mats, arr).reshape(expect.shape), expect, atol=1e-12)
+
+    def test_fewer_factors_than_axes(self, rng):
+        a, b = rng.normal(size=(6, 4)), rng.normal(size=(2, 3))
+        arr = rng.normal(size=(4, 3, 5, 2)) + 1j * rng.normal(size=(4, 3, 5, 2))
+        expect = np.einsum("pi,qj,ijkl->klpq", a, b, arr)
+        assert np.allclose(apply_local([a, b], arr).reshape(5, 2, 6, 2), expect, atol=1e-12)
 
     def test_outcome_codes_bit_order(self):
         # basis index 0b011 on 3 qubits: qubit 1 reads 0, qubits 2 and 3 read 1
