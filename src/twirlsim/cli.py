@@ -56,7 +56,7 @@ from .protocol import (
     sampled_coefficient_error,
     subset_coefficient_error,
 )
-from .states import MAX_QUBITS, QuantumChannel, _finite, content_lines
+from .states import QuantumChannel, _finite, _register_size, _validate_subset, content_lines
 
 ORACLE_TOL = 1e-9
 
@@ -300,19 +300,10 @@ class Report:
 
 
 def _validate_config(config: ExperimentConfig) -> tuple[SamplePlan | None, ErrorBudget, CliffordPool]:
-    if not 1 <= config.n <= MAX_QUBITS:
-        raise ConfigError(f"register size {config.n} out of range 1..{MAX_QUBITS}")
     for option in fields(config):
         choices, value = option.metadata["choices"], getattr(config, option.name)
         if choices and value not in choices:
             raise ConfigError(f"{option.name} must be {' or '.join(choices)}, got {value!r}")
-    for subset in config.subsets:
-        if len(subset) != len(set(subset)):
-            raise ConfigError(f"duplicate qubits in subset {subset}")
-        if any(not 1 <= q <= config.n for q in subset):
-            raise ConfigError(f"subset {format_subset(subset)} outside 1..{config.n}")
-        if not 1 <= len(subset) <= MAX_EXACT_SUBSET:
-            raise ConfigError(f"target subsets must have 1 to {MAX_EXACT_SUBSET} qubits")
     if config.threads < 1:
         raise ConfigError("thread count must be at least 1")
     if config.seed < 0:
@@ -320,6 +311,11 @@ def _validate_config(config: ExperimentConfig) -> tuple[SamplePlan | None, Error
     if config.epsilon is not None and config.delta is None:
         raise ConfigError("epsilon needs delta")
     try:
+        _register_size(config.n)
+        for subset in config.subsets:
+            if not 1 <= len(subset) <= MAX_EXACT_SUBSET:
+                raise ConfigError(f"target subsets must have 1 to {MAX_EXACT_SUBSET} qubits")
+            _validate_subset(subset, config.n)
         pool = parse_pool(config.pool)
         budget = ErrorBudget(config.prep_error, config.clifford_error)
         # the largest eta_bound the run prints: every decay of its largest target at 1

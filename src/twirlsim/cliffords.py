@@ -129,15 +129,14 @@ def minimal_pool_choices() -> list[tuple[str, str, str]]:
 
 
 def parse_pool(text: str) -> CliffordPool:
-    """Parse a pool description like ``full-24``, ``half-12:S2`` or ``S1:I:X``."""
+    """The pool of ``full-24``, ``half-12``, ``half-12:<S>`` or ``<S>:<P1>:<P2>``
+    (e.g. ``half-12:S2``, ``S1:I:X``); ``build_pool`` checks the parts."""
     text = text.strip()
-    if text == "full-24":
-        return build_pool("full-24")
-    if text.startswith("half-12"):
-        parts = text.split(":")
-        sym = parts[1] if len(parts) > 1 else "S1"
-        return build_pool("half-12", symplectic=sym)
     parts = text.split(":")
+    if parts == ["full-24"]:
+        return build_pool("full-24")
+    if parts[0] == "half-12" and len(parts) <= 2:
+        return build_pool("half-12", *parts[1:])
     if len(parts) == 3:
         return build_pool("minimal-6", symplectic=parts[0], pauli_pair=(parts[1], parts[2]))
     raise ValueError(f"cannot parse pool description {text!r}")

@@ -33,8 +33,8 @@ import numpy as np
 
 from .paulis import SINGLE_QUBIT_PAULIS
 from .states import (
-    MAX_QUBITS, UnitaryMatrix, _finite, _validate_subset, apply_local, content_lines,
-    outcome_codes)
+    MAX_QUBITS, UnitaryMatrix, _finite, _register_size, _validate_subset, apply_local,
+    content_lines, outcome_codes)
 
 PULSE_AXES = ("+x", "-x", "+y", "-y")
 
@@ -54,12 +54,12 @@ def _entries(path: str | Path, what: str, read):
             yield raw, entry
 
 
-def _hamiltonian_entry(parts: list[str]) -> tuple[str, int | tuple[int, int], float]:
-    """(kind, key, value) of a ``shift`` or ``coupling`` line."""
+def _hamiltonian_entry(parts: list[str], n: int) -> tuple[str, int | tuple[int, int], float]:
+    """(kind, key, value) of a ``shift`` or ``coupling`` line on an n-qubit register."""
     if parts[0] == "shift" and len(parts) == 3:
-        return "shift", int(parts[1]), _finite(parts[2])
+        return "shift", _validate_subset(parts[1:2], n)[0], _finite(parts[2])
     if parts[0] == "coupling" and len(parts) == 4:
-        return "coupling", tuple(sorted((int(parts[1]), int(parts[2])))), _finite(parts[3])
+        return "coupling", tuple(sorted(_validate_subset(parts[1:3], n))), _finite(parts[3])
     raise ValueError("expected 'shift <qubit> <Hz>' or 'coupling <qubit> <qubit> <Hz>'")
 
 
@@ -72,35 +72,30 @@ class NmrHamiltonian:
     couplings_hz: Mapping[tuple[int, int], float]
 
     def __post_init__(self) -> None:
-        shifts = {int(q): float(v) for q, v in self.shifts_hz.items()}
-        for q in shifts:
-            if not 1 <= q <= self.n:
-                raise ValueError(f"shift qubit {q} out of range 1..{self.n}")
+        _register_size(self.n)
+        shifts = {_validate_subset((q,), self.n)[0]: float(v) for q, v in self.shifts_hz.items()}
         couplings: dict[tuple[int, int], float] = {}
-        for (j, k), v in self.couplings_hz.items():
-            j, k = int(j), int(k)
-            if j == k:
-                raise ValueError(f"coupling ({j},{k}) joins a qubit to itself")
-            pair = (min(j, k), max(j, k))
-            if pair[0] < 1 or pair[1] > self.n:
-                raise ValueError(f"coupling {pair} out of range 1..{self.n}")
-            if pair in couplings and couplings[pair] != float(v):
-                raise ValueError(f"conflicting values for coupling {pair}")
-            couplings[pair] = float(v)
+        for pair, v in self.couplings_hz.items():
+            j, k = sorted(_validate_subset(pair, self.n))
+            if (j, k) in couplings and couplings[j, k] != float(v):
+                raise ValueError(f"conflicting values for coupling {(j, k)}")
+            couplings[j, k] = float(v)
         object.__setattr__(self, "shifts_hz", shifts)
         object.__setattr__(self, "couplings_hz", couplings)
 
     @classmethod
     def from_file(cls, path: str | Path, n: int | None = None) -> "NmrHamiltonian":
+        # each line's labels are checked against n, or the largest register if n is not given
+        bound = MAX_QUBITS if n is None else n
         tables: dict[str, dict] = {"shift": {}, "coupling": {}}
-        for raw, (kind, key, value) in _entries(path, "Hamiltonian", _hamiltonian_entry):
+        entries = _entries(path, "Hamiltonian", lambda parts: _hamiltonian_entry(parts, bound))
+        for raw, (kind, key, value) in entries:
             if key in tables[kind]:
                 raise ValueError(f"repeated Hamiltonian entry in line {raw!r}")
             tables[kind][key] = value
         shifts, couplings = tables["shift"], tables["coupling"]
         qubits = set(shifts) | {q for pair in couplings for q in pair}
-        size = n if n is not None else max(qubits, default=1)
-        return cls(size, shifts, couplings)
+        return cls(max(qubits, default=1) if n is None else n, shifts, couplings)
 
 
 def crotonic_preset() -> NmrHamiltonian:

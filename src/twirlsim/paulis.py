@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .states import (
-    ATOL, MAX_QUBITS, QuantumChannel, _finite, _validate_subset, apply_local, content_lines)
+    ATOL, QuantumChannel, _finite, _register_size, _validate_subset, apply_local, content_lines)
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -117,8 +117,7 @@ class ChiDiagonal:
     trace_preserving: bool = True
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"register size {self.n} out of range 1..{MAX_QUBITS}")
+        _register_size(self.n)
         clean: dict[str, float] = {}
         for key, v in self.values.items():
             lab = str(key)
@@ -162,8 +161,7 @@ class CollectiveCoefficients:
     values: Mapping[tuple[int, ...], float]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"register size {self.n} out of range 1..{MAX_QUBITS}")
+        _register_size(self.n)
         clean: dict[tuple[int, ...], float] = {}
         for subset, v in self.values.items():
             qs = tuple(sorted(_validate_subset(subset, self.n)))

@@ -101,6 +101,9 @@ class SamplePlan:
 
     def __post_init__(self) -> None:
         floor = max(_required_counts(self.delta, self.epsilon))
+        if floor > MAX_REALIZATIONS:
+            raise ValueError(f"delta {self.delta} and epsilon {self.epsilon} need more than "
+                             f"the limit of {MAX_REALIZATIONS} realizations")
         if self.realizations > MAX_REALIZATIONS:
             raise ValueError(
                 f"{self.realizations} realizations exceed the limit of {MAX_REALIZATIONS}")

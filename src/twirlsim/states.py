@@ -1,9 +1,9 @@
 """Validated unitaries and channels on registers of up to 10 qubits.
 
 The module also owns the low-level rules the other modules share: the comment
-rule of every text format, qubit-subset checks, the bit order of measurement
-outcomes, probability clamping, and ``apply_local``, the one kernel that
-contracts an array one qubit's axis at a time.
+rule of every text format, the register-size and qubit-subset checks, the bit
+order of measurement outcomes, probability clamping, and ``apply_local``, the
+one kernel that contracts an array one qubit's axis at a time.
 
 Qubits are labelled 1..n, with qubit 1 the leftmost tensor factor (most
 significant bit of the computational-basis index). All wrapper types are
@@ -164,7 +164,14 @@ class QuantumChannel:
         return cls.from_unitary(UnitaryMatrix.identity(n))
 
 
+def _register_size(n: int) -> None:
+    """Refuse a register size outside the supported 1..``MAX_QUBITS``."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"register size {n} out of range 1..{MAX_QUBITS}")
+
+
 def _validate_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
+    _register_size(n)
     qs = tuple(int(q) for q in subset)
     if not qs:
         raise ValueError("qubit subset must be nonempty")

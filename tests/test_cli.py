@@ -188,7 +188,7 @@ class TestBuildChannel:
 class TestValidation:
     def test_subset_out_of_range(self):
         cfg = ExperimentConfig(gate="cnot", n=2, subsets=((1, 3),))
-        with pytest.raises(ConfigError, match="outside"):
+        with pytest.raises(ConfigError, match="out of range 1..2"):
             run_experiment(cfg)
 
     def test_subset_too_large(self):
@@ -216,6 +216,13 @@ class TestValidation:
         cfg = ExperimentConfig(gate="cnot", n=2, subsets=((1, 2),), pool="S9:I:X")
         with pytest.raises(ConfigError):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("pool", ["half-12foo", "half-12:S1:junk"])
+    def test_pool_with_trailing_text_is_config_error(self, capsys, pool):
+        assert main(["--gate", "cnot", "--n", "2", "--subsets", "1-2", "--pool", pool]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("twirlsim: config error: ")
+        assert err.count("\n") == 1
 
 
 class TestRunExperiment:

@@ -99,6 +99,11 @@ class TestPools:
         with pytest.raises(ValueError):
             parse_pool("garbage")
 
+    @pytest.mark.parametrize("text", ["half-12foo", "half-12:S1:junk", "full-24:S1"])
+    def test_parse_pool_takes_only_exact_forms(self, text):
+        with pytest.raises(ValueError):
+            parse_pool(text)
+
 
 class TestTwirlExact:
     def test_identity_channel_fixed_point(self, rng):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ class TestHamiltonian:
             assert np.max(np.abs(mat @ other - other @ mat)) < 1e-9
 
     def test_coupling_validation(self):
-        with pytest.raises(ValueError, match="itself"):
+        with pytest.raises(ValueError, match="duplicate qubit"):
             NmrHamiltonian(2, {}, {(1, 1): 5.0})
         with pytest.raises(ValueError, match="out of range"):
             NmrHamiltonian(2, {3: 1.0}, {})
@@ -143,6 +144,23 @@ class TestHamiltonian:
         message = f"cannot parse Hamiltonian line '{line}': {reason}"
         with pytest.raises(ValueError, match=re.escape(message)):
             NmrHamiltonian.from_file(path)
+
+    def test_register_size_in_range(self):
+        with pytest.raises(ValueError, match=re.escape("register size 11 out of range 1..10")):
+            NmrHamiltonian(11, {1: 5.0}, {})
+
+    @pytest.mark.parametrize("line, n, reason", [
+        ("shift 11 5", None, "qubit label 11 out of range 1..10"),
+        ("shift 0 5", None, "qubit label 0 out of range 1..10"),
+        ("coupling 1 1 5", None, "duplicate qubit labels in (1, 1)"),
+        ("shift 5 1", 4, "qubit label 5 out of range 1..4"),
+    ], ids=["beyond-max-qubits", "zero", "self-coupling", "beyond-given-n"])
+    def test_file_label_error_names_its_line(self, tmp_path, line, n, reason):
+        path = tmp_path / "register.txt"
+        path.write_text(line + "\n")
+        message = f"cannot parse Hamiltonian line '{line}': {reason}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            NmrHamiltonian.from_file(path, n)
 
     @pytest.mark.parametrize("line", ["shift 1 inf", "coupling 1 2 nan", "shift 2 -inf"])
     def test_file_refuses_non_finite(self, tmp_path, line):
@@ -358,6 +376,17 @@ class TestGateLibrary:
     def test_cnot_validation(self):
         with pytest.raises(ValueError):
             cnot_gate(1, 1, n=2)
+
+    def test_cnot_refuses_register_size_before_allocating(self):
+        # the 2^11 x 2^11 matrix would take 64 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape("register size 11 out of range 1..10")):
+                cnot_gate(1, 2, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_embedded_gate_acts_on_named_qubits(self):
         u = cnot_gate(2, 4, n=4).data

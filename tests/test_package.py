@@ -1,5 +1,6 @@
-"""The package's public surface, the independence of the test references, and
-the absence of dense Kronecker products from the package."""
+"""The package's public surface, the independence of the test references, the
+absence of dense Kronecker products from the package, and the one owner of the
+register-size range."""
 
 import ast
 import inspect
@@ -47,3 +48,16 @@ def test_package_builds_no_kronecker_product():
                 raise AssertionError(f"{path.name}:{node.lineno} uses kron")
             if isinstance(node, ast.ImportFrom) and node.module == "numpy":
                 assert all(alias.name != "kron" for alias in node.names), path.name
+
+
+def test_only_states_compares_against_max_qubits():
+    # states._register_size and states._validate_subset own the register and label ranges
+    assert SOURCES
+    for path in SOURCES:
+        if path.name == "states.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                names = {getattr(sub, "id", None) or getattr(sub, "attr", None)
+                         for sub in ast.walk(node)}
+                assert "MAX_QUBITS" not in names, f"{path.name}:{node.lineno}"

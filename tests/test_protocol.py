@@ -245,6 +245,14 @@ class TestSamplePlanning:
         with pytest.raises(ValueError, match="too many realizations"):
             SamplePlan(delta, 0.5, 100)
 
+    def test_floor_beyond_limit_names_the_limit(self):
+        with pytest.raises(ValueError) as info:
+            plan_realizations(1e-150, 0.5)
+        message = str(info.value)
+        assert len(message) < 120
+        assert message == ("delta 1e-150 and epsilon 0.5 need more than the limit of "
+                           "10000000 realizations")
+
     def test_plan_from_count(self):
         plan = plan_from_count(40000)
         assert plan.realizations == 40000
