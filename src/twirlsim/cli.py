@@ -119,7 +119,8 @@ class ExperimentConfig:
     clifford_error: float = _option(0.0, _finite)
     out: str | None = _option(None, str, "output base path (writes .report.txt and .table.csv)")
     threads: int = _option(1, int, "worker threads over sampled-mode targets")
-    oracle: bool = _option(True, lambda text: _SWITCH[text.lower()], "on | off")
+    oracle: bool = _option(True, lambda text: _SWITCH[text.lower()],
+                           f"on | off (the check runs only when n <= {MAX_CHI_QUBITS})")
     assignment_order: str = _option("random", str, choices=ASSIGNMENT_ORDERS)
     channel_sampling: str = _option("exact", str, choices=CHANNEL_SAMPLING_MODES)
     ie_duration: float = _option(12.2e-3, _finite)

@@ -23,9 +23,6 @@ import numpy as np
 
 from .paulis import SINGLE_QUBIT_PAULIS
 
-#: hard cap on the number of exact twirl terms before sampling is required
-MAX_EXACT_ASSIGNMENTS = 10**6
-
 SYMPLECTIC_LABELS = ("S1.0", "S1.1", "S1.2", "S2.x", "S2.y", "S2.z")
 PAULI_FIRST_CHOICES = ("I", "Z")
 PAULI_SECOND_CHOICES = ("X", "Y")

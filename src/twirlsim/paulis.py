@@ -8,14 +8,12 @@ is the ground truth every protocol estimate is checked against.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .states import (
-    ATOL, QuantumChannel, _finite, _register_size, _validate_subset, apply_local, content_lines)
+from .states import ATOL, QuantumChannel, _register_size, _validate_subset, apply_local
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -67,86 +65,62 @@ def pauli_weight(s: PauliString | str) -> int:
 _PAULI_ROWS = np.array([SINGLE_QUBIT_PAULIS[c].T.ravel() for c in "IXYZ"])
 
 
-def _parse_text(text: str, what: str, key) -> tuple[int, dict]:
-    """The register size of an ``n <count>`` header, and the value of each
-    ``<key> <value>`` row after it by ``key(<key>)``. A row that does not read
-    in its form, or repeats a key, is an error that names the row."""
-    lines = [(raw, line.split()) for raw, line in content_lines(text) if line]
-    if not lines or len(lines[0][1]) != 2 or lines[0][1][0] != "n":
-        raise ValueError(f"{what} text must start with an 'n <count>' line")
-
-    def row(raw: str, tokens: list[str], form: str, read_key, read_value):
-        try:
-            left, right = tokens
-            return read_key(left), read_value(right)
-        except ValueError as exc:
-            raise ValueError(f"{what} row {raw!r} is not {form}") from exc
-
-    _, n = row(*lines[0], "'n <count>'", str, int)
-    values: dict = {}
-    for raw, tokens in lines[1:]:
-        label, value = row(raw, tokens, "'<key> <value>'", key, float)
-        if label in values:
-            raise ValueError(f"repeated {what} row {raw!r}")
-        values[label] = value
-    return n, values
+def _letters(k, n: int) -> tuple:
+    """Letters (I, X, Y, Z as 0..3) on qubits 1..n of the string, or strings,
+    at label-order index ``k``: the base-4 digits of k, qubit 1 the highest."""
+    return np.unravel_index(k, (4,) * n)
 
 
-def _clamp(value: float, label: str) -> float:
-    try:
-        value = _finite(value)
-    except ValueError as exc:
-        raise ValueError(f"entry {label}: {exc}") from exc
-    if value < 0.0:
-        if value < -CLAMP_TOL:
-            raise ValueError(f"entry {label} is negative beyond rounding: {value}")
-        return 0.0
-    return value
+def _clamp(values, label) -> np.ndarray:
+    """``values`` as a read-only float array, with rounding negatives set to 0.
+
+    A non-finite entry, or one below ``-CLAMP_TOL``, is an error that names
+    ``label(k)`` for its index k.
+    """
+    arr = np.array(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(arr) | (arr < -CLAMP_TOL))
+    if bad.size:
+        k = bad[0]
+        if not np.isfinite(arr[k]):
+            raise ValueError(f"entry {label(k)}: {float(arr[k])} is not finite")
+        raise ValueError(f"entry {label(k)} is negative beyond rounding: {float(arr[k])}")
+    arr = np.where(arr < 0.0, 0.0, arr)
+    arr.setflags(write=False)
+    return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChiDiagonal:
-    """Map from Pauli-string label to its mean squared expansion weight.
+    """Mean squared expansion weight of each Pauli string, as a 4^n array.
 
-    ``trace_preserving`` records whether the entries sum to 1; the
+    ``values[k]`` belongs to the k-th label in lexicographic order over
+    I < X < Y < Z, qubit 1 leftmost; ``chi[label]`` reads one entry by its
+    label. ``trace_preserving`` records whether the entries sum to 1; the
     normalization invariant is only enforced when it is set.
     """
 
     n: int
-    values: Mapping[str, float]
+    values: np.ndarray
     trace_preserving: bool = True
 
     def __post_init__(self) -> None:
         _register_size(self.n)
-        clean: dict[str, float] = {}
-        for key, v in self.values.items():
-            lab = str(key)
-            PauliString(lab)
-            if len(lab) != self.n:
-                raise ValueError(f"string {lab!r} does not span {self.n} qubits")
-            clean[lab] = _clamp(v, lab)
-        total = sum(clean.values())
+        if np.shape(self.values) != (4**self.n,):
+            raise ValueError(f"chi diagonal on {self.n} qubits needs {4**self.n} entries, "
+                             f"got shape {np.shape(self.values)}")
+        arr = _clamp(self.values, lambda k: "".join("IXYZ"[d] for d in _letters(k, self.n)))
+        total = float(arr.sum())
         if self.trace_preserving and not abs(total - 1.0) <= ATOL:
             raise ValueError(f"chi diagonal sums to {total}, expected 1")
-        object.__setattr__(self, "values", clean)
+        object.__setattr__(self, "values", arr)
 
     def __getitem__(self, label: str) -> float:
-        return self.values.get(label, 0.0)
+        if PauliString(label).n != self.n:
+            raise ValueError(f"string {label!r} does not span {self.n} qubits")
+        return float(self.values.reshape((4,) * self.n)[tuple(map("IXYZ".index, label))])
 
     def total(self) -> float:
-        return sum(self.values.values())
-
-    def to_text(self) -> str:
-        lines = [f"n {self.n}"]
-        for lab in sorted(self.values):
-            lines.append(f"{lab} {self.values[lab]:.12e}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ChiDiagonal":
-        n, values = _parse_text(text, "chi", str)
-        total = sum(values.values())
-        return cls(n, values, trace_preserving=abs(total - 1.0) <= ATOL)
+        return float(self.values.sum())
 
 
 @dataclass(frozen=True)
@@ -154,7 +128,8 @@ class CollectiveCoefficients:
     """Chi weight per qubit subset, direction-blind.
 
     Each entry sums every chi-diagonal value whose non-identity support is
-    exactly that subset; the identity string is excluded.
+    exactly that subset; the identity string is excluded. A valid subset the
+    table does not hold reads 0.
     """
 
     n: int
@@ -167,11 +142,12 @@ class CollectiveCoefficients:
             qs = tuple(sorted(_validate_subset(subset, self.n)))
             if qs in clean:
                 raise ValueError(f"subset {qs} is given twice")
-            clean[qs] = _clamp(v, str(qs))
-        object.__setattr__(self, "values", clean)
+            clean[qs] = v
+        arr = _clamp(list(clean.values()), lambda k: str(list(clean)[k]))
+        object.__setattr__(self, "values", dict(zip(clean, arr.tolist())))
 
     def __getitem__(self, subset: Iterable[int]) -> float:
-        return self.values.get(tuple(sorted(subset)), 0.0)
+        return self.values.get(tuple(sorted(_validate_subset(subset, self.n))), 0.0)
 
     def total(self) -> float:
         return sum(self.values.values())
@@ -179,19 +155,6 @@ class CollectiveCoefficients:
     def max_at_weight(self, low: int, high: int) -> float:
         vals = [v for s, v in self.values.items() if low <= len(s) <= high]
         return max(vals, default=0.0)
-
-    def to_text(self) -> str:
-        lines = [f"n {self.n}"]
-        for subset in sorted(self.values):
-            key = ",".join(str(q) for q in subset)
-            lines.append(f"{key} {self.values[subset]:.12e}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "CollectiveCoefficients":
-        n, values = _parse_text(text, "collective",
-                                lambda key: tuple(sorted(int(q) for q in key.split(","))))
-        return cls(n, values)
 
 
 def chi_diagonal(channel: QuantumChannel) -> ChiDiagonal:
@@ -201,8 +164,9 @@ def chi_diagonal(channel: QuantumChannel) -> ChiDiagonal:
     terms. For a single unitary these are the squared moduli of its
     Pauli-expansion coefficients. The traces of all 4^n strings come from
     one 4 x 4 contraction per qubit over its (row, column) bits, a
-    tensorized Pauli decomposition. Summation order is fixed, so the result
-    is deterministic however callers parallelize around it.
+    tensorized Pauli decomposition, already in label order. Summation order
+    is fixed, so the result is deterministic however callers parallelize
+    around it.
     """
     n = channel.n
     if n > MAX_CHI_QUBITS:
@@ -214,20 +178,21 @@ def chi_diagonal(channel: QuantumChannel) -> ChiDiagonal:
         t = op.reshape((2,) * (2 * n)).transpose([a for q in range(n) for a in (q, n + q)])
         acc += w * np.abs(apply_local([_PAULI_ROWS] * n, t).reshape(-1)) ** 2
     acc /= 4**n
-    labels = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
-    values = dict(zip(labels, acc.tolist()))
-    return ChiDiagonal(n, values, trace_preserving=abs(float(acc.sum()) - 1.0) <= ATOL)
+    return ChiDiagonal(n, acc, trace_preserving=abs(float(acc.sum()) - 1.0) <= ATOL)
 
 
 def collective_coefficients(chi: ChiDiagonal) -> CollectiveCoefficients:
-    """Coarse-grain a chi diagonal over Pauli directions, per support subset."""
-    out: dict[tuple[int, ...], float] = {}
-    for lab, v in chi.values.items():
-        support = PauliString(lab).support
-        if not support:
-            continue
-        out[support] = out.get(support, 0.0) + v
-    return CollectiveCoefficients(chi.n, out)
+    """Coarse-grain a chi diagonal over Pauli directions, per support subset.
+
+    ``np.bincount`` adds each subset's entries in label order, and the table
+    lists the subsets in the order their first string appears there.
+    """
+    n = chi.n
+    support = sum((d != 0) << (n - q) for q, d in enumerate(_letters(np.arange(4**n), n), 1))
+    sums = np.bincount(support, weights=chi.values, minlength=2**n).tolist()
+    return CollectiveCoefficients(n, {
+        tuple(q for q in range(1, n + 1) if mask >> (n - q) & 1): sums[mask]
+        for mask in range(1, 2**n)})
 
 
 def max_weight_coefficient(chi: ChiDiagonal, above: int) -> float:

@@ -27,8 +27,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .cliffords import CliffordPool, MAX_EXACT_ASSIGNMENTS, build_pool
-from .paulis import SINGLE_QUBIT_PAULIS, ChiDiagonal
+from .cliffords import CliffordPool, build_pool
+from .paulis import SINGLE_QUBIT_PAULIS, ChiDiagonal, _letters
 from .states import (
     ATOL, QuantumChannel, _validate_subset, apply_local, checked_probability, outcome_codes)
 
@@ -38,6 +38,9 @@ MAX_EXACT_SUBSET = 3
 #: shots per target: a sampled campaign holds five N-long 8-byte arrays of
 #: draws and outcomes, so this caps them at 400 MB
 MAX_REALIZATIONS = 10**7
+
+#: cap on K^m, the pool assignments a sampled campaign draws its index from
+MAX_ASSIGNMENT_INDEX = 10**6
 
 #: how ``run_sampled_campaign`` picks twirl assignments and channel terms
 ASSIGNMENT_ORDERS = ("random", "cyclic")
@@ -250,12 +253,6 @@ def run_exact_campaign(
     return _readout(weights, qs, 0)
 
 
-def _purity_factor(purity: float, letter: str) -> float:
-    if letter == "I":
-        return purity
-    return (2.0 / 3.0) * (1.0 - purity / 2.0)
-
-
 def fidelity_decay_from_chi(
     chi: ChiDiagonal, purities: Mapping[int, float], subset
 ) -> float:
@@ -274,17 +271,13 @@ def fidelity_decay_from_chi(
         if not 0.5 - ATOL <= purities[q] <= 1.0 + ATOL:
             raise ValueError(f"purity {purities[q]} for qubit {q} outside [1/2, 1]")
     pure_product = 1.0
+    twirled = np.ones(4**chi.n)
+    letters = _letters(np.arange(4**chi.n), chi.n)
     for q in qs:
         pure_product *= purities[q]
-    total = 0.0
-    for lab, v in chi.values.items():
-        if v == 0.0:
-            continue
-        twirled = 1.0
-        for q in qs:
-            twirled *= _purity_factor(purities[q], lab[q - 1])
-        total += v * (pure_product - twirled)
-    return total
+        acts = letters[q - 1] != 0
+        twirled *= np.where(acts, (2.0 / 3.0) * (1.0 - purities[q] / 2.0), purities[q])
+    return float(np.sum(chi.values * (pure_product - twirled)))
 
 
 def combine_subset(decays: Mapping) -> float:
@@ -306,7 +299,12 @@ def combine_subset(decays: Mapping) -> float:
     for key, val in decays.items():
         qs = tuple(sorted(int(q) for q in key))
         table[qs] = float(val.value) if isinstance(val, DecayEstimate) else float(val)
+    if not table:
+        raise ValueError("combine_subset needs at least one decay")
     target = max(table, key=len)
+    for key in table:
+        if not set(key) <= set(target):
+            raise ValueError(f"decay for {key} is not a part of the target {target}")
     m = len(target)
     total = 0.0
     for r in range(1, m + 1):
@@ -426,7 +424,7 @@ def run_sampled_campaign(
     if channel_sampling == "per-shot-ensemble" and channel.kind != "unitary-ensemble":
         raise ValueError("per-shot sampling requires a unitary-ensemble channel")
     N, n_assign = plan.realizations, pool.size**m
-    if n_assign > MAX_EXACT_ASSIGNMENTS:
+    if n_assign > MAX_ASSIGNMENT_INDEX:
         raise ValueError("assignment space too large to index; reduce the subset")
 
     rng = np.random.Generator(np.random.Philox(key=seed))

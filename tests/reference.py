@@ -11,6 +11,7 @@ are checked against these.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import reduce
 
 import numpy as np
@@ -45,6 +46,33 @@ def pauli(letters: str) -> np.ndarray:
 def pauli_strings(n: int) -> list[str]:
     """All 4^n strings on n qubits, lexicographic over I < X < Y < Z."""
     return ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
+
+
+def collective_by_labels(chi) -> dict:
+    """Each support subset's chi weight, summed string by string in label order.
+
+    Subsets appear in the order of their first string, and each sum starts at
+    0.0 and adds its strings' entries in turn.
+    """
+    out: dict[tuple[int, ...], float] = {}
+    for s, v in zip(pauli_strings(chi.n), chi.values.tolist()):
+        support = tuple(i + 1 for i, c in enumerate(s) if c != "I")
+        if support:
+            out[support] = out.get(support, 0.0) + v
+    return out
+
+
+def decay_by_labels(chi, purities, subset) -> float:
+    """Chi-diagonal decay prediction, added string by string in label order:
+    each string's weight times the gap between the product of purities P and
+    the product of 2/3 (1 - P/2) where it acts and P where it is the identity."""
+    pure = math.prod(purities[q] for q in subset)
+    total = 0.0
+    for s, v in zip(pauli_strings(chi.n), chi.values.tolist()):
+        twirled = math.prod(purities[q] if s[q - 1] == "I" else (2 / 3) * (1 - purities[q] / 2)
+                            for q in subset)
+        total += v * (pure - twirled)
+    return total
 
 
 def zero_mask(n: int, subset) -> np.ndarray:

@@ -1,14 +1,17 @@
 """The package's public surface, the independence of the test references, the
-absence of dense Kronecker products from the package, and the one owner of the
-register-size range."""
+absence of dense Kronecker products from the package, the one owner of the
+register-size range, and the README's quick tour."""
 
 import ast
 import inspect
 from pathlib import Path
 
+import pytest
+
 import twirlsim
 
 REFERENCE = Path(__file__).with_name("reference.py")
+README = Path(__file__).parent.parent / "README.md"
 SOURCES = sorted(Path(twirlsim.__file__).parent.glob("*.py"))
 
 
@@ -61,3 +64,20 @@ def test_only_states_compares_against_max_qubits():
                 names = {getattr(sub, "id", None) or getattr(sub, "attr", None)
                          for sub in ast.walk(node)}
                 assert "MAX_QUBITS" not in names, f"{path.name}:{node.lineno}"
+
+
+def test_readme_quick_tour_keeps_its_promises():
+    # run the block, then check every value its trailing comments promise
+    block = README.read_text().split("## Quick tour")[1].split("```python\n")[1].split("```")[0]
+    ns: dict = {}
+    exec(block, ns)
+    promised = [line.split("#")[1].strip() for line in block.splitlines()
+                if "#" in line and not line.lstrip().startswith("#")]
+    assert promised == ["1/3, 1/3", "5/9", "0.25", "0.25", "N = 18445"]
+    ts, decays = ns["ts"], ns["decays"]
+    assert decays[(1,)].value == pytest.approx(1 / 3, abs=1e-12)
+    assert decays[(2,)].value == pytest.approx(1 / 3, abs=1e-12)
+    assert decays[(1, 2)].value == pytest.approx(5 / 9, abs=1e-12)
+    assert ts.combine_subset(decays) == pytest.approx(0.25, abs=1e-12)
+    assert ts.collective_coefficients(ns["chi"])[(1, 2)] == pytest.approx(0.25, abs=1e-12)
+    assert ns["plan"].realizations == 18445

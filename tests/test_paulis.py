@@ -18,7 +18,7 @@ from twirlsim import (
     zz_coupling,
 )
 from conftest import random_kraus_channel, random_unitary, random_unitary_ensemble
-from reference import pauli, pauli_strings
+from reference import collective_by_labels, pauli, pauli_strings
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -84,17 +84,21 @@ class TestPauliString:
                         for s in pauli_strings(n))
             assert total == pytest.approx(1.0, abs=1e-9)
 
-    def test_enumeration_is_lexicographic(self):
-        labels = list(chi_diagonal(QuantumChannel.identity(2)).values)
+    def test_enumeration_is_lexicographic(self, rng):
+        labels = pauli_strings(2)
         assert labels[:5] == ["II", "IX", "IY", "IZ", "XI"]
-        assert labels == sorted(labels) == pauli_strings(2)
+        assert labels == sorted(labels)
+        chi = chi_diagonal(random_unitary_ensemble(2, 3, rng))
+        assert chi.values.shape == (16,)
+        assert chi.values.tolist() == [chi[lab] for lab in labels]
 
 
 class TestChiDiagonal:
     def test_identity_channel(self):
         chi = chi_diagonal(QuantumChannel.identity(2))
         assert chi["II"] == pytest.approx(1.0, abs=1e-12)
-        assert all(v < 1e-12 for lab, v in chi.values.items() if lab != "II")
+        assert chi.values[0] == chi["II"]
+        assert all(v < 1e-12 for v in chi.values[1:])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_definition(self, n, rng):
@@ -113,8 +117,8 @@ class TestChiDiagonal:
         chi = chi_diagonal(QuantumChannel.from_unitary(zz_coupling(beta, (1, 2), n=2)))
         assert chi["II"] == pytest.approx(math.cos(beta) ** 2, abs=1e-12)
         assert chi["ZZ"] == pytest.approx(math.sin(beta) ** 2, abs=1e-12)
-        others = {lab: v for lab, v in chi.values.items() if lab not in ("II", "ZZ")}
-        assert max(others.values()) < 1e-12
+        others = [v for lab, v in zip(pauli_strings(2), chi.values) if lab not in ("II", "ZZ")]
+        assert max(others) < 1e-12
 
     def test_zz_small_angle_rounds_to_hundredth(self):
         chi = chi_diagonal(QuantumChannel.from_unitary(zz_coupling(0.1, (1, 2), n=2)))
@@ -132,76 +136,54 @@ class TestChiDiagonal:
         mixed = chi_diagonal(QuantumChannel.unitary_ensemble([(0.3, u1), (0.7, u2)]))
         part1 = chi_diagonal(QuantumChannel.from_unitary(u1))
         part2 = chi_diagonal(QuantumChannel.from_unitary(u2))
-        for lab in mixed.values:
+        for lab in pauli_strings(2):
             assert mixed[lab] == pytest.approx(0.3 * part1[lab] + 0.7 * part2[lab],
                                                abs=1e-12)
 
     def test_small_negative_clamped(self):
-        chi = ChiDiagonal(1, {"I": 1.0, "X": -1e-13}, trace_preserving=True)
+        chi = ChiDiagonal(1, [1.0, -1e-13, 0.0, 0.0], trace_preserving=True)
         assert chi["X"] == 0.0
 
     def test_large_negative_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            ChiDiagonal(1, {"I": 1.0, "X": -1e-6}, trace_preserving=False)
+        with pytest.raises(ValueError, match="entry X is negative"):
+            ChiDiagonal(1, [1.0, -1e-6, 0.0, 0.0], trace_preserving=False)
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError, match="sums"):
-            ChiDiagonal(1, {"I": 0.5}, trace_preserving=True)
+            ChiDiagonal(1, [0.5, 0.0, 0.0, 0.0], trace_preserving=True)
 
-    def test_text_round_trip(self):
-        chi = ChiDiagonal(2, {"II": 0.75, "ZX": 0.25})
-        text = chi.to_text()
-        assert text.splitlines()[0] == "n 2"
-        assert any(line.startswith("ZX 2.5") for line in text.splitlines())
-        back = ChiDiagonal.from_text(text)
-        assert back["ZX"] == pytest.approx(0.25, abs=1e-12)
-        assert back.trace_preserving
-
-    @pytest.mark.parametrize("text, value", [
-        ("", None),
-        ("n\nI 1.0\n", None),
-        ("I 1.0\n", None),
-        ("n 1\nI 1.0  # note\n", 1.0),
-        ("n 1\n  # note\nI 1.0\n", 1.0),
-    ], ids=["empty", "header-without-count", "no-header", "inline-comment",
-            "indented-comment"])
-    def test_from_text_comments_and_header(self, text, value):
-        if value is None:
-            with pytest.raises(ValueError):
-                ChiDiagonal.from_text(text)
-        else:
-            assert ChiDiagonal.from_text(text)["I"] == value
-
-    @pytest.mark.parametrize("row", ["I 1.0 extra", "I"])
-    def test_from_text_row_needs_two_tokens(self, row):
-        with pytest.raises(ValueError, match=f"chi row '{row}' is not '<key> <value>'"):
-            ChiDiagonal.from_text(f"n 1\n{row}\n")
-
-    @pytest.mark.parametrize("text, row, form", [
-        ("n 1\nI abc\n", "I abc", "<key> <value>"),
-        ("n x\nI 1.0\n", "n x", "n <count>"),
-        ("n 1.5\nI 1.0\n", "n 1.5", "n <count>"),
-    ])
-    def test_from_text_bad_number_names_row(self, text, row, form):
-        with pytest.raises(ValueError, match=f"chi row '{row}' is not '{form}'"):
-            ChiDiagonal.from_text(text)
-
-    @pytest.mark.parametrize("text", ["n 1\nI 1\nX inf\n", "n 1\nI nan\n", "n 1\nI -inf\n"],
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf],
                              ids=["inf", "nan", "-inf"])
-    def test_from_text_refuses_non_finite(self, text):
-        with pytest.raises(ValueError, match="is not finite"):
-            ChiDiagonal.from_text(text)
+    def test_non_finite_entry_refused(self, value):
+        with pytest.raises(ValueError, match=f"entry Y: {value} is not finite"):
+            ChiDiagonal(1, [1.0, 0.0, value, 0.0], trace_preserving=False)
 
-    @pytest.mark.parametrize("n, text", [(0, "n 0\n"), (11, "n 11\n"), (-1, "n -1\nI 1\n")])
-    def test_register_size_in_range(self, n, text):
-        with pytest.raises(ValueError, match="out of range 1..10"):
-            ChiDiagonal.from_text(text)
-        with pytest.raises(ValueError, match="out of range 1..10"):
-            ChiDiagonal(n, {}, trace_preserving=False)
+    @pytest.mark.parametrize("values", [[1.0, 0.0, 0.0], [1.0] + [0.0] * 15,
+                                        [[1.0, 0.0], [0.0, 0.0]], {"I": 1.0}],
+                             ids=["short", "long", "square", "dict"])
+    def test_needs_four_to_the_n_entries(self, values):
+        with pytest.raises(ValueError, match="needs 4 entries"):
+            ChiDiagonal(1, values)
 
-    def test_from_text_repeated_row(self):
-        with pytest.raises(ValueError, match="repeated chi row 'I 0.5'"):
-            ChiDiagonal.from_text("n 1\nI 0.5\nX 0.5\nI 0.5\n")
+    def test_values_are_a_read_only_copy(self):
+        given = np.array([0.5, 0.5, 0.0, 0.0])
+        chi = ChiDiagonal(1, given)
+        assert chi.values.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            chi.values[0] = 1.0
+        given[0] = 0.0
+        assert chi["I"] == 0.5
+
+    @pytest.mark.parametrize("n", [0, 11, -1])
+    def test_register_size_in_range(self, n):
+        with pytest.raises(ValueError, match="out of range 1..10"):
+            ChiDiagonal(n, [], trace_preserving=False)
+
+    @pytest.mark.parametrize("label", ["QQ", "XXX", "X", "", "xx"])
+    def test_lookup_refuses_label_naming_nothing(self, label):
+        chi = chi_diagonal(QuantumChannel.identity(2))
+        with pytest.raises(ValueError, match="Pauli string|does not span"):
+            chi[label]
 
 
 class TestCollectiveCoefficients:
@@ -216,8 +198,8 @@ class TestCollectiveCoefficients:
         assert cc[(1, 2)] == pytest.approx(0.25, abs=1e-12)
 
     def test_directions_coarse_grained(self):
-        chi = ChiDiagonal(3, {"III": 0.5, "XIX": 0.3, "XIZ": 0.2},
-                          trace_preserving=True)
+        values = dict.fromkeys(pauli_strings(3), 0.0) | {"III": 0.5, "XIX": 0.3, "XIZ": 0.2}
+        chi = ChiDiagonal(3, list(values.values()), trace_preserving=True)
         cc = collective_coefficients(chi)
         assert cc[(1, 3)] == pytest.approx(0.5, abs=1e-12)
 
@@ -225,43 +207,26 @@ class TestCollectiveCoefficients:
         u = random_unitary(8, rng)
         chi = chi_diagonal(QuantumChannel.from_unitary(u))
         cc = collective_coefficients(chi)
-        off_identity = sum(v for lab, v in chi.values.items() if lab != "III")
+        off_identity = sum(chi.values[1:])
         assert cc.total() == pytest.approx(off_identity, abs=1e-12)
         assert cc.total() == pytest.approx(1.0 - chi["III"], abs=1e-9)
 
-    def test_text_round_trip(self):
-        cc = CollectiveCoefficients(3, {(1, 3): 0.5, (2,): 0.1})
-        text = cc.to_text()
-        assert "1,3 5" in text
-        back = CollectiveCoefficients.from_text(text)
-        assert back[(1, 3)] == pytest.approx(0.5, abs=1e-12)
-
-    @pytest.mark.parametrize("rows", ["1,3 0.5\n1,3 0.2", "1,3 0.5\n3,1 0.2"],
-                             ids=["same", "reordered"])
-    def test_from_text_repeated_subset(self, rows):
-        with pytest.raises(ValueError, match="repeated collective row"):
-            CollectiveCoefficients.from_text(f"n 3\n{rows}\n")
-
-    def test_from_text_row_needs_two_tokens(self):
-        with pytest.raises(ValueError, match="collective row '1,3' is not"):
-            CollectiveCoefficients.from_text("n 3\n1,3\n")
-
-    @pytest.mark.parametrize("text, row", [
-        ("n 3\n1,x 0.5\n", "1,x 0.5"),
-        ("n 3\n1,3 half\n", "1,3 half"),
-        ("n x\n1,3 0.5\n", "n x"),
-    ])
-    def test_from_text_bad_token_names_row(self, text, row):
-        with pytest.raises(ValueError, match=f"collective row '{row}' is not"):
-            CollectiveCoefficients.from_text(text)
-
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_label_loop(self, n, rng):
+        # bit for bit: bincount adds each subset's entries in label order
+        for make in (random_kraus_channel, random_unitary_ensemble):
+            for _ in range(3):
+                chi = chi_diagonal(make(n, 3, rng))
+                labels = pauli_strings(n)
+                assert all(chi.values[k] == chi[labels[k]] for k in range(4**n))
+                want = collective_by_labels(chi)
+                got = collective_coefficients(chi).values
+                assert list(got.items()) == list(want.items())
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_value_refused(self, value):
         with pytest.raises(ValueError, match="is not finite"):
             CollectiveCoefficients(3, {(1, 2): value})
-        with pytest.raises(ValueError, match="is not finite"):
-            CollectiveCoefficients.from_text(f"n 3\n1,2 {value}\n")
 
     @pytest.mark.parametrize("values, message", [
         ({(1, 1): 0.5}, "duplicate qubit"),
@@ -273,14 +238,31 @@ class TestCollectiveCoefficients:
         with pytest.raises(ValueError, match=message):
             CollectiveCoefficients(3, values)
 
-    def test_from_text_repeated_qubit(self):
-        with pytest.raises(ValueError, match="duplicate qubit"):
-            CollectiveCoefficients.from_text("n 3\n1,1 0.5\n")
+    def test_negative_value_names_its_subset(self):
+        with pytest.raises(ValueError, match=r"entry \(2, 3\) is negative"):
+            CollectiveCoefficients(3, {(1,): 0.1, (3, 2): -0.1})
+        assert CollectiveCoefficients(3, {(1,): -1e-13})[(1,)] == 0.0
 
     @pytest.mark.parametrize("n", [0, 11])
     def test_register_size_in_range(self, n):
         with pytest.raises(ValueError, match="out of range 1..10"):
-            CollectiveCoefficients.from_text(f"n {n}\n")
+            CollectiveCoefficients(n, {})
+
+    @pytest.mark.parametrize("subset, message", [
+        ((1, 1), "duplicate qubit"),
+        ((5,), "out of range"),
+        ((), "nonempty"),
+        ((0, 2), "out of range"),
+    ], ids=["repeated-qubit", "out-of-range", "empty", "zero"])
+    def test_lookup_refuses_subset_naming_nothing(self, subset, message):
+        cc = collective_coefficients(chi_diagonal(QuantumChannel.identity(2)))
+        with pytest.raises(ValueError, match=message):
+            cc[subset]
+
+    def test_valid_subset_missing_from_table_reads_zero(self):
+        cc = CollectiveCoefficients(3, {(1, 3): 0.5})
+        assert cc[(3, 1)] == 0.5
+        assert cc[(2, 3)] == 0.0
 
 
 class TestMaxWeightCoefficient:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from conftest import (
     random_unitary,
     random_unitary_ensemble,
 )
-from reference import initial_state, projection, twirl
+from reference import decay_by_labels, initial_state, projection, twirl
 
 
 def cnot_channel(n=2):
@@ -128,6 +129,18 @@ class TestFidelityDecayFromChi:
             got = fidelity_decay_from_chi(chi, {q: 1.0 for q in subset}, subset)
             assert abs(want - got) < 1e-9
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_label_loop(self, n, rng):
+        # the sum runs in another order: allow one rounding per string
+        for make in (random_kraus_channel, random_unitary_ensemble):
+            chi = chi_diagonal(make(n, 3, rng))
+            for r in range(1, min(n, 3) + 1):
+                for subset in itertools.combinations(range(1, n + 1), r):
+                    purities = {q: float(rng.uniform(0.5, 1.0)) for q in subset}
+                    want = decay_by_labels(chi, purities, subset)
+                    got = fidelity_decay_from_chi(chi, purities, subset)
+                    assert abs(got - want) <= 4**n * np.finfo(float).eps
+
     def test_decay_within_unit_interval(self, rng):
         for _ in range(5):
             ch = random_kraus_channel(2, 3, rng)
@@ -209,6 +222,17 @@ class TestCombination:
     def test_missing_subset_rejected(self):
         with pytest.raises(ValueError, match="missing decay"):
             combine_subset({(1,): 0.1, (1, 2): 0.2})
+
+    @pytest.mark.parametrize("stray", [(3,), (3, 4), (2, 3)],
+                             ids=["other-qubit", "tying-pair", "overlapping-pair"])
+    def test_decay_outside_target_rejected(self, stray):
+        decays = {(1,): 0.1, (2,): 0.1, (1, 2): 0.2, stray: 0.9}
+        with pytest.raises(ValueError, match=rf"decay for {re.escape(str(stray))} is not a part"):
+            combine_subset(decays)
+
+    def test_no_decays_rejected(self):
+        with pytest.raises(ValueError, match="at least one decay"):
+            combine_subset({})
 
 
 class TestSamplePlanning:
