@@ -238,6 +238,21 @@ class TestCollectiveCoefficients:
         with pytest.raises(ValueError, match=message):
             CollectiveCoefficients(3, values)
 
+    # The two tests below keep the rows of the deleted text table; such rows
+    # now reach the constructor as subset keys and must be refused there,
+    # each with the subset it names.
+    def test_from_text_repeated_qubit(self):
+        with pytest.raises(ValueError, match=r"duplicate qubit labels in \(1, 1\)"):
+            CollectiveCoefficients(3, {(2,): 0.1, (1, 1): 0.5})
+
+    @pytest.mark.parametrize("first, second, sorted_subset", [
+        ((1, 3), (3, 1), r"\(1, 3\)"),
+        ((1, 2, 3), (3, 1, 2), r"\(1, 2, 3\)"),
+    ], ids=["reordered", "reordered-triple"])
+    def test_from_text_repeated_subset(self, first, second, sorted_subset):
+        with pytest.raises(ValueError, match=rf"subset {sorted_subset} is given twice"):
+            CollectiveCoefficients(3, {first: 0.5, second: 0.2})
+
     def test_negative_value_names_its_subset(self):
         with pytest.raises(ValueError, match=r"entry \(2, 3\) is negative"):
             CollectiveCoefficients(3, {(1,): 0.1, (3, 2): -0.1})
