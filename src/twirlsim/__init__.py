@@ -47,9 +47,7 @@ from .nmr import (
     cnot_gate,
     compile_sequence,
     crotonic_preset,
-    free_evolution,
     hamiltonian_diagonal,
-    hamiltonian_matrix,
     time_suspension_sequence,
     zz_coupling,
 )
@@ -68,7 +66,6 @@ __all__ = [
     "run_exact_campaign", "run_sampled_campaign",
     "sampled_coefficient_error", "subset_coefficient_error",
     "Delay", "NmrHamiltonian", "Pulse", "PulseSequence", "cnot_gate",
-    "compile_sequence", "crotonic_preset", "free_evolution",
-    "hamiltonian_diagonal", "hamiltonian_matrix", "time_suspension_sequence",
-    "zz_coupling",
+    "compile_sequence", "crotonic_preset", "hamiltonian_diagonal",
+    "time_suspension_sequence", "zz_coupling",
 ]

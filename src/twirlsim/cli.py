@@ -56,7 +56,7 @@ from .protocol import (
     sampled_coefficient_error,
     subset_coefficient_error,
 )
-from .states import QuantumChannel, _finite, _register_size, _validate_subset, content_lines
+from .states import QuantumChannel, _finite, _register_size, _validate_subset
 
 ORACLE_TOL = 1e-9
 
@@ -141,9 +141,10 @@ def _parse_option(key: str, text: str):
 def _read_lines(path: str | Path, what: str) -> list[tuple[str, str]]:
     """Each line of a ``what`` file, with its text before any ``#`` comment."""
     try:
-        return content_lines(Path(path).read_text())
+        lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+    return [(raw, raw.split("#", 1)[0].strip()) for raw in lines]
 
 
 def parse_config_file(path: str | Path) -> ExperimentConfig:

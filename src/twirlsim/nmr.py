@@ -1,32 +1,16 @@
 """Spin Hamiltonian, delay/pi-pulse sequences, and the built-in gate library.
 
 The internal Hamiltonian is diagonal: per-qubit frequency offsets plus
-pairwise zz couplings, both given in Hz. Matrices returned from
-``hamiltonian_matrix`` are angular frequencies (rad/s); a 1 Hz offset on a
-lone qubit gives diag(pi, -pi). Pulses are ideal, instantaneous rotations;
+pairwise zz couplings, both given in Hz. The diagonal returned from
+``hamiltonian_diagonal`` is in angular frequencies (rad/s); a 1 Hz offset on
+a lone qubit gives (pi, -pi). Pulses are ideal, instantaneous rotations;
 delays evolve under the internal Hamiltonian alone.
-
-File formats:
-
-* Hamiltonian preset, one entry per line and at most one per qubit or
-  pair (``coupling 2 1`` repeats ``coupling 1 2``)::
-
-      shift 1 6650.6
-      coupling 1 2 72.6
-
-* Pulse sequence, one event per line::
-
-      delay 0.001525
-      pulse 3,4 +x 3.141592653589793
-
-Blank lines and ``#`` comments are ignored in both; an error names its line.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -34,33 +18,9 @@ import numpy as np
 from .paulis import SINGLE_QUBIT_PAULIS
 from .states import (
     MAX_QUBITS, UnitaryMatrix, _finite, _register_size, _validate_subset, apply_local,
-    content_lines, outcome_codes)
+    outcome_codes)
 
 PULSE_AXES = ("+x", "-x", "+y", "-y")
-
-#: named register sizes this module ships parameters for
-CROTONIC_QUBITS = 4
-
-
-def _entries(path: str | Path, what: str, read):
-    """Each line of a file that holds more than a comment, with ``read`` of its
-    tokens. A ValueError raised while reading a line names it and keeps its reason."""
-    for raw, line in content_lines(Path(path).read_text()):
-        if line:
-            try:
-                entry = read(line.split())
-            except ValueError as exc:
-                raise ValueError(f"cannot parse {what} line {raw!r}: {exc}") from exc
-            yield raw, entry
-
-
-def _hamiltonian_entry(parts: list[str], n: int) -> tuple[str, int | tuple[int, int], float]:
-    """(kind, key, value) of a ``shift`` or ``coupling`` line on an n-qubit register."""
-    if parts[0] == "shift" and len(parts) == 3:
-        return "shift", _validate_subset(parts[1:2], n)[0], _finite(parts[2])
-    if parts[0] == "coupling" and len(parts) == 4:
-        return "coupling", tuple(sorted(_validate_subset(parts[1:3], n))), _finite(parts[3])
-    raise ValueError("expected 'shift <qubit> <Hz>' or 'coupling <qubit> <qubit> <Hz>'")
 
 
 @dataclass(frozen=True)
@@ -73,35 +33,22 @@ class NmrHamiltonian:
 
     def __post_init__(self) -> None:
         _register_size(self.n)
-        shifts = {_validate_subset((q,), self.n)[0]: float(v) for q, v in self.shifts_hz.items()}
+        shifts = {_validate_subset((q,), self.n)[0]: _finite(v) for q, v in self.shifts_hz.items()}
         couplings: dict[tuple[int, int], float] = {}
         for pair, v in self.couplings_hz.items():
             j, k = sorted(_validate_subset(pair, self.n))
-            if (j, k) in couplings and couplings[j, k] != float(v):
+            value = _finite(v)
+            if couplings.get((j, k), value) != value:
                 raise ValueError(f"conflicting values for coupling {(j, k)}")
-            couplings[j, k] = float(v)
+            couplings[j, k] = value
         object.__setattr__(self, "shifts_hz", shifts)
         object.__setattr__(self, "couplings_hz", couplings)
-
-    @classmethod
-    def from_file(cls, path: str | Path, n: int | None = None) -> "NmrHamiltonian":
-        # each line's labels are checked against n, or the largest register if n is not given
-        bound = MAX_QUBITS if n is None else n
-        tables: dict[str, dict] = {"shift": {}, "coupling": {}}
-        entries = _entries(path, "Hamiltonian", lambda parts: _hamiltonian_entry(parts, bound))
-        for raw, (kind, key, value) in entries:
-            if key in tables[kind]:
-                raise ValueError(f"repeated Hamiltonian entry in line {raw!r}")
-            tables[kind][key] = value
-        shifts, couplings = tables["shift"], tables["coupling"]
-        qubits = set(shifts) | {q for pair in couplings for q in pair}
-        return cls(max(qubits, default=1) if n is None else n, shifts, couplings)
 
 
 def crotonic_preset() -> NmrHamiltonian:
     """The built-in 4-spin carbon register at a 400 MHz field."""
     return NmrHamiltonian(
-        CROTONIC_QUBITS,
+        4,
         shifts_hz={1: 6650.6, 2: 1695.8, 3: 4210.0, 4: -8796.7},
         couplings_hz={
             (1, 2): 72.6, (2, 3): 69.8, (1, 4): 7.1,
@@ -125,18 +72,6 @@ def hamiltonian_diagonal(h: NmrHamiltonian) -> np.ndarray:
     return diag
 
 
-def hamiltonian_matrix(h: NmrHamiltonian) -> np.ndarray:
-    """Dense (real diagonal, traceless) Hamiltonian matrix in rad/s."""
-    return np.diag(hamiltonian_diagonal(h))
-
-
-def free_evolution(h: NmrHamiltonian, tau: float) -> UnitaryMatrix:
-    """Propagator of a delay of ``tau`` seconds under the internal Hamiltonian."""
-    if not tau > 0.0:
-        raise ValueError(f"delay must be positive, got {tau}")
-    return UnitaryMatrix(np.diag(np.exp(-1j * hamiltonian_diagonal(h) * tau)))
-
-
 @dataclass(frozen=True)
 class Delay:
     """Free evolution for ``tau`` seconds."""
@@ -144,7 +79,7 @@ class Delay:
     tau: float
 
     def __post_init__(self) -> None:
-        if not self.tau > 0.0:
+        if not _finite(self.tau) > 0.0:
             raise ValueError(f"delay must be positive, got {self.tau}")
 
 
@@ -159,17 +94,9 @@ class Pulse:
     def __post_init__(self) -> None:
         qubits = tuple(sorted(_validate_subset(self.qubits, MAX_QUBITS)))
         object.__setattr__(self, "qubits", qubits)
+        _finite(self.angle)
         if self.axis not in PULSE_AXES:
             raise ValueError(f"pulse axis must be one of {PULSE_AXES}, got {self.axis!r}")
-
-
-def _event(parts: list[str]) -> Delay | Pulse:
-    """The event of a ``delay`` or ``pulse`` line."""
-    if parts[0] == "delay" and len(parts) == 2:
-        return Delay(_finite(parts[1]))
-    if parts[0] == "pulse" and len(parts) == 4:
-        return Pulse(tuple(int(q) for q in parts[1].split(",")), parts[2], _finite(parts[3]))
-    raise ValueError("expected 'delay <seconds>' or 'pulse <qubits> <axis> <radians>'")
 
 
 @dataclass(frozen=True)
@@ -187,10 +114,6 @@ class PulseSequence:
     @property
     def total_duration(self) -> float:
         return sum(ev.tau for ev in self.events if isinstance(ev, Delay))
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PulseSequence":
-        return cls(tuple(event for _, event in _entries(path, "sequence", _event)))
 
 
 def _pulse_ops(n: int, pulse: Pulse) -> list[np.ndarray]:

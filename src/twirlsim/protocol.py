@@ -30,7 +30,8 @@ import numpy as np
 from .cliffords import CliffordPool, build_pool
 from .paulis import SINGLE_QUBIT_PAULIS, ChiDiagonal, _letters
 from .states import (
-    ATOL, QuantumChannel, _validate_subset, apply_local, checked_probability, outcome_codes)
+    ATOL, QuantumChannel, _label, _validate_subset, apply_local, checked_probability,
+    outcome_codes)
 
 #: decays with |M| beyond this are out of exact-mode scope
 MAX_EXACT_SUBSET = 3
@@ -62,7 +63,7 @@ class DecayEstimate:
     realizations: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "subset", tuple(sorted(int(q) for q in self.subset)))
+        object.__setattr__(self, "subset", tuple(sorted(_label(q) for q in self.subset)))
         if self.realizations < 0:
             raise ValueError("realization count cannot be negative")
         if self.realizations == 0:
@@ -297,7 +298,9 @@ def combine_subset(decays: Mapping) -> float:
     """
     table: dict[tuple[int, ...], float] = {}
     for key, val in decays.items():
-        qs = tuple(sorted(int(q) for q in key))
+        qs = tuple(sorted(_label(q) for q in key))
+        if qs in table:
+            raise ValueError(f"subset {qs} is given twice")
         table[qs] = float(val.value) if isinstance(val, DecayEstimate) else float(val)
     if not table:
         raise ValueError("combine_subset needs at least one decay")

@@ -1,9 +1,9 @@
 """Validated unitaries and channels on registers of up to 10 qubits.
 
-The module also owns the low-level rules the other modules share: the comment
-rule of every text format, the register-size and qubit-subset checks, the bit
-order of measurement outcomes, probability clamping, and ``apply_local``, the
-one kernel that contracts an array one qubit's axis at a time.
+The module also owns the low-level rules the other modules share: the finite
+number rule, the register-size and qubit-subset checks, the bit order of
+measurement outcomes, probability clamping, and ``apply_local``, the one
+kernel that contracts an array one qubit's axis at a time.
 
 Qubits are labelled 1..n, with qubit 1 the leftmost tensor factor (most
 significant bit of the computational-basis index). All wrapper types are
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -42,13 +43,8 @@ def _check_square_pow2(data: np.ndarray, what: str) -> int:
     return n
 
 
-def content_lines(text: str) -> list[tuple[str, str]]:
-    """Each line of ``text`` with its text before any ``#`` comment, stripped."""
-    return [(raw, raw.split("#", 1)[0].strip()) for raw in text.splitlines()]
-
-
 def _finite(text, kind: type = float) -> float | complex:
-    """``kind(text)``, refusing NaN and infinite values: every text format's number rule."""
+    """``kind(text)``, refusing NaN and infinite values: the package's one number rule."""
     value = kind(text)
     if not cmath.isfinite(value):
         raise ValueError(f"{text!r} is not finite")
@@ -170,9 +166,17 @@ def _register_size(n: int) -> None:
         raise ValueError(f"register size {n} out of range 1..{MAX_QUBITS}")
 
 
+def _label(q) -> int:
+    """Qubit label ``q`` as an int; a float, text or other non-integer is refused."""
+    try:
+        return int(operator.index(q))
+    except TypeError:
+        raise ValueError(f"qubit label {q!r} is not an integer") from None
+
+
 def _validate_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
     _register_size(n)
-    qs = tuple(int(q) for q in subset)
+    qs = tuple(_label(q) for q in subset)
     if not qs:
         raise ValueError("qubit subset must be nonempty")
     if len(set(qs)) != len(qs):

@@ -17,9 +17,7 @@ from twirlsim import (
     collective_coefficients,
     compile_sequence,
     crotonic_preset,
-    free_evolution,
     hamiltonian_diagonal,
-    hamiltonian_matrix,
     max_weight_coefficient,
     time_suspension_sequence,
     zz_coupling,
@@ -65,21 +63,23 @@ def toggling_sign_sums(seq: PulseSequence, n: int) -> dict[tuple[int, ...], floa
     return sums
 
 
+def delay_propagator(h: NmrHamiltonian, tau: float) -> np.ndarray:
+    """Propagator of one delay of ``tau`` seconds under ``h``."""
+    return compile_sequence(PulseSequence((Delay(tau),)), h).data
+
+
 class TestHamiltonian:
     def test_zero_parameters_zero_matrix(self):
         h = NmrHamiltonian(2, {}, {})
-        assert np.count_nonzero(hamiltonian_matrix(h)) == 0
+        assert np.count_nonzero(hamiltonian_diagonal(h)) == 0
 
     def test_single_qubit_unit_shift(self):
         h = NmrHamiltonian(1, {1: 1.0}, {})
-        assert np.allclose(hamiltonian_matrix(h), np.diag([math.pi, -math.pi]))
+        assert np.allclose(hamiltonian_diagonal(h), [math.pi, -math.pi])
 
-    def test_crotonic_traceless_and_diagonal(self):
-        h = crotonic_preset()
-        mat = hamiltonian_matrix(h)
-        assert np.count_nonzero(mat - np.diag(np.diag(mat))) == 0
-        scale = np.max(np.abs(np.diag(mat)))
-        assert abs(np.diag(mat).sum()) / scale < 1e-12
+    def test_crotonic_traceless(self):
+        diag = hamiltonian_diagonal(crotonic_preset())
+        assert abs(diag.sum()) / np.max(np.abs(diag)) < 1e-12
 
     def test_eigenvalues_match_bit_pattern_oracle(self):
         h = crotonic_preset()
@@ -87,15 +87,6 @@ class TestHamiltonian:
         for state in range(16):
             assert diag[state] == pytest.approx(bit_pattern_eigenvalue(h, state),
                                                 rel=1e-12)
-
-    def test_commutes_with_z_strings(self):
-        # diagonal by construction, so it commutes with every z string
-        h = crotonic_preset()
-        mat = hamiltonian_matrix(h)
-        zz = np.diag([1.0, -1.0, -1.0, 1.0])
-        z14 = np.kron(np.kron(np.diag([1.0, -1.0]), np.eye(4)), np.diag([1.0, -1.0]))
-        for other in (np.kron(zz, np.eye(4)), z14):
-            assert np.max(np.abs(mat @ other - other @ mat)) < 1e-9
 
     def test_coupling_validation(self):
         with pytest.raises(ValueError, match="duplicate qubit"):
@@ -105,92 +96,51 @@ class TestHamiltonian:
         with pytest.raises(ValueError, match="out of range"):
             NmrHamiltonian(2, {}, {(1, 3): 5.0})
 
-    def test_file_round_trip(self, tmp_path):
-        path = tmp_path / "register.txt"
-        path.write_text(
-            "# comment line\n"
-            "shift 1 6650.6\n"
-            "shift 2 1695.8\n"
-            "coupling 1 2 72.6\n")
-        h = NmrHamiltonian.from_file(path)
-        assert h.n == 2
-        assert h.shifts_hz[1] == 6650.6
-        assert h.couplings_hz[(1, 2)] == 72.6
+    def test_reversed_coupling_conflict(self):
+        with pytest.raises(ValueError, match=re.escape("conflicting values for coupling (1, 2)")):
+            NmrHamiltonian(2, {}, {(1, 2): 5.0, (2, 1): 7.0})
+        assert NmrHamiltonian(2, {}, {(1, 2): 5.0, (2, 1): 5.0}).couplings_hz == {(1, 2): 5.0}
 
-    def test_file_parse_error(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("frequency 1 2\n")
-        with pytest.raises(ValueError, match="parse"):
-            NmrHamiltonian.from_file(path)
-
-    @pytest.mark.parametrize("lines, repeated", [
-        ("shift 1 10\nshift 1 10\n", "shift 1 10"),
-        ("coupling 1 2 5\ncoupling 1 2 7\n", "coupling 1 2 7"),
-        ("coupling 1 2 5\ncoupling 2 1 5\n", "coupling 2 1 5"),
-    ], ids=["shift", "coupling", "coupling-reversed"])
-    def test_file_repeated_entry(self, tmp_path, lines, repeated):
-        path = tmp_path / "register.txt"
-        path.write_text(lines)
-        with pytest.raises(ValueError, match=f"repeated Hamiltonian entry in line '{repeated}'"):
-            NmrHamiltonian.from_file(path)
-
-    @pytest.mark.parametrize("line, reason", [
-        ("shift 1 abc", "could not convert string to float"),
-        ("coupling 1 x 5", "invalid literal for int"),
-    ])
-    def test_file_error_names_its_line(self, tmp_path, line, reason):
-        path = tmp_path / "register.txt"
-        path.write_text("shift 2 10\n" + line + "\n")
-        message = f"cannot parse Hamiltonian line '{line}': {reason}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            NmrHamiltonian.from_file(path)
+    @pytest.mark.parametrize("shifts, couplings", [
+        ({1: math.inf}, {}),
+        ({}, {(1, 2): math.nan}),
+        ({2: -math.inf}, {}),
+    ], ids=["shift-inf", "coupling-nan", "shift-minus-inf"])
+    def test_refuses_non_finite(self, shifts, couplings):
+        with pytest.raises(ValueError, match="is not finite"):
+            NmrHamiltonian(2, shifts, couplings)
 
     def test_register_size_in_range(self):
         with pytest.raises(ValueError, match=re.escape("register size 11 out of range 1..10")):
             NmrHamiltonian(11, {1: 5.0}, {})
 
-    @pytest.mark.parametrize("line, n, reason", [
-        ("shift 11 5", None, "qubit label 11 out of range 1..10"),
-        ("shift 0 5", None, "qubit label 0 out of range 1..10"),
-        ("coupling 1 1 5", None, "duplicate qubit labels in (1, 1)"),
-        ("shift 5 1", 4, "qubit label 5 out of range 1..4"),
-    ], ids=["beyond-max-qubits", "zero", "self-coupling", "beyond-given-n"])
-    def test_file_label_error_names_its_line(self, tmp_path, line, n, reason):
-        path = tmp_path / "register.txt"
-        path.write_text(line + "\n")
-        message = f"cannot parse Hamiltonian line '{line}': {reason}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            NmrHamiltonian.from_file(path, n)
-
-    @pytest.mark.parametrize("line", ["shift 1 inf", "coupling 1 2 nan", "shift 2 -inf"])
-    def test_file_refuses_non_finite(self, tmp_path, line):
-        path = tmp_path / "register.txt"
-        path.write_text(line + "\n")
-        with pytest.raises(ValueError, match="is not finite"):
-            NmrHamiltonian.from_file(path)
+    @pytest.mark.parametrize("make", [
+        lambda: NmrHamiltonian(2, {"1": 5.0}, {}),
+        lambda: NmrHamiltonian(2, {}, {(1.0, 2): 5.0}),
+        lambda: Pulse((1.5,), "+x", math.pi),
+    ], ids=["text-shift", "float-coupling", "float-pulse"])
+    def test_refuses_non_integer_label(self, make):
+        with pytest.raises(ValueError, match="is not an integer"):
+            make()
 
 
 class TestFreeEvolution:
     def test_short_delay_near_identity(self):
-        u = free_evolution(crotonic_preset(), 1e-12)
-        assert np.max(np.abs(u.data - np.eye(16))) < 1e-6
+        u = delay_propagator(crotonic_preset(), 1e-12)
+        assert np.max(np.abs(u - np.eye(16))) < 1e-6
 
     def test_quarter_coupling_period_gives_zz_phase(self):
         coupling = 50.0
         h = NmrHamiltonian(2, {}, {(1, 2): coupling})
-        u = free_evolution(h, 1.0 / (4.0 * coupling))
+        u = delay_propagator(h, 1.0 / (4.0 * coupling))
         expect = zz_coupling(math.pi / 8, (1, 2), n=2).data
-        overlap = abs(np.trace(u.data.conj().T @ expect)) / 4
+        overlap = abs(np.trace(u.conj().T @ expect)) / 4
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_crotonic_propagator_unitary(self):
-        u = free_evolution(crotonic_preset(), 1.525e-3)
-        dev = np.linalg.norm(u.data.conj().T @ u.data - np.eye(16))
+        u = delay_propagator(crotonic_preset(), 1.525e-3)
+        dev = np.linalg.norm(u.conj().T @ u - np.eye(16))
         assert dev < 1e-12
-
-    def test_nonpositive_delay_rejected(self):
-        with pytest.raises(ValueError):
-            free_evolution(crotonic_preset(), 0.0)
 
 
 class TestPulseSequence:
@@ -201,6 +151,8 @@ class TestPulseSequence:
     def test_event_validation(self):
         with pytest.raises(ValueError):
             Delay(-1.0)
+        with pytest.raises(ValueError, match="delay must be positive"):
+            Delay(0.0)
         with pytest.raises(ValueError):
             Pulse((), "+x", math.pi)
         with pytest.raises(ValueError):
@@ -213,48 +165,20 @@ class TestPulseSequence:
         assert seq.total_duration == pytest.approx(8e-3)
         assert len(seq.events) == 16
 
-    def test_sequence_file_round_trip(self, tmp_path):
-        path = tmp_path / "seq.txt"
-        path.write_text(
-            "delay 0.001525\n"
-            "pulse 3,4 +x 3.141592653589793\n"
-            "delay 0.001525\n"
-            "pulse 2 -x 3.141592653589793\n")
-        seq = PulseSequence.from_file(path)
-        assert len(seq.events) == 4
-        assert seq.events[1] == Pulse((3, 4), "+x", math.pi)
-        assert seq.events[3].axis == "-x"
-
-    def test_sequence_file_parse_error(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("wait 0.1\n")
-        with pytest.raises(ValueError, match="parse"):
-            PulseSequence.from_file(path)
-
-    @pytest.mark.parametrize("line, reason", [
-        ("pulse 1,x +x 1", "invalid literal for int"),
-        ("pulse 1 +z 1", "pulse axis must be one of"),
-        ("delay -1", "delay must be positive"),
-    ])
-    def test_sequence_file_error_names_its_line(self, tmp_path, line, reason):
-        path = tmp_path / "seq.txt"
-        path.write_text("delay 0.001\n" + line + "\n")
-        message = f"cannot parse sequence line '{line}': {reason}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            PulseSequence.from_file(path)
-
     @pytest.mark.parametrize("qubits", [(0,), (11,)], ids=["zero", "beyond-max-qubits"])
     def test_pulse_refuses_label_out_of_range(self, qubits):
         with pytest.raises(ValueError, match="out of range 1..10"):
             Pulse(qubits, "+x", 1.0)
 
-    @pytest.mark.parametrize("line", ["delay inf", "delay nan", "pulse 1 +x nan",
-                                      "pulse 1 +x inf"])
-    def test_sequence_file_refuses_non_finite(self, tmp_path, line):
-        path = tmp_path / "seq.txt"
-        path.write_text(line + "\n")
+    @pytest.mark.parametrize("make", [
+        lambda: Delay(math.inf),
+        lambda: Delay(math.nan),
+        lambda: Pulse((1,), "+x", math.nan),
+        lambda: Pulse((1,), "+x", math.inf),
+    ], ids=["delay-inf", "delay-nan", "pulse-nan", "pulse-inf"])
+    def test_event_refuses_non_finite(self, make):
         with pytest.raises(ValueError, match="is not finite"):
-            PulseSequence.from_file(path)
+            make()
 
     def test_pulse_order_matters(self):
         h = NmrHamiltonian(1, {1: 1000.0}, {})

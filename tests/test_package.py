@@ -1,14 +1,18 @@
 """The package's public surface, the independence of the test references, the
 absence of dense Kronecker products from the package, the one owner of the
-register-size range, and the README's quick tour."""
+register-size range, the one module that touches files, and the README's quick
+tour and config block."""
 
 import ast
+import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
 import twirlsim
+from twirlsim.cli import ExperimentConfig
 
 REFERENCE = Path(__file__).with_name("reference.py")
 README = Path(__file__).parent.parent / "README.md"
@@ -64,6 +68,29 @@ def test_only_states_compares_against_max_qubits():
                 names = {getattr(sub, "id", None) or getattr(sub, "attr", None)
                          for sub in ast.walk(node)}
                 assert "MAX_QUBITS" not in names, f"{path.name}:{node.lineno}"
+
+
+def test_only_cli_touches_files():
+    # cli turns text into values and writes reports; every other module takes values
+    file_calls = {"open", "read_text", "read_bytes", "write_text"}
+    assert SOURCES
+    for path in SOURCES:
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                assert name not in file_calls, f"{path.name}:{node.lineno} calls {name}"
+
+
+def test_readme_config_block_lists_every_key():
+    text = README.read_text()
+    block = text.split("### Config file")[1].split("```\n")[1]
+    keys = [line.split()[0] for line in block.splitlines() if line and not line[0].isspace()]
+    fields = [option.name for option in dataclasses.fields(ExperimentConfig)]
+    assert sorted(keys) == sorted(fields)
+    count = re.search(r"The (\d+) keys", text)
+    assert count and int(count.group(1)) == len(fields)
 
 
 def test_readme_quick_tour_keeps_its_promises():

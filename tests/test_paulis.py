@@ -268,7 +268,8 @@ class TestCollectiveCoefficients:
         ((5,), "out of range"),
         ((), "nonempty"),
         ((0, 2), "out of range"),
-    ], ids=["repeated-qubit", "out-of-range", "empty", "zero"])
+        ((1.5,), "qubit label 1.5 is not an integer"),
+    ], ids=["repeated-qubit", "out-of-range", "empty", "zero", "non-integer"])
     def test_lookup_refuses_subset_naming_nothing(self, subset, message):
         cc = collective_coefficients(chi_diagonal(QuantumChannel.identity(2)))
         with pytest.raises(ValueError, match=message):

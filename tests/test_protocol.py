@@ -19,6 +19,7 @@ from twirlsim import (
     fidelity_decay_from_chi,
     plan_from_count,
     plan_realizations,
+    run_exact_campaign,
     run_sampled_campaign,
     sampled_coefficient_error,
     subset_coefficient_error,
@@ -65,6 +66,10 @@ class TestInitialState:
 
 
 class TestFidelityDecayExact:
+    def test_non_integer_label_rejected(self):
+        with pytest.raises(ValueError, match="qubit label 1.7 is not an integer"):
+            run_exact_campaign(cnot_channel(), [1.7])
+
     def test_identity_channel(self):
         est = exact_decay(QuantumChannel.identity(2), [1, 2])
         assert est.value == pytest.approx(0.0, abs=1e-12)
@@ -234,6 +239,16 @@ class TestCombination:
         with pytest.raises(ValueError, match="at least one decay"):
             combine_subset({})
 
+    def test_subset_given_twice_rejected(self):
+        # (2, 1) sorts to (1, 2): neither value may silently win
+        decays = {(1,): 0.1, (2,): 0.1, (1, 2): 0.2, (2, 1): 0.5}
+        with pytest.raises(ValueError, match=re.escape("subset (1, 2) is given twice")):
+            combine_subset(decays)
+
+    def test_non_integer_label_rejected(self):
+        with pytest.raises(ValueError, match="qubit label 1.5 is not an integer"):
+            combine_subset({(1.5,): 0.1})
+
 
 class TestSamplePlanning:
     def test_chernoff_dominated(self):
@@ -311,6 +326,10 @@ class TestDecayEstimateInvariants:
     def test_exact_mode_zero_error(self):
         with pytest.raises(ValueError, match="zero standard error"):
             DecayEstimate((1,), 0.5, std_error=0.01, realizations=0)
+
+    def test_non_integer_label_rejected(self):
+        with pytest.raises(ValueError, match="qubit label 2.9 is not an integer"):
+            DecayEstimate((2.9,), 0.1)
 
     def test_sampled_error_bound(self):
         DecayEstimate((1,), 0.5, std_error=0.005, realizations=10000)

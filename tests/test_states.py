@@ -1,10 +1,12 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from twirlsim import DimensionError, QuantumChannel, UnitaryMatrix, cnot_gate, zz_coupling
-from twirlsim.states import ATOL, apply_local, checked_probability, outcome_codes
+from twirlsim.states import (
+    ATOL, _validate_subset, apply_local, checked_probability, outcome_codes)
 from conftest import random_density, random_kraus_channel, random_unitary
 from reference import apply_channel, check_density, kron, partial_trace, projection
 
@@ -293,6 +295,19 @@ class TestProjectionProbability:
     def test_invalid_subset(self):
         with pytest.raises(ValueError):
             projection(np.eye(4) / 4, [3])
+
+
+class TestQubitLabels:
+    @pytest.mark.parametrize("label", [1.5, 2.0, "1", None],
+                             ids=["fraction", "integral-float", "text", "none"])
+    def test_non_integer_label_refused(self, label):
+        with pytest.raises(ValueError, match=f"qubit label {re.escape(repr(label))} is not"):
+            _validate_subset((label,), 3)
+
+    def test_integer_types_read_as_int(self):
+        labels = _validate_subset((np.int64(2), 3), 3)
+        assert labels == (2, 3)
+        assert all(type(q) is int for q in labels)
 
 
 class TestLocalKernel:
