@@ -142,6 +142,10 @@ class TestFreeEvolution:
         dev = np.linalg.norm(u.conj().T @ u - np.eye(16))
         assert dev < 1e-12
 
+    def test_nonpositive_delay_rejected(self):
+        with pytest.raises(ValueError):
+            delay_propagator(crotonic_preset(), 0.0)
+
 
 class TestPulseSequence:
     def test_empty_sequence_compiles_to_identity(self):
