@@ -56,7 +56,7 @@ from .protocol import (
     sampled_coefficient_error,
     subset_coefficient_error,
 )
-from .states import QuantumChannel, _finite, _register_size, _validate_subset
+from .states import QuantumChannel, _finite, _read_only, _register_size, _validate_subset
 
 ORACLE_TOL = 1e-9
 
@@ -141,8 +141,8 @@ def _parse_option(key: str, text: str):
 def _read_lines(path: str | Path, what: str) -> list[tuple[str, str]]:
     """Each line of a ``what`` file, with its text before any ``#`` comment."""
     try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
     return [(raw, raw.split("#", 1)[0].strip()) for raw in lines]
 
@@ -181,7 +181,7 @@ def _gate_channel(config: ExperimentConfig) -> QuantumChannel:
         # CNOT is a permutation: column j of U has its 1 in row perm[j], so column j
         # of U U is column perm[j] of U
         u = cnot_gate(1, 2, n).data
-        return QuantumChannel.from_unitary(u[:, np.argmax(u.real, axis=0)])
+        return QuantumChannel.from_unitary(_read_only(u.take(np.argmax(u.real, axis=0), axis=1)))
     if gate.startswith("c12"):
         arg = gate[3:].strip().strip(":()")
         try:
@@ -270,8 +270,7 @@ class Report:
         for res in self.results:
             lines.append("")
             lines.append(f"[subset {format_subset(res.subset)}]")
-            for sub in sorted(res.decays, key=lambda s: (len(s), s)):
-                est = res.decays[sub]
+            for sub, est in res.decays.items():
                 lines.append(
                     f"decay {format_subset(sub)} {est.value:.12e} "
                     f"stderr {est.std_error:.12e} realizations {est.realizations}")
@@ -281,9 +280,8 @@ class Report:
                 lines.append(f"oracle {res.oracle:.12e}")
                 lines.append(f"discrepancy {res.discrepancy:.12e}")
                 lines.append(f"oracle_tail {res.tail:.12e}")
-            for sub in sorted(res.decay_bounds, key=lambda s: (len(s), s)):
-                lines.append(
-                    f"decay_bound {format_subset(sub)} {res.decay_bounds[sub]:.12e}")
+            for sub, bound in res.decay_bounds.items():
+                lines.append(f"decay_bound {format_subset(sub)} {bound:.12e}")
             if res.eta_bound is not None:
                 lines.append(f"eta_bound {res.eta_bound:.12e}")
         return "\n".join(lines) + "\n"
@@ -321,8 +319,9 @@ def _validate_config(config: ExperimentConfig) -> tuple[SamplePlan | None, Error
         pool = parse_pool(config.pool)
         budget = ErrorBudget(config.prep_error, config.clifford_error)
         # the largest eta_bound the run prints: every decay of its largest target at 1
-        largest = subset_coefficient_error(
-            [decay_error_bound(budget, 1.0)] * (2 ** max(map(len, config.subsets), default=0) - 1))
+        worst = decay_error_bound(budget, 1.0)
+        largest = worst if math.isinf(worst) else subset_coefficient_error(
+            [worst] * (2 ** max(map(len, config.subsets), default=0) - 1))
         if config.delta is None:
             plan = None if config.realizations is None else plan_from_count(config.realizations)
         else:
@@ -353,7 +352,7 @@ def _run_subset(
     index: int,
     subset: tuple[int, ...],
 ) -> SubsetResult:
-    qs = tuple(sorted(subset))
+    qs = _validate_subset(subset, config.n)
     if plan is None:
         decays = run_exact_campaign(channel, qs, pool)
     else:
@@ -364,7 +363,6 @@ def _run_subset(
     eta = combine_subset(decays)
     eta_err = (0.0 if plan is None
                else sampled_coefficient_error(eta, len(qs), plan.realizations))
-    ordered = sorted(decays, key=lambda s: (len(s), s))
     oracle_val = tail = disc = None
     if oracle is not None:
         oracle_val = oracle[qs]
@@ -378,9 +376,9 @@ def _run_subset(
     bounds: dict[tuple[int, ...], float] = {}
     eta_bound = None
     if budget.preparation > 0.0 or budget.clifford > 0.0:
-        bounds = {s: decay_error_bound(budget, max(0.0, min(1.0, decays[s].value)))
-                  for s in ordered}
-        eta_bound = subset_coefficient_error([bounds[s] for s in ordered])
+        bounds = {s: decay_error_bound(budget, max(0.0, min(1.0, est.value)))
+                  for s, est in decays.items()}
+        eta_bound = subset_coefficient_error(bounds.values())
     return SubsetResult(qs, dict(decays), eta, eta_err, oracle_val, disc, tail,
                         bounds, eta_bound)
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .paulis import SINGLE_QUBIT_PAULIS
 from .states import (
-    MAX_QUBITS, UnitaryMatrix, _finite, _register_size, _validate_subset, apply_local,
-    outcome_codes)
+    MAX_QUBITS, UnitaryMatrix, _finite, _read_only, _register_size, _validate_subset,
+    apply_local, outcome_codes)
 
 PULSE_AXES = ("+x", "-x", "+y", "-y")
 
@@ -36,7 +36,7 @@ class NmrHamiltonian:
         shifts = {_validate_subset((q,), self.n)[0]: _finite(v) for q, v in self.shifts_hz.items()}
         couplings: dict[tuple[int, int], float] = {}
         for pair, v in self.couplings_hz.items():
-            j, k = sorted(_validate_subset(pair, self.n))
+            j, k = _validate_subset(pair, self.n)
             value = _finite(v)
             if couplings.get((j, k), value) != value:
                 raise ValueError(f"conflicting values for coupling {(j, k)}")
@@ -92,8 +92,7 @@ class Pulse:
     angle: float
 
     def __post_init__(self) -> None:
-        qubits = tuple(sorted(_validate_subset(self.qubits, MAX_QUBITS)))
-        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "qubits", _validate_subset(self.qubits, MAX_QUBITS))
         _finite(self.angle)
         if self.axis not in PULSE_AXES:
             raise ValueError(f"pulse axis must be one of {PULSE_AXES}, got {self.axis!r}")
@@ -154,7 +153,7 @@ def compile_sequence(seq: PulseSequence, h: NmrHamiltonian) -> UnitaryMatrix:
             total = np.exp(-1j * hdiag * ev.tau)[:, None] * total
         else:
             total = apply_local(_pulse_ops(n, ev), total).reshape(2**n, 2**n).T
-    return UnitaryMatrix(normalize_global_phase(total))
+    return UnitaryMatrix(_read_only(normalize_global_phase(total)))
 
 
 #: pulse pattern of the time-suspension sequence: qubits hit after each delay
@@ -198,15 +197,15 @@ def zz_coupling(beta: float, pair: tuple[int, int] = (1, 2), n: int = 4) -> Unit
     """
     j, k = _validate_subset(pair, n)
     phase = beta * _z_signs(n, j) * _z_signs(n, k)
-    return UnitaryMatrix(np.diag(np.exp(-1j * phase)))
+    return UnitaryMatrix(_read_only(np.diag(np.exp(-1j * phase))))
 
 
 def cnot_gate(control: int = 1, target: int = 2, n: int = 4) -> UnitaryMatrix:
     """Controlled-NOT embedded in an n-qubit register; squares to identity."""
-    control, target = _validate_subset((control, target), n)
+    _validate_subset((control, target), n)  # a check only: the rule sorts the pair
     idx = np.arange(2**n)
     # flip the target bit where the control bit is 1
     perm = idx ^ (outcome_codes(n, [control]) << (n - target))
     mat = np.zeros((2**n, 2**n), dtype=complex)
     mat[perm, idx] = 1.0
-    return UnitaryMatrix(mat)
+    return UnitaryMatrix(_read_only(mat))

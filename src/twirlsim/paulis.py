@@ -139,7 +139,7 @@ class CollectiveCoefficients:
         _register_size(self.n)
         clean: dict[tuple[int, ...], float] = {}
         for subset, v in self.values.items():
-            qs = tuple(sorted(_validate_subset(subset, self.n)))
+            qs = _validate_subset(subset, self.n)
             if qs in clean:
                 raise ValueError(f"subset {qs} is given twice")
             clean[qs] = v
@@ -147,7 +147,7 @@ class CollectiveCoefficients:
         object.__setattr__(self, "values", dict(zip(clean, arr.tolist())))
 
     def __getitem__(self, subset: Iterable[int]) -> float:
-        return self.values.get(tuple(sorted(_validate_subset(subset, self.n))), 0.0)
+        return self.values.get(_validate_subset(subset, self.n), 0.0)
 
     def total(self) -> float:
         return sum(self.values.values())

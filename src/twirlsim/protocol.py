@@ -30,8 +30,8 @@ import numpy as np
 from .cliffords import CliffordPool, build_pool
 from .paulis import SINGLE_QUBIT_PAULIS, ChiDiagonal, _letters
 from .states import (
-    ATOL, QuantumChannel, _label, _validate_subset, apply_local, checked_probability,
-    outcome_codes)
+    ATOL, MAX_QUBITS, QuantumChannel, _finite, _validate_subset, apply_local,
+    checked_probability, outcome_codes)
 
 #: decays with |M| beyond this are out of exact-mode scope
 MAX_EXACT_SUBSET = 3
@@ -50,11 +50,11 @@ CHANNEL_SAMPLING_MODES = ("exact", "per-shot-ensemble")
 
 @dataclass(frozen=True)
 class DecayEstimate:
-    """A fidelity-decay value for one measured subset.
+    """A fidelity-decay value for one measured subset, which passes the subset rule.
 
-    ``realizations`` is 0 for exact-mode values (std_error 0); sampled
-    values carry the binomial standard error, which never exceeds
-    1/sqrt(N).
+    The value is finite. ``realizations`` is 0 for exact-mode values (std_error
+    0); sampled values carry the binomial standard error, a finite number in
+    [0, 1/sqrt(N)].
     """
 
     subset: tuple[int, ...]
@@ -63,15 +63,16 @@ class DecayEstimate:
     realizations: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "subset", tuple(sorted(_label(q) for q in self.subset)))
+        object.__setattr__(self, "subset", _validate_subset(self.subset, MAX_QUBITS))
+        object.__setattr__(self, "value", _finite(self.value))
         if self.realizations < 0:
             raise ValueError("realization count cannot be negative")
         if self.realizations == 0:
             if self.std_error != 0.0:
                 raise ValueError("exact estimates carry zero standard error")
-        elif self.std_error > 1.0 / math.sqrt(self.realizations) + 1e-12:
+        elif not 0.0 <= _finite(self.std_error) <= 1.0 / math.sqrt(self.realizations) + 1e-12:
             raise ValueError(
-                f"standard error {self.std_error} exceeds the 1/sqrt(N) bound")
+                f"standard error {self.std_error} lies outside the bound [0, 1/sqrt(N)]")
 
 
 #: failure probability at which the Chernoff count equals the 1/delta^2 floor
@@ -209,22 +210,25 @@ def _twirl_tables(maps: np.ndarray, superops: np.ndarray, m: int) -> np.ndarray:
     return t.reshape(batch, K**m, 2**m)
 
 
+def _parts(qs: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every nonempty part of ``qs``, by size, then in ``itertools.combinations`` order."""
+    return [sub for r in range(1, len(qs) + 1) for sub in itertools.combinations(qs, r)]
+
+
 def _readout(weights: np.ndarray, qs: tuple[int, ...], realizations: int
              ) -> dict[tuple[int, ...], DecayEstimate]:
-    """Decay of every nonempty part of ``qs`` from one outcome histogram.
+    """Decay of every nonempty part of ``qs``, in ``_parts`` order, from one histogram.
 
     ``weights`` are shot counts (``realizations`` = N) or summed outcome
     tables (0), indexed like ``_twirl_tables`` columns.
     """
-    m = len(qs)
     out = {}
-    for r in range(1, m + 1):
-        for sub in itertools.combinations(qs, r):
-            zero = outcome_codes(m, [qs.index(q) + 1 for q in sub]) == 0
-            hit, miss = float(weights[zero].sum()), float(weights[~zero].sum())
-            p = checked_probability(hit / (hit + miss))
-            std = math.sqrt(p * (1.0 - p) / realizations) if realizations else 0.0
-            out[sub] = DecayEstimate(sub, 1.0 - p, std, realizations)
+    for sub in _parts(qs):
+        zero = outcome_codes(len(qs), [qs.index(q) + 1 for q in sub]) == 0
+        hit, miss = float(weights[zero].sum()), float(weights[~zero].sum())
+        p = checked_probability(hit / (hit + miss))
+        std = math.sqrt(p * (1.0 - p) / realizations) if realizations else 0.0
+        out[sub] = DecayEstimate(sub, 1.0 - p, std, realizations)
     return out
 
 
@@ -237,7 +241,7 @@ def run_exact_campaign(
     of the other qubits twirls |0> on the subset with the rest maximally
     mixed; each part's decay reads off that one twirl.
     """
-    qs = tuple(sorted(_validate_subset(subset, channel.n)))
+    qs = _validate_subset(subset, channel.n)
     if len(qs) > MAX_EXACT_SUBSET:
         raise ValueError(
             f"exact decay supports at most {MAX_EXACT_SUBSET} measured qubits")
@@ -265,7 +269,7 @@ def fidelity_decay_from_chi(
     P itself where it is the identity. The identity string contributes
     nothing by construction.
     """
-    qs = tuple(sorted(_validate_subset(subset, chi.n)))
+    qs = _validate_subset(subset, chi.n)
     for q in qs:
         if q not in purities:
             raise ValueError(f"missing purity for qubit {q}")
@@ -294,28 +298,27 @@ def combine_subset(decays: Mapping) -> float:
     The alternating-sign pattern is pinned by the brute-force oracle tests
     before anything downstream relies on it; for a pair it reduces to
     9/4 (g_a + g_b - g_ab). Sampling noise can push the result slightly
-    negative; it is reported unclamped.
+    negative; it is reported unclamped. Each entry passes ``DecayEstimate``'s
+    checks: a number v under key k is read as ``DecayEstimate(k, v)``.
     """
     table: dict[tuple[int, ...], float] = {}
     for key, val in decays.items():
-        qs = tuple(sorted(_label(q) for q in key))
-        if qs in table:
-            raise ValueError(f"subset {qs} is given twice")
-        table[qs] = float(val.value) if isinstance(val, DecayEstimate) else float(val)
+        est = DecayEstimate(key, val.value if isinstance(val, DecayEstimate) else val)
+        if est.subset in table:
+            raise ValueError(f"subset {est.subset} is given twice")
+        table[est.subset] = est.value
     if not table:
         raise ValueError("combine_subset needs at least one decay")
     target = max(table, key=len)
     for key in table:
         if not set(key) <= set(target):
             raise ValueError(f"decay for {key} is not a part of the target {target}")
-    m = len(target)
     total = 0.0
-    for r in range(1, m + 1):
-        for sub in itertools.combinations(target, r):
-            if sub not in table:
-                raise ValueError(f"missing decay for subset {sub}")
-            total += (-1.0) ** (r + 1) * table[sub]
-    return (1.5**m) * total
+    for sub in _parts(target):
+        if sub not in table:
+            raise ValueError(f"missing decay for subset {sub}")
+        total += (-1.0) ** (len(sub) + 1) * table[sub]
+    return (1.5 ** len(target)) * total
 
 
 def subset_coefficient_error(std_errors: Iterable[float]) -> float:
@@ -327,7 +330,7 @@ def subset_coefficient_error(std_errors: Iterable[float]) -> float:
     coefficients on large subsets amplifies per-decay errors, which is why
     a weight cutoff is chosen before measuring anything.
     """
-    sigmas = [float(s) for s in std_errors]
+    sigmas = [_finite(s) for s in std_errors]
     for s in sigmas:
         if s < 0.0:
             raise ValueError(f"standard error cannot be negative, got {s}")
@@ -343,7 +346,7 @@ def sampled_coefficient_error(eta: float, m: int, realizations: int) -> float:
     The shared-shot decays combine to eta = (3/2)^m q, q the fraction of
     shots reading 1 on every measured qubit; q is clamped to [0, 1].
     """
-    q = min(max(eta / 1.5**m, 0.0), 1.0)
+    q = min(max(_finite(eta) / 1.5**m, 0.0), 1.0)
     return 1.5**m * math.sqrt(q * (1.0 - q) / realizations)
 
 
@@ -414,7 +417,7 @@ def run_sampled_campaign(
     for realization i sit at fixed stream offsets, so estimates are
     reproducible and independent of any outer parallelism.
     """
-    qs = tuple(sorted(_validate_subset(subset, channel.n)))
+    qs = _validate_subset(subset, channel.n)
     n, m = channel.n, len(qs)
     if pool is None:
         pool = build_pool()

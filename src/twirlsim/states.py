@@ -51,10 +51,19 @@ def _finite(text, kind: type = float) -> float | complex:
     return value
 
 
-def _freeze(data: np.ndarray) -> np.ndarray:
-    arr = np.array(data, dtype=complex)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, which the package has just built, marked read-only so that ``_freeze`` keeps it."""
     arr.setflags(write=False)
     return arr
+
+
+def _freeze(data: np.ndarray) -> np.ndarray:
+    """``data`` as a read-only complex array: kept if it already is one that owns its
+    buffer, else copied, so that no later change to the caller's array can reach it."""
+    if (isinstance(data, np.ndarray) and data.dtype == complex
+            and not data.flags.writeable and data.flags.owndata):
+        return data
+    return _read_only(np.array(data, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -88,7 +97,7 @@ class UnitaryMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "UnitaryMatrix":
-        return cls(np.eye(2**n, dtype=complex))
+        return cls(_read_only(np.eye(2**n, dtype=complex)))
 
 
 @dataclass(frozen=True)
@@ -175,6 +184,7 @@ def _label(q) -> int:
 
 
 def _validate_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
+    """The labels of ``subset`` in ascending order: the package's one qubit-subset rule."""
     _register_size(n)
     qs = tuple(_label(q) for q in subset)
     if not qs:
@@ -184,7 +194,7 @@ def _validate_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
     for q in qs:
         if not 1 <= q <= n:
             raise ValueError(f"qubit label {q} out of range 1..{n}")
-    return qs
+    return tuple(sorted(qs))
 
 
 def outcome_codes(n: int, subset: Sequence[int]) -> np.ndarray:

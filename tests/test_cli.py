@@ -400,6 +400,24 @@ class TestMain:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["config", "matrix"])
+    def test_file_not_utf8_is_config_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"gate cnot\n\xff\n" if kind == "config" else b"1 0\n0 \xff\n")
+        argv = (["--config", str(path)] if kind == "config"
+                else ["--gate", f"matrix:{path}", "--n", "1", "--subsets", "1"])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"twirlsim: config error: cannot read {kind} file {path}: ")
+        assert err.count("\n") == 1
+
+    def test_infinite_error_bound_names_the_levels(self, capsys):
+        assert main(["--gate", "cnot", "--n", "2", "--subsets", "1-2",
+                     "--prep-error", "1e154"]) == 1
+        assert capsys.readouterr().err == (
+            "twirlsim: config error: prep_error 1e+154 and clifford_error 0.0 "
+            "give an infinite error bound\n")
+
     def test_subset_error_exit_code(self):
         assert main(["--gate", "cnot", "--n", "2", "--subsets", "1-5"]) == 1
 

@@ -1,7 +1,7 @@
 """The package's public surface, the independence of the test references, the
 absence of dense Kronecker products from the package, the one owner of the
-register-size range, the one module that touches files, and the README's quick
-tour and config block."""
+register-size range and of qubit labels, the one module that touches files, and
+the README's quick tour and config block."""
 
 import ast
 import dataclasses
@@ -68,6 +68,27 @@ def test_only_states_compares_against_max_qubits():
                 names = {getattr(sub, "id", None) or getattr(sub, "attr", None)
                          for sub in ast.walk(node)}
                 assert "MAX_QUBITS" not in names, f"{path.name}:{node.lineno}"
+
+
+def test_only_states_reads_labels_and_orders_subsets():
+    # states._validate_subset returns the target in ascending order: no other module
+    # reads a label on its own (states._label) or sorts what the rule returns
+    def called(node):
+        return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+    offenders = []
+    assert SOURCES
+    for path in SOURCES:
+        if path.name == "states.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            if called(node) == "_label" or (called(node) == "sorted" and any(
+                    isinstance(arg, ast.Call) and called(arg) == "_validate_subset"
+                    for arg in node.args)):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders
 
 
 def test_only_cli_touches_files():

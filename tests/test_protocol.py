@@ -245,6 +245,19 @@ class TestCombination:
         with pytest.raises(ValueError, match=re.escape("subset (1, 2) is given twice")):
             combine_subset(decays)
 
+    @pytest.mark.parametrize("decays, message", [
+        ({(): 0.3, (1,): 0.1}, "qubit subset must be nonempty"),
+        ({(1, 1): 0.2, (1,): 0.1}, re.escape("duplicate qubit labels in (1, 1)")),
+        ({(0,): 0.1}, "qubit label 0 out of range 1..10"),
+        ({(11,): 0.1}, "qubit label 11 out of range 1..10"),
+        ({(1,): float("nan")}, "nan is not finite"),
+        ({(1,): float("inf")}, "inf is not finite"),
+    ], ids=["empty", "repeated-qubit", "zero", "eleven", "nan", "inf"])
+    def test_refuses_bad_subset_or_number(self, decays, message):
+        # each entry passes DecayEstimate's subset and number rules
+        with pytest.raises(ValueError, match=message):
+            combine_subset(decays)
+
     def test_non_integer_label_rejected(self):
         with pytest.raises(ValueError, match="qubit label 1.5 is not an integer"):
             combine_subset({(1.5,): 0.1})
@@ -326,6 +339,22 @@ class TestDecayEstimateInvariants:
     def test_exact_mode_zero_error(self):
         with pytest.raises(ValueError, match="zero standard error"):
             DecayEstimate((1,), 0.5, std_error=0.01, realizations=0)
+
+    @pytest.mark.parametrize("args, message", [
+        (((), 0.2), "qubit subset must be nonempty"),
+        (((1, 1), 0.2), re.escape("duplicate qubit labels in (1, 1)")),
+        (((0,), 0.2), "qubit label 0 out of range 1..10"),
+        (((11,), 0.2), "qubit label 11 out of range 1..10"),
+        (((1,), float("nan")), "nan is not finite"),
+        (((1,), float("-inf")), "-inf is not finite"),
+        (((1,), 0.5, float("nan"), 10), "nan is not finite"),
+        (((1,), 0.5, float("inf"), 10), "inf is not finite"),
+        (((1,), 0.5, -0.1, 10), re.escape("standard error -0.1 lies outside the bound")),
+    ], ids=["empty", "repeated-qubit", "zero", "eleven", "nan-value", "inf-value",
+            "nan-std-error", "inf-std-error", "negative-std-error"])
+    def test_refuses_bad_subset_or_number(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            DecayEstimate(*args)
 
     def test_non_integer_label_rejected(self):
         with pytest.raises(ValueError, match="qubit label 2.9 is not an integer"):
@@ -462,6 +491,15 @@ class TestErrorPropagation:
         # q is clamped to [0, 1]: sampling noise can push eta past either end
         assert sampled_coefficient_error(-0.01, 2, 100) == 0.0
         assert sampled_coefficient_error(2.3, 2, 100) == 0.0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_error_helpers_refuse_non_finite_input(self, value):
+        with pytest.raises(ValueError, match="is not finite"):
+            subset_coefficient_error([value])
+        with pytest.raises(ValueError, match="is not finite"):
+            subset_coefficient_error([0.1, value, 0.1])
+        with pytest.raises(ValueError, match="is not finite"):
+            sampled_coefficient_error(value, 2, 100)
 
     def test_subset_error_requires_full_cover(self):
         with pytest.raises(ValueError, match="cover"):

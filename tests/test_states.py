@@ -148,6 +148,33 @@ class TestUnitaryMatrix:
             tracemalloc.stop()
         assert peak <= 2 * p.nbytes, peak
 
+    @pytest.mark.parametrize("build", [lambda: cnot_gate(1, 2, 10),
+                                       lambda: zz_coupling(0.3, (1, 2), 10)],
+                             ids=["cnot", "zz"])
+    def test_built_gate_frozen_in_place(self, build):
+        # a gate the package builds is marked read-only and kept, not copied: the
+        # 16 MB matrix is allocated once, beside the 1 MB mask of the monomial check
+        tracemalloc.start()
+        try:
+            ch = QuantumChannel.from_unitary(build())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * ch.terms[0][1].nbytes, peak
+
+    def test_caller_arrays_still_copied(self):
+        a = np.eye(2, dtype=complex)
+        u = UnitaryMatrix(a)
+        a[0, 0] = -1.0
+        assert u.data[0, 0] == 1.0 and not u.data.flags.writeable
+        # a read-only view can still change through its writable base
+        base = np.eye(2, dtype=complex)
+        view = base.view()
+        view.setflags(write=False)
+        u = UnitaryMatrix(view)
+        base[0, 0] = -1.0
+        assert u.data[0, 0] == 1.0
+
 
 class TestQuantumChannel:
     def test_ensemble_weights_must_sum_to_one(self):
@@ -308,6 +335,10 @@ class TestQubitLabels:
         labels = _validate_subset((np.int64(2), 3), 3)
         assert labels == (2, 3)
         assert all(type(q) is int for q in labels)
+
+    def test_labels_returned_in_ascending_order(self):
+        # the one canonical form of a target: callers do not sort it again
+        assert _validate_subset((3, np.int64(1), 2), 3) == (1, 2, 3)
 
 
 class TestLocalKernel:
