@@ -56,7 +56,7 @@ from .protocol import (
     sampled_coefficient_error,
     subset_coefficient_error,
 )
-from .states import QuantumChannel, _finite, _read_only, _register_size, _validate_subset
+from .states import Monomial, QuantumChannel, _finite, _register_size, _validate_subset
 
 ORACLE_TOL = 1e-9
 
@@ -178,10 +178,9 @@ def _gate_channel(config: ExperimentConfig) -> QuantumChannel:
     if gate == "cnot":
         return QuantumChannel.from_unitary(cnot_gate(1, 2, n))
     if gate == "cnot2":
-        # CNOT is a permutation: column j of U has its 1 in row perm[j], so column j
-        # of U U is column perm[j] of U
+        # column j of U U is column rows[j] of U, scaled by U's entry in column j
         u = cnot_gate(1, 2, n).data
-        return QuantumChannel.from_unitary(_read_only(u.take(np.argmax(u.real, axis=0), axis=1)))
+        return QuantumChannel.from_unitary(Monomial(u.rows[u.rows], u.phases[u.rows] * u.phases))
     if gate.startswith("c12"):
         arg = gate[3:].strip().strip(":()")
         try:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .paulis import SINGLE_QUBIT_PAULIS
 from .states import (
-    MAX_QUBITS, UnitaryMatrix, _finite, _read_only, _register_size, _validate_subset,
+    MAX_QUBITS, Monomial, UnitaryMatrix, _finite, _read_only, _register_size, _validate_subset,
     apply_local, outcome_codes)
 
 PULSE_AXES = ("+x", "-x", "+y", "-y")
@@ -197,15 +197,12 @@ def zz_coupling(beta: float, pair: tuple[int, int] = (1, 2), n: int = 4) -> Unit
     """
     j, k = _validate_subset(pair, n)
     phase = beta * _z_signs(n, j) * _z_signs(n, k)
-    return UnitaryMatrix(_read_only(np.diag(np.exp(-1j * phase))))
+    return UnitaryMatrix(Monomial(_read_only(np.arange(2**n)), _read_only(np.exp(-1j * phase))))
 
 
 def cnot_gate(control: int = 1, target: int = 2, n: int = 4) -> UnitaryMatrix:
     """Controlled-NOT embedded in an n-qubit register; squares to identity."""
     _validate_subset((control, target), n)  # a check only: the rule sorts the pair
-    idx = np.arange(2**n)
-    # flip the target bit where the control bit is 1
-    perm = idx ^ (outcome_codes(n, [control]) << (n - target))
-    mat = np.zeros((2**n, 2**n), dtype=complex)
-    mat[perm, idx] = 1.0
-    return UnitaryMatrix(_read_only(mat))
+    # column x holds its 1 in row x with the target bit flipped where the control bit is 1
+    rows = np.arange(2**n) ^ (outcome_codes(n, [control]) << (n - target))
+    return UnitaryMatrix(Monomial(_read_only(rows), _read_only(np.ones(2**n, dtype=complex))))

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .states import ATOL, QuantumChannel, _register_size, _validate_subset, apply_local
+from .states import ATOL, QuantumChannel, _register_size, _validate_subset, apply_local, dense
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -167,6 +167,10 @@ def chi_diagonal(channel: QuantumChannel) -> ChiDiagonal:
     tensorized Pauli decomposition, already in label order. Summation order
     is fixed, so the result is deterministic however callers parallelize
     around it.
+
+    This is the one consumer that writes a ``Monomial`` term out as a dense
+    array: the 4^n table already costs more, and at the n <= 6 cap the
+    matrix is at most 64 KB.
     """
     n = channel.n
     if n > MAX_CHI_QUBITS:
@@ -175,7 +179,7 @@ def chi_diagonal(channel: QuantumChannel) -> ChiDiagonal:
     acc = np.zeros(4**n)
     for w, op in channel.terms:
         # (row, column) bit pairs of qubits 1..n; the letters come out in order
-        t = op.reshape((2,) * (2 * n)).transpose([a for q in range(n) for a in (q, n + q)])
+        t = dense(op).reshape((2,) * (2 * n)).transpose([a for q in range(n) for a in (q, n + q)])
         acc += w * np.abs(apply_local([_PAULI_ROWS] * n, t).reshape(-1)) ** 2
     acc /= 4**n
     return ChiDiagonal(n, acc, trace_preserving=abs(float(acc.sum()) - 1.0) <= ATOL)

@@ -10,7 +10,11 @@ higher-weight tail the channel carries).
 
 Both modes share one engine. One pass over the channel operators reduces
 the channel to a 4^m x 4^m map on the m measured qubits, per basis state of
-the others or summed over them; twirling it one qubit at a time gives the
+the others or summed over them, as one Gram product of a factor that each
+operator supplies. A dense array gives its columns over all 2^(n-m) basis
+states of the others; a ``Monomial`` scatters its 2^m nonzeros per basis
+state into 2^m row slots (``_factor``) and gives the same maps bit for bit.
+Twirling a map one qubit at a time gives the
 outcome table of every assignment, and one readout turns an outcome
 histogram into every sub-decay. Exact mode sums the tables over all
 assignments; sampled mode draws shot by shot from them, with Bernoulli
@@ -30,8 +34,8 @@ import numpy as np
 from .cliffords import CliffordPool, build_pool
 from .paulis import SINGLE_QUBIT_PAULIS, ChiDiagonal, _letters
 from .states import (
-    ATOL, MAX_QUBITS, QuantumChannel, _finite, _validate_subset, apply_local,
-    checked_probability, outcome_codes)
+    ATOL, MAX_QUBITS, Monomial, QuantumChannel, _finite, _integer, _validate_subset,
+    apply_local, checked_probability, outcome_codes)
 
 #: decays with |M| beyond this are out of exact-mode scope
 MAX_EXACT_SUBSET = 3
@@ -52,9 +56,9 @@ CHANNEL_SAMPLING_MODES = ("exact", "per-shot-ensemble")
 class DecayEstimate:
     """A fidelity-decay value for one measured subset, which passes the subset rule.
 
-    The value is finite. ``realizations`` is 0 for exact-mode values (std_error
-    0); sampled values carry the binomial standard error, a finite number in
-    [0, 1/sqrt(N)].
+    The value is finite. ``realizations`` is an integer count, not a bool: 0
+    for exact-mode values (std_error 0); sampled values carry the binomial
+    standard error, a finite number in [0, 1/sqrt(N)].
     """
 
     subset: tuple[int, ...]
@@ -65,6 +69,7 @@ class DecayEstimate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "subset", _validate_subset(self.subset, MAX_QUBITS))
         object.__setattr__(self, "value", _finite(self.value))
+        object.__setattr__(self, "realizations", _integer(self.realizations, "realization count"))
         if self.realizations < 0:
             raise ValueError("realization count cannot be negative")
         if self.realizations == 0:
@@ -160,21 +165,51 @@ _PAULIS = np.array([SINGLE_QUBIT_PAULIS[c] for c in "IXYZ"])
 _PAULI_PAIRS = np.einsum("mab,nij->mnaibj", _PAULIS, _PAULIS).reshape(16, 16) / 2
 
 
-def _reduced_maps(terms: Iterable[tuple[float, np.ndarray]], index: np.ndarray,
+def _factor(op: np.ndarray | Monomial, index: np.ndarray, flips: np.ndarray,
+            summed: bool) -> np.ndarray:
+    """x[f, r, (a, i)] = A[(a, r), (i, f)] for each f in ``flips``: the operator's
+    columns (i, f), their rows split into target bits a and the others' bits r.
+
+    A dense operator gives all 2^(n-m) rows r. A ``Monomial`` has one nonzero
+    per column, M = 2^m per flip, so a flip's map needs only M row slots:
+    column (i, f) goes to slot i', the first column of the flip whose nonzero
+    has the same r. The slots keep every pair of columns that shares an r and
+    nothing else, so each entry of the Gram product is the same one nonzero
+    product as over all rows r. A map ``summed`` over flips adds up to F
+    products per entry, and the matrix product groups those additions by its
+    row count; there a monomial keeps all rows r, as a dense operator gives
+    them, so that its sums round the same way.
+    """
+    M, F, R = index.shape[0], len(flips), index.shape[1]
+    if not isinstance(op, Monomial):
+        cols, rows = index[:, flips].T.ravel(), index.T.ravel()
+        # columns first, so that rows are read in runs
+        x = op.take(cols, axis=1)[rows].reshape(-1, M, F, M).transpose(2, 0, 1, 3)
+        return x.reshape(F, R, M * M)
+    place = np.empty(index.size, dtype=np.int64)
+    place[index.ravel()] = np.arange(index.size)
+    cols = index[:, flips].T
+    a, r = np.divmod(place[op.rows[cols]], R)
+    slot = r if summed else (r[:, :, None] == r[:, None, :]).argmax(axis=2)
+    x = np.zeros((F, R if summed else M, M * M), dtype=complex)
+    x[np.arange(F)[:, None], slot, a * M + np.arange(M)] = op.phases[cols]
+    return x
+
+
+def _reduced_maps(terms: Iterable[tuple[float, np.ndarray | Monomial]], index: np.ndarray,
                   flips: np.ndarray, summed: bool = False) -> np.ndarray:
     """R_f[(a, i), (b, j)] = sum_t w_t sum_r A_t[(a, r), (i, f)] conj(A_t[(b, r), (j, f)])
     for each f in ``flips`` (F, 4^m, 4^m), or their sum (1, 4^m, 4^m).
 
-    A Gram product of the operator columns (i, f); ``index[i, f]`` is the
-    basis state with bits i on the target and f on the other qubits.
+    The one Gram product x^T conj(x) of the factor x that ``_factor`` reads
+    from each term; ``index[i, f]`` is the basis state with bits i on the
+    target and f on the other qubits. A monomial term's maps equal those of
+    the same operator stored dense, bit for bit.
     """
-    M, F = index.shape[0], len(flips)
-    cols, rows = index[:, flips].T.ravel(), index.T.ravel()
     out = 0.0
     for w, op in terms:
-        # columns first, so that rows are read in runs
-        x = op.take(cols, axis=1)[rows].reshape(-1, M, F, M).transpose(2, 0, 1, 3)
-        x = x.reshape(1 if summed else F, -1, M * M)
+        x = _factor(op, index, flips, summed)
+        x = x.reshape(1 if summed else len(flips), -1, x.shape[-1])
         out = out + w * (x.transpose(0, 2, 1) @ x.conj())
     return out
 
@@ -353,11 +388,15 @@ def sampled_coefficient_error(eta: float, m: int, realizations: int) -> float:
 def decay_error_bound(budget: ErrorBudget, decay: float) -> float:
     """Systematic error bound on one decay from the implementation budget.
 
-    sqrt(e_prep^2 (1 + 4 g) + e_clifford^2) for decay value g.
+    sqrt(e_prep^2 (1 + 4 g) + e_clifford^2) for decay value g; infinite when
+    a square overflows.
     """
     if not -ATOL <= decay <= 1.0 + ATOL:
         raise ValueError(f"decay value {decay} outside [0, 1]")
-    return math.sqrt(budget.preparation**2 * (1.0 + 4.0 * decay) + budget.clifford**2)
+    try:
+        return math.sqrt(budget.preparation**2 * (1.0 + 4.0 * decay) + budget.clifford**2)
+    except OverflowError:
+        return math.inf
 
 
 class ExperimentCounts(NamedTuple):

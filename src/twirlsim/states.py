@@ -31,10 +31,12 @@ class DimensionError(ValueError):
     """Raised when operands have incompatible or oversized dimensions."""
 
 
-def _check_square_pow2(data: np.ndarray, what: str) -> int:
-    if data.ndim != 2 or data.shape[0] != data.shape[1]:
-        raise DimensionError(f"{what} must be a square matrix, got shape {data.shape}")
-    dim = data.shape[0]
+def _check_square_pow2(data, what: str) -> int:
+    """The qubit count of ``data``, a 2^n x 2^n array or ``Monomial``, read from its shape."""
+    shape = data.shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionError(f"{what} must be a square matrix, got shape {shape}")
+    dim = shape[0]
     n = dim.bit_length() - 1
     if dim != 2**n:
         raise DimensionError(f"{what} dimension {dim} is not a power of two")
@@ -57,47 +59,101 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _freeze(data: np.ndarray) -> np.ndarray:
-    """``data`` as a read-only complex array: kept if it already is one that owns its
+def _freeze(data, dtype: type = complex) -> np.ndarray:
+    """``data`` as a read-only ``dtype`` array: kept if it already is one that owns its
     buffer, else copied, so that no later change to the caller's array can reach it."""
-    if (isinstance(data, np.ndarray) and data.dtype == complex
+    if (isinstance(data, np.ndarray) and data.dtype == dtype
             and not data.flags.writeable and data.flags.owndata):
         return data
-    return _read_only(np.array(data, dtype=complex))
+    return _read_only(np.array(data, dtype=dtype))
+
+
+@dataclass(frozen=True, eq=False)
+class Monomial:
+    """A matrix with one nonzero per column: ``phases[c]`` in row ``rows[c]`` of column c.
+
+    Permutations and diagonals, and their products, are stored this way in
+    O(2^n) memory; ``rows`` must be a permutation of 0..2^n - 1.
+    """
+
+    rows: np.ndarray
+    phases: np.ndarray
+
+    def __post_init__(self) -> None:
+        if np.asarray(self.rows).dtype.kind not in "iu":
+            raise ValueError("monomial rows must be integers")
+        rows, phases = _freeze(self.rows, np.int64), _freeze(self.phases)
+        if rows.ndim != 1 or phases.shape != rows.shape:
+            raise DimensionError(f"monomial rows {rows.shape} and phases {phases.shape} "
+                                 "must be vectors of one length")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "phases", phases)
+        dim = 2 ** _check_square_pow2(self, "monomial matrix")
+        if not (np.bincount(rows[(rows >= 0) & (rows < dim)], minlength=dim) == 1).all():
+            raise ValueError("monomial rows are not a permutation")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.rows), len(self.rows))
+
+
+def dense(op) -> np.ndarray:
+    """The 2^n x 2^n array of a ``UnitaryMatrix`` or a channel operator.
+
+    A dense operator is returned as it is stored. A ``Monomial`` is written
+    out into a new read-only array, O(4^n) memory: 16 MB at n = 10.
+    """
+    if isinstance(op, UnitaryMatrix):
+        op = op.data
+    if not isinstance(op, Monomial):
+        return op
+    mat = np.zeros(op.shape, dtype=complex)
+    mat[op.rows, np.arange(len(op.rows))] = op.phases
+    return _read_only(mat)
 
 
 @dataclass(frozen=True)
 class UnitaryMatrix:
     """A unitary on n qubits (U^dag U = I within Frobenius tolerance).
 
-    A monomial matrix (one nonzero per row and per column, as a diagonal or
-    a permutation is) has U^dag U = diag(|u_k|^2) over its nonzero entries,
-    so its deviation is read from those in O(4^n). Any other matrix forms the
-    dense product U^dag U.
+    A monomial unitary (one nonzero per row and per column, as a diagonal or
+    a permutation is) is stored as a ``Monomial``, also when it is given as
+    an array. U^dag U is then diag(|u_c|^2), so its deviation is read from
+    the phases in O(2^n). Any other matrix is stored as a read-only array and
+    forms the dense product U^dag U.
     """
 
-    data: np.ndarray
+    data: np.ndarray | Monomial
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        arr = _freeze(self.data)
-        n = _check_square_pow2(arr, "unitary")
-        nonzero = arr != 0
-        if (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all():
-            # U^dag U is diagonal: each column's lone entry u gives conj(u) u, as a
-            # 1x1 product so that an overflow reads as in the dense check
-            col = arr[nonzero][:, None, None]
+        data = self.data
+        if not isinstance(data, Monomial):
+            arr = np.asarray(data, dtype=complex)
+            _check_square_pow2(arr, "unitary")
+            nonzero = arr != 0
+            if (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all():
+                rows = nonzero.argmax(axis=0)
+                data = Monomial(_read_only(rows), _read_only(arr[rows, np.arange(len(rows))]))
+            else:
+                data = _freeze(arr)
+                dev = np.linalg.norm(data.conj().T @ data - np.eye(data.shape[0]))
+        n = _check_square_pow2(data, "unitary")
+        if isinstance(data, Monomial):
+            # each column's lone entry u gives conj(u) u, taken in row order as a 1x1
+            # product so that an overflow reads as in the dense check
+            by_row = np.empty_like(data.rows)
+            by_row[data.rows] = np.arange(len(by_row))
+            col = data.phases[by_row][:, None, None]
             dev = np.linalg.norm(col.conj() @ col - 1.0)
-        else:
-            dev = np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0]))
         if not dev <= ATOL:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", data)
         object.__setattr__(self, "n", n)
 
     @classmethod
     def identity(cls, n: int) -> "UnitaryMatrix":
-        return cls(_read_only(np.eye(2**n, dtype=complex)))
+        return cls(Monomial(_read_only(np.arange(2**n)), _read_only(np.ones(2**n, dtype=complex))))
 
 
 @dataclass(frozen=True)
@@ -109,9 +165,11 @@ class QuantumChannel:
     ``kind="kraus"``: weights are all 1 and the operators A_k satisfy
     sum_k A_k^dag A_k = I. An operator given as a ``UnitaryMatrix`` was
     checked when it was built and is stored as it is, not checked again.
+    Each operator is a read-only array or a ``Monomial``; ``dense`` writes
+    either out as an array.
     """
 
-    terms: tuple[tuple[float, np.ndarray], ...]
+    terms: tuple[tuple[float, np.ndarray | Monomial], ...]
     kind: str
     n: int = field(init=False)
 
@@ -125,15 +183,18 @@ class QuantumChannel:
         for w, op in self.terms:
             if self.kind == "unitary-ensemble" and not isinstance(op, UnitaryMatrix):
                 op = UnitaryMatrix(op)
-            arr = op.data if isinstance(op, UnitaryMatrix) else _freeze(op)
-            n_op = _check_square_pow2(arr, "channel operator")
+            if isinstance(op, UnitaryMatrix):
+                op = op.data
+            elif not isinstance(op, Monomial):
+                op = _freeze(op)
+            n_op = _check_square_pow2(op, "channel operator")
             if n is None:
                 n = n_op
             elif n_op != n:
                 raise DimensionError("channel operators have mixed dimensions")
             if not math.isfinite(w) or w < -ATOL:
                 raise ValueError(f"channel weight {w} is not finite and nonnegative")
-            frozen.append((float(w), arr))
+            frozen.append((float(w), op))
         assert n is not None
         if self.kind == "unitary-ensemble":
             total = sum(w for w, _ in frozen)
@@ -144,7 +205,11 @@ class QuantumChannel:
             for w, op in frozen:
                 if abs(w - 1.0) > ATOL:
                     raise ValueError("kraus terms must carry weight 1")
-                acc += op.conj().T @ op
+                if isinstance(op, Monomial):
+                    # A^dag A of a monomial is diag(|a_c|^2)
+                    acc[np.diag_indices(2**n)] += np.abs(op.phases) ** 2
+                else:
+                    acc += op.conj().T @ op
             if not np.max(np.abs(acc - np.eye(2**n))) <= ATOL:
                 raise ValueError("kraus operators do not resolve the identity")
         object.__setattr__(self, "terms", tuple(frozen))
@@ -175,12 +240,19 @@ def _register_size(n: int) -> None:
         raise ValueError(f"register size {n} out of range 1..{MAX_QUBITS}")
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a bool, float, text or other non-integer ``what`` is refused."""
+    if not isinstance(value, bool):
+        try:
+            return int(operator.index(value))
+        except TypeError:
+            pass
+    raise ValueError(f"{what} {value!r} is not an integer")
+
+
 def _label(q) -> int:
-    """Qubit label ``q`` as an int; a float, text or other non-integer is refused."""
-    try:
-        return int(operator.index(q))
-    except TypeError:
-        raise ValueError(f"qubit label {q!r} is not an integer") from None
+    """Qubit label ``q`` as an int, by the integer rule."""
+    return _integer(q, "qubit label")
 
 
 def _validate_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:

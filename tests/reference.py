@@ -17,6 +17,7 @@ from functools import reduce
 import numpy as np
 
 from twirlsim import CliffordPool, QuantumChannel, build_pool, minimal_pool_choices
+from twirlsim.states import dense
 
 #: tolerance of the density-matrix checks on every twirled state
 ATOL = 1e-9
@@ -114,7 +115,7 @@ def check_density(rho: np.ndarray) -> np.ndarray:
 
 def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     """sum_k w_k A_k rho A_k^dag over the channel's terms."""
-    return sum(w * (op @ rho @ op.conj().T) for w, op in channel.terms)
+    return sum(w * (dense(op) @ rho @ dense(op).conj().T) for w, op in channel.terms)
 
 
 def twirl(channel: QuantumChannel, subset, rho0: np.ndarray,

@@ -22,6 +22,7 @@ from twirlsim.cli import (
     report_write,
     run_experiment,
 )
+from twirlsim.states import dense
 
 DATA = Path(__file__).parent / "data"
 
@@ -102,7 +103,7 @@ class TestBuildChannel:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 10])
     def test_cnot2_is_identity(self, n):
         (weight, op), = build_channel(ExperimentConfig(gate="cnot2", n=n)).terms
-        assert weight == 1.0 and np.array_equal(op, np.eye(2**n))
+        assert weight == 1.0 and np.array_equal(dense(op), np.eye(2**n))
 
     def test_unknown_gate(self):
         with pytest.raises(ConfigError, match="unknown gate"):
@@ -123,11 +124,29 @@ class TestBuildChannel:
         assert ch.kind == "unitary-ensemble"
         assert ch.n == 2
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_matrix_file_cnot_reports_like_named_gate(self, tmp_path, mode):
+        # a CNOT read from a file is stored as (rows, phases) like the built one
+        n = 4
+        cnot = np.zeros((2**n, 2**n))
+        for x in range(2**n):
+            cnot[x ^ (1 << (n - 2)) if x >> (n - 1) else x, x] = 1.0
+        path = tmp_path / "cnot.mat"
+        path.write_text("".join(" ".join(f"{v:g}" for v in row) + "\n" for row in cnot))
+        texts = []
+        for gate in ("cnot", f"matrix:{path}"):
+            config = ExperimentConfig(gate=gate, n=n, subsets=((1, 2), (2, 3), (1, 3, 4)),
+                                      mode=mode, realizations=2000 if mode == "sampled" else None,
+                                      seed=3)
+            report = run_experiment(config)
+            texts.append((report.to_report_text() + report.to_table_csv()).replace(gate, "G"))
+        assert texts[0] == texts[1]
+
     def test_matrix_file_complex_entries(self, tmp_path):
         path = tmp_path / "phase.mat"
         path.write_text("1 0\n0 0.5+0.8660254037844387j\n")
         ch = build_channel(ExperimentConfig(gate=f"matrix:{path}", n=1))
-        assert abs(ch.terms[0][1][1, 1] - complex(0.5, 0.8660254037844387)) < 1e-12
+        assert abs(dense(ch.terms[0][1])[1, 1] - complex(0.5, 0.8660254037844387)) < 1e-12
 
     def test_matrix_file_errors(self, tmp_path):
         bad = tmp_path / "bad.mat"
@@ -417,6 +436,16 @@ class TestMain:
         assert capsys.readouterr().err == (
             "twirlsim: config error: prep_error 1e+154 and clifford_error 0.0 "
             "give an infinite error bound\n")
+
+    @pytest.mark.parametrize("flag, field", [("--prep-error", "prep_error 1e+200 and "),
+                                             ("--clifford-error", "clifford_error 1e+200 ")])
+    def test_overflowing_error_level_names_the_level(self, capsys, flag, field):
+        # squaring 1e200 overflows; the message names the level, not an errno tuple
+        assert main(["--gate", "cnot", "--n", "2", "--subsets", "1-2", flag, "1e200"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("twirlsim: config error: ") and err.count("\n") == 1
+        assert field in err and err.endswith("give an infinite error bound\n")
+        assert "Numerical result out of range" not in err
 
     def test_subset_error_exit_code(self):
         assert main(["--gate", "cnot", "--n", "2", "--subsets", "1-5"]) == 1

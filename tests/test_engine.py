@@ -4,9 +4,12 @@ The exact engine must agree with the chi-diagonal prediction and with the
 dense density-matrix twirl of ``reference`` for every part of a target. ``PINNED`` holds sampled-campaign results (decay value, standard
 error) for the assignment orders and channel-sampling modes the golden files
 do not cover. They were recorded before the engine moved to outcome tables,
-and every engine since must reproduce each one bit for bit.
+and every engine since must reproduce each one bit for bit. A monomial
+operator, stored as (rows, phases), must give the same decays bit for bit
+as the same operator stored as a dense array.
 """
 
+import copy
 import math
 import tracemalloc
 
@@ -25,6 +28,7 @@ from twirlsim import (
     run_sampled_campaign,
 )
 from twirlsim.cli import ExperimentConfig, run_experiment
+from twirlsim.states import Monomial, dense
 from conftest import random_kraus_channel, random_unitary, random_unitary_ensemble
 from reference import TEN_POOLS, initial_state, projection, twirl
 
@@ -36,7 +40,7 @@ def channel_on_leading_qubits(kind: str, k: int, n: int, rng) -> QuantumChannel:
     else:
         inner = random_unitary_ensemble(k, 3, rng)
     pad = np.eye(2 ** (n - k))
-    return QuantumChannel(tuple((w, np.kron(op, pad)) for w, op in inner.terms), inner.kind)
+    return QuantumChannel(tuple((w, np.kron(dense(op), pad)) for w, op in inner.terms), inner.kind)
 
 
 @pytest.mark.parametrize("kind", ["kraus", "unitary-ensemble"])
@@ -87,7 +91,8 @@ def test_exact_closed_forms_at_ten_qubits(target):
 def test_sampled_memory_stays_per_block():
     # a sampled full-24 triple at n = 8 has 13824 assignments and 32
     # complement states; tables for all of them at once would take 28 MB,
-    # one state's table and its reordered copy take 1.8 MB
+    # one state's table and its reordered copy take 1.8 MB. The budget is
+    # 3 MiB, three times the 1 MiB dense CNOT matrix of an 8-qubit register
     channel = QuantumChannel.from_unitary(cnot_gate(1, 2, 8))
     pool = build_pool("full-24")
     run_sampled_campaign(channel, (1, 2, 3), plan_from_count(50), pool, seed=1)
@@ -97,7 +102,71 @@ def test_sampled_memory_stays_per_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * channel.terms[0][1].nbytes, peak
+    assert peak <= 3 * 2**20, peak
+
+
+def test_sampled_ten_qubit_cnot_never_densified():
+    # the CNOT is stored as (rows, phases) and read through its compact factor;
+    # writing it out as a matrix anywhere on the way would trace 16 MB
+    config = ExperimentConfig(gate="cnot", n=10, subsets=((1, 2),), mode="sampled",
+                              realizations=4000)
+    run_experiment(config)
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
+def random_monomial(n: int, rng) -> Monomial:
+    """A random permutation of 2^n basis states with random unit phases."""
+    return Monomial(rng.permutation(2**n), np.exp(2j * np.pi * rng.random(2**n)))
+
+
+def dense_twin(channel: QuantumChannel) -> QuantumChannel:
+    """``channel`` with every operator stored as a dense array, so that the engine
+    reads each term through its dense factor. Built past the constructor, which
+    would store a monomial unitary as a ``Monomial`` again."""
+    twin = copy.copy(channel)
+    object.__setattr__(twin, "terms", tuple((w, dense(op)) for w, op in channel.terms))
+    return twin
+
+
+def bits(decays) -> dict:
+    return {s: (e.value.hex(), e.std_error.hex(), e.realizations) for s, e in decays.items()}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_monomial_terms_match_dense_storage(n):
+    # the compact factor of a monomial term must give the dense factor's decays
+    # bit for bit, in both modes, alone or mixed with a generic unitary
+    rng = np.random.default_rng([n, 14])
+    pool = build_pool()
+    for m in (1, 2, 3):
+        target = tuple(sorted(int(q) for q in rng.choice(np.arange(1, n + 1), m, replace=False)))
+        single = QuantumChannel.from_unitary(random_monomial(n, rng))
+        assert isinstance(single.terms[0][1], Monomial)
+        kraus = QuantumChannel.from_kraus([dense(single.terms[0][1])])
+        mixed = QuantumChannel.unitary_ensemble([
+            (0.5, random_monomial(n, rng)), (0.3, random_monomial(n, rng)),
+            (0.2, random_unitary(2**n, rng))])
+        for channel, twins in ((single, (kraus, dense_twin(single))),
+                               (mixed, (dense_twin(mixed),))):
+            plan = plan_from_count(400)
+            want = [bits(run_exact_campaign(channel, target, pool)),
+                    bits(run_sampled_campaign(channel, target, plan, pool, seed=n))]
+            if channel.kind == "unitary-ensemble" and len(channel.terms) > 1:
+                want.append(bits(run_sampled_campaign(
+                    channel, target, plan, pool, seed=n, channel_sampling="per-shot-ensemble")))
+            for twin in twins:
+                got = [bits(run_exact_campaign(twin, target, pool)),
+                       bits(run_sampled_campaign(twin, target, plan, pool, seed=n))]
+                if len(want) == 3:
+                    got.append(bits(run_sampled_campaign(
+                        twin, target, plan, pool, seed=n, channel_sampling="per-shot-ensemble")))
+                assert got == want, (n, target, twin.kind)
 
 
 def pinned_channel() -> QuantumChannel:

@@ -22,6 +22,7 @@ from twirlsim import (
     time_suspension_sequence,
     zz_coupling,
 )
+from twirlsim.states import dense
 
 
 def bit_pattern_eigenvalue(h: NmrHamiltonian, state: int) -> float:
@@ -65,7 +66,7 @@ def toggling_sign_sums(seq: PulseSequence, n: int) -> dict[tuple[int, ...], floa
 
 def delay_propagator(h: NmrHamiltonian, tau: float) -> np.ndarray:
     """Propagator of one delay of ``tau`` seconds under ``h``."""
-    return compile_sequence(PulseSequence((Delay(tau),)), h).data
+    return dense(compile_sequence(PulseSequence((Delay(tau),)), h))
 
 
 class TestHamiltonian:
@@ -133,7 +134,7 @@ class TestFreeEvolution:
         coupling = 50.0
         h = NmrHamiltonian(2, {}, {(1, 2): coupling})
         u = delay_propagator(h, 1.0 / (4.0 * coupling))
-        expect = zz_coupling(math.pi / 8, (1, 2), n=2).data
+        expect = dense(zz_coupling(math.pi / 8, (1, 2), n=2))
         overlap = abs(np.trace(u.conj().T @ expect)) / 4
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
@@ -150,7 +151,7 @@ class TestFreeEvolution:
 class TestPulseSequence:
     def test_empty_sequence_compiles_to_identity(self):
         u = compile_sequence(PulseSequence(()), crotonic_preset())
-        assert np.allclose(u.data, np.eye(16))
+        assert np.allclose(dense(u), np.eye(16))
 
     def test_event_validation(self):
         with pytest.raises(ValueError):
@@ -188,8 +189,8 @@ class TestPulseSequence:
         h = NmrHamiltonian(1, {1: 1000.0}, {})
         seq_a = PulseSequence((Delay(1e-4), Pulse((1,), "+x", math.pi / 2)))
         seq_b = PulseSequence((Pulse((1,), "+x", math.pi / 2), Delay(1e-4)))
-        ua = compile_sequence(seq_a, h).data
-        ub = compile_sequence(seq_b, h).data
+        ua = dense(compile_sequence(seq_a, h))
+        ub = dense(compile_sequence(seq_b, h))
         assert np.max(np.abs(ua - ub)) > 1e-3
 
 
@@ -202,7 +203,7 @@ class TestTimeSuspension:
 
     def test_ideal_sequence_is_identity_up_to_phase(self):
         u = compile_sequence(time_suspension_sequence(), crotonic_preset())
-        assert abs(np.trace(u.data)) / 16 == pytest.approx(1.0, abs=1e-9)
+        assert abs(np.trace(dense(u))) / 16 == pytest.approx(1.0, abs=1e-9)
 
     def test_ideal_refocusing_any_duration_any_couplings(self, rng):
         for _ in range(5):
@@ -250,7 +251,7 @@ class TestTimeSuspension:
 
 class TestGateLibrary:
     def test_zz_zero_angle_is_identity(self):
-        assert np.allclose(zz_coupling(0.0, (1, 2), n=2).data, np.eye(4))
+        assert np.allclose(dense(zz_coupling(0.0, (1, 2), n=2)), np.eye(4))
 
     def test_zz_small_angle_pair_coefficient(self):
         chi = chi_diagonal(QuantumChannel.from_unitary(zz_coupling(0.1, (1, 2), n=4)))
@@ -259,15 +260,15 @@ class TestGateLibrary:
         assert cc[(1, 2)] == pytest.approx(math.sin(0.1) ** 2, abs=1e-12)
 
     def test_zz_composition_exact(self):
-        four_small = np.linalg.matrix_power(zz_coupling(0.1, (1, 2), n=4).data, 4)
-        assert np.max(np.abs(four_small - zz_coupling(0.4, (1, 2), n=4).data)) < 1e-12
+        four_small = np.linalg.matrix_power(dense(zz_coupling(0.1, (1, 2), n=4)), 4)
+        assert np.max(np.abs(four_small - dense(zz_coupling(0.4, (1, 2), n=4)))) < 1e-12
 
     def test_zz_requires_distinct_pair(self):
         with pytest.raises(ValueError):
             zz_coupling(0.1, (2, 2), n=4)
 
     def test_cnot_truth_table(self):
-        u = cnot_gate(1, 2, n=2).data
+        u = dense(cnot_gate(1, 2, n=2))
         basis = np.eye(4)
         assert np.allclose(u @ basis[:, 0], basis[:, 0])  # |00> -> |00>
         assert np.allclose(u @ basis[:, 2], basis[:, 3])  # |10> -> |11>
@@ -279,7 +280,7 @@ class TestGateLibrary:
         sx = np.array([[0, 1], [1, 0]])
         expect = 0.5 * (np.eye(4) + np.kron(sz, np.eye(2)) + np.kron(np.eye(2), sx)
                         - np.kron(sz, sx))
-        assert np.allclose(cnot_gate(1, 2, n=2).data, expect)
+        assert np.allclose(dense(cnot_gate(1, 2, n=2)), expect)
 
     def test_cnot_chi_quarters(self):
         chi = chi_diagonal(QuantumChannel.from_unitary(cnot_gate(1, 2, n=2)))
@@ -287,7 +288,7 @@ class TestGateLibrary:
             assert chi[lab] == pytest.approx(0.25, abs=1e-12)
 
     def test_cnot_squared_identity(self):
-        u = cnot_gate(1, 2, n=4).data
+        u = dense(cnot_gate(1, 2, n=4))
         assert np.allclose(u @ u, np.eye(16))
         chi = chi_diagonal(QuantumChannel.from_unitary(u @ u))
         cc = collective_coefficients(chi)
@@ -299,7 +300,7 @@ class TestGateLibrary:
                 ref = np.zeros((2**n, 2**n))
                 for x in range(2**n):
                     ref[x ^ (1 << (n - target)) if (x >> (n - control)) & 1 else x, x] = 1.0
-                assert np.array_equal(cnot_gate(control, target, n).data, ref)
+                assert np.array_equal(dense(cnot_gate(control, target, n)), ref)
 
     def test_cnot_validation(self):
         with pytest.raises(ValueError):
@@ -317,7 +318,7 @@ class TestGateLibrary:
         assert peak < 2**20
 
     def test_embedded_gate_acts_on_named_qubits(self):
-        u = cnot_gate(2, 4, n=4).data
+        u = dense(cnot_gate(2, 4, n=4))
         # |0100> flips qubit 4: -> |0101>
         state = np.zeros(16)
         state[0b0100] = 1.0

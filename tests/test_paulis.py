@@ -17,6 +17,7 @@ from twirlsim import (
     pauli_weight,
     zz_coupling,
 )
+from twirlsim.states import dense
 from conftest import random_kraus_channel, random_unitary, random_unitary_ensemble
 from reference import collective_by_labels, pauli, pauli_strings
 
@@ -54,7 +55,7 @@ class TestPauliString:
 
     def test_matrices_hermitian_and_unitary(self):
         for s in pauli_strings(2):
-            mat = UnitaryMatrix(pauli(s)).data  # constructor enforces unitarity
+            mat = dense(UnitaryMatrix(pauli(s)))  # constructor enforces unitarity
             assert np.array_equal(mat, mat.conj().T)
 
     def test_orthogonality_exhaustive_small(self):
@@ -109,7 +110,7 @@ class TestChiDiagonal:
                 chi = chi_diagonal(ch)
                 for s in pauli_strings(n):
                     p = pauli(s)
-                    want = sum(w * abs(np.trace(p @ op)) ** 2 for w, op in ch.terms) / 4**n
+                    want = sum(w * abs(np.trace(p @ dense(op))) ** 2 for w, op in ch.terms) / 4**n
                     assert abs(chi[s] - want) <= 1e-14, (make.__name__, s)
 
     @pytest.mark.parametrize("beta", [0.1, 0.4, 1.3])

@@ -350,8 +350,14 @@ class TestDecayEstimateInvariants:
         (((1,), 0.5, float("nan"), 10), "nan is not finite"),
         (((1,), 0.5, float("inf"), 10), "inf is not finite"),
         (((1,), 0.5, -0.1, 10), re.escape("standard error -0.1 lies outside the bound")),
+        (((1,), 0.5, 0.1, 2.5), "realization count 2.5 is not an integer"),
+        (((1,), 0.5, 0.1, True), "realization count True is not an integer"),
+        (((1,), 0.5, 0.0, 0.0), "realization count 0.0 is not an integer"),
+        (((1,), 0.5, 0.1, float("nan")), "realization count nan is not an integer"),
+        (((1,), 0.5, 0.1, "10"), "realization count '10' is not an integer"),
     ], ids=["empty", "repeated-qubit", "zero", "eleven", "nan-value", "inf-value",
-            "nan-std-error", "inf-std-error", "negative-std-error"])
+            "nan-std-error", "inf-std-error", "negative-std-error", "fractional-count",
+            "bool-count", "float-zero-count", "nan-count", "text-count"])
     def test_refuses_bad_subset_or_number(self, args, message):
         with pytest.raises(ValueError, match=message):
             DecayEstimate(*args)
@@ -359,6 +365,10 @@ class TestDecayEstimateInvariants:
     def test_non_integer_label_rejected(self):
         with pytest.raises(ValueError, match="qubit label 2.9 is not an integer"):
             DecayEstimate((2.9,), 0.1)
+
+    def test_integer_count_kept_as_int(self):
+        est = DecayEstimate((1,), 0.5, 0.01, np.int64(10000))
+        assert est.realizations == 10000 and type(est.realizations) is int
 
     def test_sampled_error_bound(self):
         DecayEstimate((1,), 0.5, std_error=0.005, realizations=10000)

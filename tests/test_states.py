@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twirlsim import DimensionError, QuantumChannel, UnitaryMatrix, cnot_gate, zz_coupling
+from twirlsim import (
+    DimensionError, QuantumChannel, UnitaryMatrix, cnot_gate, run_exact_campaign, zz_coupling)
 from twirlsim.states import (
-    ATOL, _validate_subset, apply_local, checked_probability, outcome_codes)
+    ATOL, Monomial, _validate_subset, apply_local, checked_probability, dense, outcome_codes)
 from conftest import random_density, random_kraus_channel, random_unitary
 from reference import apply_channel, check_density, kron, partial_trace, projection
 
@@ -139,7 +140,7 @@ class TestUnitaryMatrix:
 
     def test_permutation_check_memory(self):
         # the dense check's conj, product and identity would each be 8-16 MB at n = 10
-        p = cnot_gate(1, 2, 10).data
+        p = dense(cnot_gate(1, 2, 10))
         tracemalloc.start()
         try:
             UnitaryMatrix(p)
@@ -149,31 +150,70 @@ class TestUnitaryMatrix:
         assert peak <= 2 * p.nbytes, peak
 
     @pytest.mark.parametrize("build", [lambda: cnot_gate(1, 2, 10),
-                                       lambda: zz_coupling(0.3, (1, 2), 10)],
-                             ids=["cnot", "zz"])
+                                       lambda: zz_coupling(0.3, (1, 2), 10),
+                                       lambda: UnitaryMatrix.identity(10)],
+                             ids=["cnot", "zz", "identity"])
     def test_built_gate_frozen_in_place(self, build):
-        # a gate the package builds is marked read-only and kept, not copied: the
-        # 16 MB matrix is allocated once, beside the 1 MB mask of the monomial check
+        # a gate the package builds is stored as (rows, phases), 48 KB at n = 10,
+        # marked read-only and kept: the 16 MB matrix is never allocated
         tracemalloc.start()
         try:
             ch = QuantumChannel.from_unitary(build())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * ch.terms[0][1].nbytes, peak
+        assert isinstance(ch.terms[0][1], Monomial)
+        assert peak <= 256 * 2**10, peak
 
     def test_caller_arrays_still_copied(self):
-        a = np.eye(2, dtype=complex)
-        u = UnitaryMatrix(a)
-        a[0, 0] = -1.0
-        assert u.data[0, 0] == 1.0 and not u.data.flags.writeable
-        # a read-only view can still change through its writable base
-        base = np.eye(2, dtype=complex)
-        view = base.view()
-        view.setflags(write=False)
-        u = UnitaryMatrix(view)
-        base[0, 0] = -1.0
-        assert u.data[0, 0] == 1.0
+        # a monomial array is stored as new (rows, phases), any other one as a copy
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+        for want in (np.eye(2, dtype=complex), hadamard):
+            a = want.copy()
+            u = UnitaryMatrix(a)
+            a[0, 0] = -1.0
+            stored = (u.data.rows, u.data.phases) if isinstance(u.data, Monomial) else (u.data,)
+            assert np.array_equal(dense(u), want)
+            assert not any(arr.flags.writeable for arr in stored)
+            # a read-only view can still change through its writable base
+            base = want.copy()
+            view = base.view()
+            view.setflags(write=False)
+            u = UnitaryMatrix(view)
+            base[0, 0] = -1.0
+            assert np.array_equal(dense(u), want)
+
+    def test_monomial_arrays_converted(self):
+        # a permutation times a phase diagonal is stored once, as its rows and phases
+        u = np.zeros((8, 8), dtype=complex)
+        rows = np.array([3, 0, 6, 1, 7, 2, 5, 4])
+        u[rows, np.arange(8)] = np.exp(1j * np.arange(8))
+        op = UnitaryMatrix(u).data
+        assert isinstance(op, Monomial)
+        assert np.array_equal(op.rows, rows) and np.array_equal(op.phases, u[rows, np.arange(8)])
+        assert np.array_equal(dense(op), u) and not dense(op).flags.writeable
+        assert not isinstance(UnitaryMatrix(u + 1e-13 * u[:, ::-1]).data, Monomial)
+
+    @pytest.mark.parametrize("rows", [[0, 1, 1, 3], [0, 1, 2, 4], [-1, 1, 2, 3]])
+    def test_monomial_rows_must_permute(self, rows):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Monomial(np.array(rows), np.ones(4))
+
+    def test_monomial_shape_checked(self):
+        with pytest.raises(DimensionError, match="one length"):
+            Monomial(np.arange(4), np.ones(2))
+        with pytest.raises(DimensionError, match="power of two"):
+            Monomial(np.arange(3), np.ones(3))
+        with pytest.raises(DimensionError, match="limit"):
+            Monomial(np.arange(2**11), np.ones(2**11))
+
+    def test_monomial_rows_must_be_integers(self):
+        with pytest.raises(ValueError, match="integers"):
+            Monomial(np.array([0.0, 1.5]), np.ones(2))
+
+    def test_monomial_phase_deviation_refused(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            UnitaryMatrix(Monomial(np.arange(4), np.array([1.0, 1.0, 1.0, 1.0 + 1e-6])))
 
 
 class TestQuantumChannel:
@@ -219,8 +259,8 @@ class TestQuantumChannel:
         assert all(op is u.data for _, op in ens.terms)
 
     def test_raw_operator_checked_once(self):
-        # one frozen copy of a raw permutation; a second check would copy it again
-        p = np.array(cnot_gate(1, 2, 10).data)
+        # a raw permutation is read into (rows, phases); a frozen copy would add 16 MB
+        p = np.array(dense(cnot_gate(1, 2, 10)))
         tracemalloc.start()
         try:
             QuantumChannel.from_unitary(p)
@@ -228,6 +268,18 @@ class TestQuantumChannel:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * p.nbytes, peak
+
+    def test_monomial_kraus_operators(self):
+        # sqrt(1/2) X and sqrt(1/2) Z as (rows, phases): A^dag A read from the phases
+        half = np.sqrt(0.5)
+        ops = [Monomial(np.array([1, 0]), np.full(2, half)),
+               Monomial(np.arange(2), np.array([half, -half]))]
+        ch = QuantumChannel.from_kraus(ops)
+        assert all(op is given for (_, op), given in zip(ch.terms, ops))
+        want = QuantumChannel.from_kraus([dense(op) for op in ops])
+        assert run_exact_campaign(ch, (1,)) == run_exact_campaign(want, (1,))
+        with pytest.raises(ValueError, match="identity"):
+            QuantumChannel.from_kraus(ops[:1])
 
     def test_valid_kraus(self):
         k0 = np.diag([1.0, np.sqrt(0.5)]).astype(complex)
