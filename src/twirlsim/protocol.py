@@ -17,9 +17,10 @@ state into 2^m row slots (``_factor``) and gives the same maps bit for bit.
 Twirling a map one qubit at a time gives the
 outcome table of every assignment, and one readout turns an outcome
 histogram into every sub-decay. Exact mode sums the tables over all
-assignments; sampled mode draws shot by shot from them, with Bernoulli
-statistics, from a counter-based generator keyed by the seed, so
-realization i sees the same randomness however the work is scheduled.
+assignments. Sampled mode fixes each shot's table row once and draws its
+outcome from that row, with Bernoulli statistics, from a counter-based
+generator keyed by the seed, so realization i sees the same randomness
+however the work is scheduled.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .states import (
 #: decays with |M| beyond this are out of exact-mode scope
 MAX_EXACT_SUBSET = 3
 
-#: shots per target: a sampled campaign holds five N-long 8-byte arrays of
-#: draws and outcomes, so this caps them at 400 MB
+#: shots per target: a sampled campaign's traced peak is 4.1 N-long 8-byte arrays,
+#: 5.0 under per-shot-ensemble (measured at N = 10^6), so this caps it at 400 MB
 MAX_REALIZATIONS = 10**7
 
 #: cap on K^m, the pool assignments a sampled campaign draws its index from
@@ -413,6 +414,8 @@ def experiment_counts(n: int, w: int, realizations: int) -> ExperimentCounts:
     process tomography of the same register needs N 2^(4n). Exact integers,
     no overflow.
     """
+    n, w = _integer(n, "register size"), _integer(w, "weight cutoff")
+    realizations = _integer(realizations, "realization count")
     if not 1 <= w <= n:
         raise ValueError(f"weight cutoff {w} out of range 1..{n}")
     if realizations < 0:
@@ -460,7 +463,7 @@ def run_sampled_campaign(
     n, m = channel.n, len(qs)
     if pool is None:
         pool = build_pool()
-    if seed < 0:
+    if _integer(seed, "seed") < 0:
         raise ValueError("seed must be nonnegative")
     if assignment_order not in ASSIGNMENT_ORDERS:
         raise ValueError(f"unknown assignment order {assignment_order!r}")
@@ -483,29 +486,38 @@ def run_sampled_campaign(
     if channel_sampling == "per-shot-ensemble":
         edges = np.cumsum([w for w, _ in channel.terms])
         terms = np.searchsorted(edges, rng.random(N) * edges[-1], side="right")
-        terms = np.minimum(terms, len(edges) - 1)
+        terms = np.minimum(terms, len(edges) - 1) * n_assign  # the term's first row per flip
         # one reduced map, and one table, per term
         term_lists = [((1.0, op),) for _, op in channel.terms]
     else:
-        terms = np.zeros(N, dtype=np.int64)
-        term_lists = [channel.terms]
+        terms, term_lists = 0, [channel.terms]
     uniforms = rng.random(N)
+
+    # each shot's table row, flip-major: its flip's place among the drawn flips,
+    # then its term, then its assignment, so that a block's rows are one range
+    rows = len(term_lists) * n_assign
+    seen = np.bincount(flips, minlength=2 ** (n - m)) > 0
+    row = ((np.cumsum(seen) - 1) * rows)[flips]
+    row += assigns
+    row += terms
+    del flips, assigns, terms
 
     index = np.argsort(outcome_codes(n, qs), kind="stable").reshape(2**m, -1)
     superops = _local_superops(pool)
-    drawn_flips = np.unique(flips)
     per_flip = max(2 ** (n + m), len(term_lists) * max(16**m, n_assign * 2**m))
     step = max(1, SAMPLED_BLOCK // per_flip)
-    outcomes = np.empty(N, dtype=np.int64)
-    for start in range(0, len(drawn_flips), step):
-        block = drawn_flips[start:start + step]
-        sel = np.flatnonzero((flips >= block[0]) & (flips <= block[-1]))
-        maps = np.concatenate([_reduced_maps(t, index, block) for t in term_lists])
-        cdf = np.cumsum(_twirl_tables(maps, superops, m), axis=-1).reshape(-1, 2**m)
-        row = terms[sel] * len(block) + np.searchsorted(block, flips[sel])
-        row = row * n_assign + assigns[sel]
+    drawn, counts = np.flatnonzero(seen), 0
+    for start in range(0, len(drawn), step):
+        block = drawn[start:start + step]
+        maps = np.stack([_reduced_maps(t, index, block) for t in term_lists], axis=1)
+        tables = _twirl_tables(maps.reshape(-1, 4**m, 4**m), superops, m)
+        cdf = np.cumsum(tables, axis=-1).reshape(-1, 2**m).T.copy()  # contiguous columns
+        at, u, lo = row, uniforms, start * rows
+        if len(drawn) > step:  # else one block holds every drawn flip
+            sel = np.flatnonzero((row >= lo) & (row < lo + len(block) * rows))
+            at, u = row[sel] - lo, uniforms[sel]
         # entries of the shot's CDF at or below its uniform: searchsorted(side="right")
-        drawn = sum(cdf[row, x] <= uniforms[sel] for x in range(2**m))
-        outcomes[sel] = np.minimum(drawn, 2**m - 1)
-        del cdf  # the next block's table is built without this one beside it
-    return _readout(np.bincount(outcomes, minlength=2**m), qs, N)
+        hits = sum(cdf[x].take(at) <= u for x in range(2**m))
+        counts = counts + np.bincount(np.minimum(hits, 2**m - 1, out=hits), minlength=2**m)
+        del cdf, at, u, hits  # the next block's table is built without these beside it
+    return _readout(counts, qs, N)

@@ -21,12 +21,16 @@ from twirlsim import (
     build_pool,
     chi_diagonal,
     cnot_gate,
+    compile_sequence,
+    crotonic_preset,
     fidelity_decay_from_chi,
     parse_pool,
     plan_from_count,
     run_exact_campaign,
     run_sampled_campaign,
+    time_suspension_sequence,
 )
+from twirlsim import protocol
 from twirlsim.cli import ExperimentConfig, run_experiment
 from twirlsim.states import Monomial, dense
 from conftest import random_kraus_channel, random_unitary, random_unitary_ensemble
@@ -103,6 +107,78 @@ def test_sampled_memory_stays_per_block():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 2**20, peak
+
+
+def crotonic_channel(*pulse_errors: float) -> QuantumChannel:
+    """The time-suspension gate on the crotonic register, an equal mixture over
+    the given pulse errors."""
+    ops = [compile_sequence(time_suspension_sequence(pulse_error=e), crotonic_preset())
+           for e in pulse_errors]
+    return QuantumChannel.unitary_ensemble([(1 / len(ops), op) for op in ops])
+
+
+@pytest.mark.parametrize("sampling, arrays", [("exact", 4.2), ("per-shot-ensemble", 5.1)])
+def test_sampled_peak_in_shot_arrays(sampling, arrays):
+    # the bound that MAX_REALIZATIONS is set by: the traced peak of a campaign
+    # is a few N-long 8-byte arrays, whatever the register and the block count
+    channel = crotonic_channel(0.05, 0.02)
+    N = 10**6
+    run_sampled_campaign(channel, (1, 2), plan_from_count(1000), seed=1,
+                         channel_sampling=sampling)
+    tracemalloc.start()
+    try:
+        run_sampled_campaign(channel, (1, 2), plan_from_count(N), seed=1,
+                             channel_sampling=sampling)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * N, peak / (8 * N)
+
+
+@pytest.mark.parametrize("case", ["cnot-n7-pair", "full24-n8-triple-cyclic",
+                                  "ensemble-n5-per-shot"])
+def test_sampled_estimates_independent_of_blocks(case, monkeypatch):
+    # one flip per block, the default blocks and one block for every drawn flip
+    # must draw every shot from the same table row
+    rng = np.random.default_rng(15)
+    if case == "cnot-n7-pair":
+        args = (QuantumChannel.from_unitary(cnot_gate(1, 2, 7)), (1, 2), plan_from_count(3000))
+        options = {"seed": 4}
+    elif case == "full24-n8-triple-cyclic":
+        args = (QuantumChannel.from_unitary(cnot_gate(1, 2, 8)), (1, 2, 3),
+                plan_from_count(3000), build_pool("full-24"))
+        options = {"seed": 5, "assignment_order": "cyclic"}
+    else:
+        channel = QuantumChannel.unitary_ensemble(
+            [(0.7, random_unitary(32, rng)), (0.3, random_monomial(5, rng))])
+        args = (channel, (2, 4), plan_from_count(3000))
+        options = {"seed": 6, "channel_sampling": "per-shot-ensemble"}
+    want = bits(run_sampled_campaign(*args, **options))
+    for block in (1, 2**30):
+        monkeypatch.setattr(protocol, "SAMPLED_BLOCK", block)
+        assert bits(run_sampled_campaign(*args, **options)) == want, block
+
+
+def test_sampled_shots_neither_hashed_nor_sorted(monkeypatch):
+    # the shot pass counts and indexes the N draws; np.unique or a sort over
+    # them costs more than the whole physics of a small register
+    N = 20000
+    config = ExperimentConfig(gate="ie-sequence", n=4, mode="sampled", realizations=N,
+                              subsets=((1, 2), (1, 2, 3)), ie_pulse_error=0.05, seed=9)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the shot pass hashed its draws")
+
+    def small(fn):
+        def wrapped(a, *args, **kwargs):
+            assert np.size(a) < N, "the shot pass sorted its draws"
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np, "unique", refuse)
+    monkeypatch.setattr(np, "sort", small(np.sort))
+    monkeypatch.setattr(np, "argsort", small(np.argsort))
+    run_experiment(config)
 
 
 def test_sampled_ten_qubit_cnot_never_densified():

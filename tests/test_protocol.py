@@ -456,6 +456,10 @@ class TestSampledProtocol:
                                  assignment_order="alphabetical")
         with pytest.raises(ValueError, match="seed"):
             sampled_decay(cnot_channel(), [1, 2], plan, seed=-1)
+        # the Philox key is an integer, not a bool or a number that rounds to one
+        for seed in (True, 1.5, 2.0, "3"):
+            with pytest.raises(ValueError, match=r"seed .* is not an integer"):
+                sampled_decay(cnot_channel(), [1, 2], plan, seed=seed)
 
 
 class TestErrorPropagation:
@@ -549,3 +553,22 @@ class TestExperimentCounts:
             experiment_counts(4, 0, 1)
         with pytest.raises(ValueError):
             experiment_counts(4, 5, 1)
+
+    @pytest.mark.parametrize("args, what", [
+        ((4, 2, 2.5), "realization count"),
+        ((4, 2, True), "realization count"),
+        ((4, 2, "10"), "realization count"),
+        ((4.0, 2, 10), "register size"),
+        ((False, 1, 10), "register size"),
+        ((4, "2", 10), "weight cutoff"),
+        ((4, 2.0, 10), "weight cutoff"),
+    ])
+    def test_non_integer_counts_rejected(self, args, what):
+        # the counts are exact integers, so every input must be one
+        with pytest.raises(ValueError, match=f"{what} .* is not an integer"):
+            experiment_counts(*args)
+
+    def test_numpy_integers_give_python_integers(self):
+        counts = experiment_counts(np.int64(40), np.int64(2), np.int64(10))
+        assert counts == (10 * 780, 10 * 2**160)
+        assert type(counts.protocol) is int and type(counts.process_tomography) is int
