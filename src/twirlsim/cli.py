@@ -60,6 +60,9 @@ from .states import Monomial, QuantumChannel, _finite, _register_size, _validate
 
 ORACLE_TOL = 1e-9
 
+#: shots per target below which sampled targets also run one after another
+POOL_MIN_SHOTS = 10**5
+
 
 class ConfigError(Exception):
     """Invalid configuration; maps to exit code 1."""
@@ -389,10 +392,12 @@ def run_experiment(config: ExperimentConfig) -> Report:
     oracle = (collective_coefficients(chi_diagonal(channel))
               if config.oracle and config.n <= MAX_CHI_QUBITS else None)
     jobs = list(enumerate(config.subsets))
-    # exact-mode targets run one after another: each is a chain of small numpy
-    # and BLAS calls that threads only take turns at, so a pool made them no
-    # faster at n = 6-10 and let any competing process stall them
-    if config.threads > 1 and len(jobs) > 1 and config.mode == "sampled":
+    # exact-mode targets, and sampled ones of fewer than POOL_MIN_SHOTS shots,
+    # run one after another: each is a chain of small numpy and BLAS calls that
+    # threads only take turns at, so a pool made them no faster at n = 6-10, or
+    # at n = 4 with 5*10^4 shots, and let any competing process stall them
+    if (config.threads > 1 and len(jobs) > 1 and plan is not None
+            and plan.realizations >= POOL_MIN_SHOTS):
         with ThreadPoolExecutor(max_workers=config.threads) as pool_exec:
             results = list(pool_exec.map(
                 lambda job: _run_subset(channel, config, plan, budget, pool, oracle, *job),

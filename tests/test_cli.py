@@ -357,8 +357,11 @@ class TestDeterminism:
         assert r1.to_table_csv() == r2.to_table_csv()
 
     def test_thread_count_invariant(self):
-        seq = run_experiment(ExperimentConfig(**self.CFG, threads=1))
-        par = run_experiment(ExperimentConfig(**self.CFG, threads=3))
+        import twirlsim.cli as cli_mod
+
+        cfg = dict(self.CFG, realizations=cli_mod.POOL_MIN_SHOTS)  # large enough to pool
+        seq = run_experiment(ExperimentConfig(**cfg, threads=1))
+        par = run_experiment(ExperimentConfig(**cfg, threads=3))
         assert seq.to_report_text() == par.to_report_text()
         assert seq.to_table_csv() == par.to_table_csv()
 
@@ -374,11 +377,13 @@ class TestDeterminism:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cli_mod, "ThreadPoolExecutor", counted)
-        cfg = dict(self.CFG, mode=mode, threads=3)
-        par = run_experiment(ExperimentConfig(**cfg))
-        seq = run_experiment(ExperimentConfig(**dict(cfg, threads=1)))
+        for shots in (self.CFG["realizations"], cli_mod.POOL_MIN_SHOTS):
+            cfg = dict(self.CFG, mode=mode, threads=3, realizations=shots)
+            par = run_experiment(ExperimentConfig(**cfg))
+            seq = run_experiment(ExperimentConfig(**dict(cfg, threads=1)))
+            assert par.to_report_text() == seq.to_report_text()
+        # a pool only for sampled targets of at least POOL_MIN_SHOTS shots
         assert len(pools) == (mode == "sampled")
-        assert par.to_report_text() == seq.to_report_text()
 
     def test_written_files_byte_identical(self, tmp_path):
         report = run_experiment(ExperimentConfig(**self.CFG))
