@@ -18,7 +18,6 @@ import argparse
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -40,7 +39,6 @@ from .paulis import (
 )
 from .protocol import (
     ASSIGNMENT_ORDERS,
-    CHANNEL_SAMPLING_MODES,
     CLT_EPSILON,
     MAX_EXACT_SUBSET,
     DecayEstimate,
@@ -59,9 +57,6 @@ from .protocol import (
 from .states import Monomial, QuantumChannel, _finite, _register_size, _validate_subset
 
 ORACLE_TOL = 1e-9
-
-#: shots per target below which sampled targets also run one after another
-POOL_MIN_SHOTS = 10**5
 
 
 class ConfigError(Exception):
@@ -121,11 +116,11 @@ class ExperimentConfig:
     prep_error: float = _option(0.0, _finite)
     clifford_error: float = _option(0.0, _finite)
     out: str | None = _option(None, str, "output base path (writes .report.txt and .table.csv)")
-    threads: int = _option(1, int, "worker threads over sampled-mode targets")
+    threads: int = _option(1, int, "at least 1; targets run one after another, and no "
+                                   "output depends on it")
     oracle: bool = _option(True, lambda text: _SWITCH[text.lower()],
                            f"on | off (the check runs only when n <= {MAX_CHI_QUBITS})")
     assignment_order: str = _option("random", str, choices=ASSIGNMENT_ORDERS)
-    channel_sampling: str = _option("exact", str, choices=CHANNEL_SAMPLING_MODES)
     ie_duration: float = _option(12.2e-3, _finite)
     ie_pulse_error: float = _option(0.0, _finite)
 
@@ -266,7 +261,6 @@ class Report:
         lines.append("subsets " + (",".join(format_subset(s) for s in cfg.subsets) or "none"))
         lines.append(f"realizations {self.plan.realizations if self.plan else 0}")
         lines.append(f"assignment_order {cfg.assignment_order}")
-        lines.append(f"channel_sampling {cfg.channel_sampling}")
         lines.append(f"prep_error {cfg.prep_error:.12e}")
         lines.append(f"clifford_error {cfg.clifford_error:.12e}")
         for res in self.results:
@@ -360,8 +354,7 @@ def _run_subset(
     else:
         decays = run_sampled_campaign(
             channel, qs, plan, pool, derive_seed(config.seed, index),
-            assignment_order=config.assignment_order,
-            channel_sampling=config.channel_sampling)
+            assignment_order=config.assignment_order)
     eta = combine_subset(decays)
     eta_err = (0.0 if plan is None
                else sampled_coefficient_error(eta, len(qs), plan.realizations))
@@ -391,20 +384,10 @@ def run_experiment(config: ExperimentConfig) -> Report:
     channel = build_channel(config)
     oracle = (collective_coefficients(chi_diagonal(channel))
               if config.oracle and config.n <= MAX_CHI_QUBITS else None)
-    jobs = list(enumerate(config.subsets))
-    # exact-mode targets, and sampled ones of fewer than POOL_MIN_SHOTS shots,
-    # run one after another: each is a chain of small numpy and BLAS calls that
-    # threads only take turns at, so a pool made them no faster at n = 6-10, or
-    # at n = 4 with 5*10^4 shots, and let any competing process stall them
-    if (config.threads > 1 and len(jobs) > 1 and plan is not None
-            and plan.realizations >= POOL_MIN_SHOTS):
-        with ThreadPoolExecutor(max_workers=config.threads) as pool_exec:
-            results = list(pool_exec.map(
-                lambda job: _run_subset(channel, config, plan, budget, pool, oracle, *job),
-                jobs))
-    else:
-        results = [_run_subset(channel, config, plan, budget, pool, oracle, i, s)
-                   for i, s in jobs]
+    # targets run one after another: each is a chain of small numpy and BLAS
+    # calls that threads only take turns at, so a pool made them no faster
+    results = [_run_subset(channel, config, plan, budget, pool, oracle, i, s)
+               for i, s in enumerate(config.subsets)]
     return Report(config, plan, tuple(results))
 
 

@@ -8,19 +8,16 @@ nonempty sub-subsets of a target set combine, inclusion-exclusion style,
 into the channel's collective coefficient on exactly that set (plus any
 higher-weight tail the channel carries).
 
-Both modes share one engine. One pass over the channel operators reduces
-the channel to a 4^m x 4^m map on the m measured qubits, per basis state of
-the others or summed over them, as one Gram product of a factor that each
-operator supplies. A dense array gives its columns over all 2^(n-m) basis
-states of the others; a ``Monomial`` scatters its 2^m nonzeros per basis
-state into 2^m row slots (``_factor``) and gives the same maps bit for bit.
-Twirling a map one qubit at a time gives the
-outcome table of every assignment, and one readout turns an outcome
-histogram into every sub-decay. Exact mode sums the tables over all
-assignments. Sampled mode fixes each shot's table row once and draws its
-outcome from that row, with Bernoulli statistics, from a counter-based
-generator keyed by the seed, so realization i sees the same randomness
-however the work is scheduled.
+Both modes share one engine and one table. One Gram pass over the channel
+operators reduces the channel to a 4^m x 4^m map on the m measured qubits,
+summed over the basis states of the others. A dense array gives its columns
+over all 2^(n-m) basis states of the others; a ``Monomial`` scatters its 2^m
+nonzeros per basis state into 2^m row slots (``_factor``) and gives the same
+map bit for bit. Twirling the map one qubit at a time gives the outcome table
+of every assignment, and one readout turns an outcome histogram into every
+sub-decay. Exact mode sums the table over all assignments. Sampled mode draws
+the histogram of N independent shots from that table as one multinomial,
+from a counter-based generator keyed by the seed.
 """
 
 from __future__ import annotations
@@ -38,19 +35,15 @@ from .states import (
     ATOL, MAX_QUBITS, Monomial, QuantumChannel, _finite, _integer, _validate_subset,
     apply_local, checked_probability, outcome_codes)
 
-#: decays with |M| beyond this are out of exact-mode scope
+#: decays with |M| beyond this are out of scope, in both modes
 MAX_EXACT_SUBSET = 3
 
-#: shots per target: a sampled campaign's traced peak is 4.1 N-long 8-byte arrays,
-#: 5.0 under per-shot-ensemble (measured at N = 10^6), so this caps it at 400 MB
+#: shots per target. A campaign's memory does not grow with N; the cap makes
+#: a tiny delta, or a mistyped count, a plan error instead of a run
 MAX_REALIZATIONS = 10**7
 
-#: cap on K^m, the pool assignments a sampled campaign draws its index from
-MAX_ASSIGNMENT_INDEX = 10**6
-
-#: how ``run_sampled_campaign`` picks twirl assignments and channel terms
+#: how ``run_sampled_campaign`` picks twirl assignments
 ASSIGNMENT_ORDERS = ("random", "cyclic")
-CHANNEL_SAMPLING_MODES = ("exact", "per-shot-ensemble")
 
 
 @dataclass(frozen=True)
@@ -155,10 +148,9 @@ class ErrorBudget:
                 raise ValueError(f"{name} error must be finite and nonnegative, got {v}")
 
 
-#: entries of the largest array built per block of complement states: 64 KB
-#: bounds the peak memory of exact mode's serial Gram pass, 1 MB in sampled
-#: mode reads the scattered operator columns in longer runs
-EXACT_BLOCK, SAMPLED_BLOCK = 2**12, 2**16
+#: entries of the largest array built per block of complement states: 256 KB
+#: bounds the peak memory of the Gram pass; no block size changes a bit
+BLOCK = 2**14
 
 #: (sigma_mu x sigma_nu) / 2 on one qubit's bits (a, i), flattened over
 #: ((a, i), (b, j)): an orthonormal basis of the Hermitian 4 x 4 matrices
@@ -166,8 +158,7 @@ _PAULIS = np.array([SINGLE_QUBIT_PAULIS[c] for c in "IXYZ"])
 _PAULI_PAIRS = np.einsum("mab,nij->mnaibj", _PAULIS, _PAULIS).reshape(16, 16) / 2
 
 
-def _factor(op: np.ndarray | Monomial, index: np.ndarray, flips: np.ndarray,
-            summed: bool) -> np.ndarray:
+def _factor(op: np.ndarray | Monomial, index: np.ndarray, flips: np.ndarray) -> np.ndarray:
     """x[f, r, (a, i)] = A[(a, r), (i, f)] for each f in ``flips``: the operator's
     columns (i, f), their rows split into target bits a and the others' bits r.
 
@@ -175,11 +166,8 @@ def _factor(op: np.ndarray | Monomial, index: np.ndarray, flips: np.ndarray,
     per column, M = 2^m per flip, so a flip's map needs only M row slots:
     column (i, f) goes to slot i', the first column of the flip whose nonzero
     has the same r. The slots keep every pair of columns that shares an r and
-    nothing else, so each entry of the Gram product is the same one nonzero
-    product as over all rows r. A map ``summed`` over flips adds up to F
-    products per entry, and the matrix product groups those additions by its
-    row count; there a monomial keeps all rows r, as a dense operator gives
-    them, so that its sums round the same way.
+    nothing else, so each entry of the flip's Gram product is the same one
+    nonzero product as over all rows r.
     """
     M, F, R = index.shape[0], len(flips), index.shape[1]
     if not isinstance(op, Monomial):
@@ -191,28 +179,10 @@ def _factor(op: np.ndarray | Monomial, index: np.ndarray, flips: np.ndarray,
     place[index.ravel()] = np.arange(index.size)
     cols = index[:, flips].T
     a, r = np.divmod(place[op.rows[cols]], R)
-    slot = r if summed else (r[:, :, None] == r[:, None, :]).argmax(axis=2)
-    x = np.zeros((F, R if summed else M, M * M), dtype=complex)
+    slot = (r[:, :, None] == r[:, None, :]).argmax(axis=2)
+    x = np.zeros((F, M, M * M), dtype=complex)
     x[np.arange(F)[:, None], slot, a * M + np.arange(M)] = op.phases[cols]
     return x
-
-
-def _reduced_maps(terms: Iterable[tuple[float, np.ndarray | Monomial]], index: np.ndarray,
-                  flips: np.ndarray, summed: bool = False) -> np.ndarray:
-    """R_f[(a, i), (b, j)] = sum_t w_t sum_r A_t[(a, r), (i, f)] conj(A_t[(b, r), (j, f)])
-    for each f in ``flips`` (F, 4^m, 4^m), or their sum (1, 4^m, 4^m).
-
-    The one Gram product x^T conj(x) of the factor x that ``_factor`` reads
-    from each term; ``index[i, f]`` is the basis state with bits i on the
-    target and f on the other qubits. A monomial term's maps equal those of
-    the same operator stored dense, bit for bit.
-    """
-    out = 0.0
-    for w, op in terms:
-        x = _factor(op, index, flips, summed)
-        x = x.reshape(1 if summed else len(flips), -1, x.shape[-1])
-        out = out + w * (x.transpose(0, 2, 1) @ x.conj())
-    return out
 
 
 def _local_superops(pool: CliffordPool) -> np.ndarray:
@@ -227,8 +197,8 @@ def _local_superops(pool: CliffordPool) -> np.ndarray:
     return np.rint(2 * (s.reshape(2 * pool.size, 16) @ _PAULI_PAIRS.T).real) / 2
 
 
-def _twirl_tables(maps: np.ndarray, superops: np.ndarray, m: int) -> np.ndarray:
-    """(B, K^m, 2^m) outcome tables of every assignment, one per reduced map.
+def _twirl_table(reduced: np.ndarray, superops: np.ndarray, m: int) -> np.ndarray:
+    """(K^m, 2^m) outcome table of every assignment, from one reduced map.
 
     Row k is the assignment whose pool element on the i-th target qubit is
     digit i of k in base K, first qubit most significant (the order of
@@ -236,14 +206,47 @@ def _twirl_tables(maps: np.ndarray, superops: np.ndarray, m: int) -> np.ndarray:
     bits (first most significant) after C^dag S(C |0, f><0, f| C^dag) C.
     A map is Hermitian: its coefficients on products of ``_PAULI_PAIRS`` are real.
     """
-    batch, K = maps.shape[0], superops.shape[0] // 2
-    # per-qubit groups (a_q, i_q, b_q, j_q) first, the batch axis last
-    t = maps.reshape((batch,) + (2,) * (4 * m))
-    t = t.transpose([1 + p + g * m for p in range(m) for g in range(4)] + [0])
-    t = apply_local([_PAULI_PAIRS.conj()] * m, t).real.reshape(batch, -1).T
-    t = apply_local([superops] * m, t).reshape((batch,) + (K, 2) * m)
-    t = t.transpose(0, *range(1, 2 * m, 2), *range(2, 2 * m + 1, 2))
-    return t.reshape(batch, K**m, 2**m)
+    K = superops.shape[0] // 2
+    # per-qubit groups (a_q, i_q, b_q, j_q) first
+    t = reduced.reshape((2,) * (4 * m))
+    t = t.transpose([p + g * m for p in range(m) for g in range(4)])
+    t = apply_local([_PAULI_PAIRS.conj()] * m, t).real
+    t = apply_local([superops] * m, t).reshape((K, 2) * m)
+    return t.transpose(*range(0, 2 * m, 2), *range(1, 2 * m, 2)).reshape(K**m, 2**m)
+
+
+def _summed_table(channel: QuantumChannel, qs: tuple[int, ...], pool: CliffordPool
+                  ) -> np.ndarray:
+    """(K^m, 2^m) outcome table of ``_twirl_table``, summed over every basis
+    state f of the qubits outside ``qs``: the twirl of |0> on ``qs`` with the
+    rest maximally mixed, unnormalized (each row sums to 2^(n-m)).
+
+    One Gram pass reduces each term to the 4^m x 4^m map
+    sum_f sum_r A[(a, r), (i, f)] conj(A[(b, r), (j, f)]) on the target, from
+    the factor x that ``_factor`` reads; ``index[i, f]`` is the basis state
+    with bits i on the target and f on the other qubits. The per-flip Gram
+    products are added one after another, whatever the block, and each term's
+    sum is weighted once, so a monomial term gives the same table as the same
+    operator stored dense, bit for bit.
+    """
+    if len(qs) > MAX_EXACT_SUBSET:
+        raise ValueError(f"decays support at most {MAX_EXACT_SUBSET} measured qubits")
+    n, m = channel.n, len(qs)
+    # basis states by target bits, then by the other qubits' bits
+    index = np.argsort(outcome_codes(n, qs), kind="stable").reshape(2**m, -1)
+    flips = np.arange(index.shape[1])
+    reduced = 0.0
+    for w, op in channel.terms:
+        # per flip: a dense factor's 2^(n-m) x 4^m entries, and the 4^m x 4^m map
+        step = max(1, BLOCK // (16**m if isinstance(op, Monomial) else max(16**m, 2 ** (n + m))))
+        total = 0.0
+        for f in range(0, len(flips), step):
+            x = _factor(op, index, flips[f:f + step])
+            gram = x.transpose(0, 2, 1) @ x.conj()
+            gram[0] += total
+            total = gram.sum(axis=0)
+        reduced = reduced + w * total
+    return _twirl_table(reduced, _local_superops(pool), m)
 
 
 def _parts(qs: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -256,7 +259,7 @@ def _readout(weights: np.ndarray, qs: tuple[int, ...], realizations: int
     """Decay of every nonempty part of ``qs``, in ``_parts`` order, from one histogram.
 
     ``weights`` are shot counts (``realizations`` = N) or summed outcome
-    tables (0), indexed like ``_twirl_tables`` columns.
+    tables (0), indexed like ``_twirl_table`` columns.
     """
     out = {}
     for sub in _parts(qs):
@@ -273,25 +276,13 @@ def run_exact_campaign(
 ) -> dict[tuple[int, ...], DecayEstimate]:
     """Exact decays of a subset and of all its sub-subsets from one twirl.
 
-    Summing the outcome tables over every assignment and every basis state
-    of the other qubits twirls |0> on the subset with the rest maximally
-    mixed; each part's decay reads off that one twirl.
+    Summing the outcome table over every assignment twirls |0> on the
+    subset with the rest maximally mixed; each part's decay reads off that
+    one twirl.
     """
     qs = _validate_subset(subset, channel.n)
-    if len(qs) > MAX_EXACT_SUBSET:
-        raise ValueError(
-            f"exact decay supports at most {MAX_EXACT_SUBSET} measured qubits")
-    if pool is None:
-        pool = build_pool()
-    n, m = channel.n, len(qs)
-    # basis states by target bits, then by the other qubits' bits
-    index = np.argsort(outcome_codes(n, qs), kind="stable").reshape(2**m, -1)
-    step = max(1, EXACT_BLOCK >> (n + m))
-    flips = np.arange(2 ** (n - m))
-    reduced = sum(_reduced_maps(channel.terms, index, flips[f:f + step], summed=True)
-                  for f in range(0, len(flips), step))
-    weights = _twirl_tables(reduced, _local_superops(pool), m)[0].sum(axis=0)
-    return _readout(weights, qs, 0)
+    table = _summed_table(channel, qs, build_pool() if pool is None else pool)
+    return _readout(table.sum(axis=0), qs, 0)
 
 
 def fidelity_decay_from_chi(
@@ -437,87 +428,41 @@ def run_sampled_campaign(
     pool: CliffordPool | None = None,
     seed: int = 0,
     assignment_order: str = "random",
-    channel_sampling: str = "exact",
 ) -> dict[tuple[int, ...], DecayEstimate]:
     """Monte-Carlo decay estimates for a subset and all its sub-subsets.
 
     Each realization prepares a computational-basis state (|0> on the
     measured qubits, an independent uniformly random bit on each of the
-    others), conjugates the channel by a twirl assignment, and draws one
-    measurement outcome bit per measured qubit from the exact outcome
-    distribution of the resulting state. The recorded bit-vectors yield the
-    decay of the full subset and of every smaller subset from the same
+    others), conjugates the channel by a twirl assignment, and reads one
+    outcome bit per measured qubit. The recorded bit-vectors yield the decay
+    of the full subset and of every smaller subset from the same
     realizations.
 
-    ``assignment_order`` picks twirl assignments uniformly at random
-    (``random``) or cycles the pool deterministically (``cyclic``).
-    ``channel_sampling`` applies the channel exactly per shot (``exact``)
-    or, for unitary ensembles only, draws one ensemble member per shot
-    (``per-shot-ensemble``), which is unbiased but noisier.
+    Shots are independent, so the outcome histogram is drawn in one go from
+    exact mode's summed table: Multinomial(N, p), p the table summed over
+    assignments and normalized. ``assignment_order`` picks each shot's
+    assignment uniformly at random (``random``) or cycles the pool
+    deterministically (``cyclic``): assignment a then gets
+    c_a = floor(N / K^m) + [a < N mod K^m] shots, and the histogram is
+    sum_a Multinomial(c_a, p_a), p_a row a of the table normalized.
 
-    All randomness comes from a Philox stream keyed by ``seed``; the draws
-    for realization i sit at fixed stream offsets, so estimates are
-    reproducible and independent of any outer parallelism.
+    The draw comes from a Philox stream keyed by ``seed``, so estimates are
+    reproducible.
     """
     qs = _validate_subset(subset, channel.n)
-    n, m = channel.n, len(qs)
-    if pool is None:
-        pool = build_pool()
     if _integer(seed, "seed") < 0:
         raise ValueError("seed must be nonnegative")
     if assignment_order not in ASSIGNMENT_ORDERS:
         raise ValueError(f"unknown assignment order {assignment_order!r}")
-    if channel_sampling not in CHANNEL_SAMPLING_MODES:
-        raise ValueError(f"unknown channel sampling mode {channel_sampling!r}")
-    if channel_sampling == "per-shot-ensemble" and channel.kind != "unitary-ensemble":
-        raise ValueError("per-shot sampling requires a unitary-ensemble channel")
-    N, n_assign = plan.realizations, pool.size**m
-    if n_assign > MAX_ASSIGNMENT_INDEX:
-        raise ValueError("assignment space too large to index; reduce the subset")
-
+    table = _summed_table(channel, qs, build_pool() if pool is None else pool)
+    table = np.maximum(table, 0.0)  # rounding can leave an entry just below 0
     rng = np.random.Generator(np.random.Philox(key=seed))
-
-    # fixed draw order: complement flips, assignments, ensemble terms, outcome uniforms
-    flips = rng.integers(0, 2 ** (n - m), size=N) if n > m else np.zeros(N, dtype=np.int64)
+    N, rows = plan.realizations, table.shape[0]
     if assignment_order == "random":
-        assigns = rng.integers(0, n_assign, size=N)
+        p = table.sum(axis=0)
+        counts = rng.multinomial(N, p / p.sum())
     else:
-        assigns = np.arange(N, dtype=np.int64) % n_assign
-    if channel_sampling == "per-shot-ensemble":
-        edges = np.cumsum([w for w, _ in channel.terms])
-        terms = np.searchsorted(edges, rng.random(N) * edges[-1], side="right")
-        terms = np.minimum(terms, len(edges) - 1) * n_assign  # the term's first row per flip
-        # one reduced map, and one table, per term
-        term_lists = [((1.0, op),) for _, op in channel.terms]
-    else:
-        terms, term_lists = 0, [channel.terms]
-    uniforms = rng.random(N)
-
-    # each shot's table row, flip-major: its flip's place among the drawn flips,
-    # then its term, then its assignment, so that a block's rows are one range
-    rows = len(term_lists) * n_assign
-    seen = np.bincount(flips, minlength=2 ** (n - m)) > 0
-    row = ((np.cumsum(seen) - 1) * rows)[flips]
-    row += assigns
-    row += terms
-    del flips, assigns, terms
-
-    index = np.argsort(outcome_codes(n, qs), kind="stable").reshape(2**m, -1)
-    superops = _local_superops(pool)
-    per_flip = max(2 ** (n + m), len(term_lists) * max(16**m, n_assign * 2**m))
-    step = max(1, SAMPLED_BLOCK // per_flip)
-    drawn, counts = np.flatnonzero(seen), 0
-    for start in range(0, len(drawn), step):
-        block = drawn[start:start + step]
-        maps = np.stack([_reduced_maps(t, index, block) for t in term_lists], axis=1)
-        tables = _twirl_tables(maps.reshape(-1, 4**m, 4**m), superops, m)
-        cdf = np.cumsum(tables, axis=-1).reshape(-1, 2**m).T.copy()  # contiguous columns
-        at, u, lo = row, uniforms, start * rows
-        if len(drawn) > step:  # else one block holds every drawn flip
-            sel = np.flatnonzero((row >= lo) & (row < lo + len(block) * rows))
-            at, u = row[sel] - lo, uniforms[sel]
-        # entries of the shot's CDF at or below its uniform: searchsorted(side="right")
-        hits = sum(cdf[x].take(at) <= u for x in range(2**m))
-        counts = counts + np.bincount(np.minimum(hits, 2**m - 1, out=hits), minlength=2**m)
-        del cdf, at, u, hits  # the next block's table is built without these beside it
+        shots = np.full(rows, N // rows)
+        shots[:N % rows] += 1
+        counts = rng.multinomial(shots, table / table.sum(axis=1, keepdims=True)).sum(axis=0)
     return _readout(counts, qs, N)

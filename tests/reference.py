@@ -4,8 +4,9 @@ States are 2^n x 2^n density matrices and every operator is a dense Kronecker
 product, so each function here follows its textbook definition term by term:
 the twirl is the average over every pool assignment of C^dag S(C rho C^dag) C
 (Emerson et al., "Symmetrized characterization of noisy quantum processes",
-2007). Nothing here comes from ``twirlsim.protocol``; the engine's results
-are checked against these.
+2007). ``per_shot_counts`` samples outcomes one shot at a time from those
+same states. Nothing here comes from ``twirlsim.protocol``; the engine's
+results are checked against these.
 """
 
 from __future__ import annotations
@@ -141,3 +142,72 @@ def pool_projections(channel: QuantumChannel, subset) -> dict[str, float]:
     rho0 = initial_state(channel.n, subset)
     return {pool.label: projection(twirl(channel, subset, rho0, pool), subset)
             for pool in TEN_POOLS}
+
+
+def shot_probabilities(terms, n: int, subset, pool: CliffordPool, assignments,
+                       flips) -> np.ndarray:
+    """(P, 2^m) outcome probabilities of the ``subset`` qubits, first qubit most
+    significant, in C^dag S(C |0, f><0, f| C^dag) C for each of P pairs
+    (assignment, flip f), with S = sum_t w_t A_t . A_t^dag over ``terms``.
+
+    |0, f> is the f-th basis state, in ascending order, whose ``subset`` bits
+    all read 0. Assignment k puts pool element digit i of k in base K on the
+    i-th qubit of ``subset``, first most significant (the order of
+    itertools.product over the pool), and the identity elsewhere. The state
+    is pure before the channel, so each term's part of the diagonal is
+    |C^dag A_t C |0, f>|^2.
+    """
+    qs, K = sorted(subset), pool.size
+    m, P = len(qs), len(flips)
+    elements = np.array([e.matrix for e in pool.elements])
+    digits = np.asarray(assignments, dtype=np.int64)[:, None] // K ** np.arange(m - 1, -1, -1) % K
+    c = np.ones((P, 1, 1), dtype=complex)
+    for q in range(1, n + 1):
+        local = elements[digits[:, qs.index(q)]] if q in qs else SIGMAS["I"][None]
+        c = np.einsum("sij,skl->sikjl", c, np.broadcast_to(local, (P, 2, 2)))
+        c = c.reshape(P, 2 * c.shape[1], 2 * c.shape[3])
+    starts = np.flatnonzero(zero_mask(n, qs))[np.asarray(flips, dtype=np.int64)]
+    psi = c[np.arange(P), :, starts]
+    diag = sum(w * np.abs(np.einsum("sji,sj->si", c.conj(), psi @ dense(op).T)) ** 2
+               for w, op in terms)
+    codes = np.zeros(2**n, dtype=np.int64)
+    for q in qs:
+        codes = 2 * codes + ((np.arange(2**n) >> (n - q)) & 1)
+    return diag @ (codes[:, None] == np.arange(2**m))
+
+
+def per_shot_counts(channel: QuantumChannel, subset, realizations: int, pool: CliffordPool,
+                    seed: int, order: str = "random", per_term: bool = False) -> np.ndarray:
+    """Outcome counts over the ``subset`` bits, first qubit most significant, of
+    ``realizations`` shots sampled one at a time.
+
+    A Philox stream keyed by ``seed`` gives, in this order, an N-long array of
+    each kind: the shot's flip f of the other qubits (uniform); its assignment
+    (uniform under ``random`` order, shot i takes i mod K^m under ``cyclic``);
+    with ``per_term``, one channel term drawn by weight, applied alone with
+    weight 1; and a uniform u. The shot reads the outcome x that
+    searchsorted(side="right") gives for u in the cumulative sum of its
+    ``shot_probabilities``: the number of entries at or below u, clamped to
+    2^m - 1.
+    """
+    n, qs = channel.n, sorted(subset)
+    m, N, K = len(qs), realizations, pool.size ** len(qs)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    flips = rng.integers(0, 2 ** (n - m), size=N) if n > m else np.zeros(N, dtype=np.int64)
+    assigns = rng.integers(0, K, size=N) if order == "random" else np.arange(N) % K
+    terms = np.full(N, -1)
+    if per_term:
+        edges = np.cumsum([w for w, _ in channel.terms])
+        terms = np.searchsorted(edges, rng.random(N) * edges[-1], side="right")
+        terms = np.minimum(terms, len(edges) - 1)
+    uniforms = rng.random(N)
+    counts = np.zeros(2**m, dtype=np.int64)
+    for t in np.unique(terms):
+        ops = channel.terms if t < 0 else [(1.0, channel.terms[t][1])]
+        shots = np.flatnonzero(terms == t)
+        pairs, row = np.unique(np.stack([assigns[shots], flips[shots]], axis=1), axis=0,
+                               return_inverse=True)
+        cdf = np.cumsum(shot_probabilities(ops, n, qs, pool, *pairs.T), axis=1)[row.ravel()]
+        hits = (cdf <= uniforms[shots, None]).sum(axis=1)
+        counts += np.bincount(np.minimum(hits, 2**m - 1), minlength=2**m)
+    return counts

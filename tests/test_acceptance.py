@@ -28,7 +28,7 @@ from twirlsim import (
     time_suspension_sequence,
     zz_coupling,
 )
-from twirlsim.cli import POOL_MIN_SHOTS, ExperimentConfig, run_experiment, report_write
+from twirlsim.cli import ExperimentConfig, run_experiment, report_write
 from conftest import (
     dedicated_decays,
     exact_decay,
@@ -213,9 +213,8 @@ def test_criterion_6_refocusing_and_hierarchy():
 def test_criterion_7_determinism(tmp_path: Path):
     started = time.perf_counter()
     failures: list[str] = []
-    # enough shots per target that the threads=4 run uses its pool
     base = dict(gate="cnot", n=4, subsets=((1, 2), (2, 3), (1, 4)),
-                mode="sampled", realizations=POOL_MIN_SHOTS, seed=20260808)
+                mode="sampled", realizations=10**5, seed=20260808)
 
     runs = {}
     for label, threads in (("first", 1), ("second", 1), ("parallel", 4)):

@@ -1,10 +1,12 @@
 """The decay engine against its references, closed forms and recorded pins.
 
 The exact engine must agree with the chi-diagonal prediction and with the
-dense density-matrix twirl of ``reference`` for every part of a target. ``PINNED`` holds sampled-campaign results (decay value, standard
-error) for the assignment orders and channel-sampling modes the golden files
-do not cover. They were recorded before the engine moved to outcome tables,
-and every engine since must reproduce each one bit for bit. A monomial
+dense density-matrix twirl of ``reference`` for every part of a target.
+``PINNED`` holds per-shot sampling results (decay value, standard error) for
+assignment orders and per-term draws the golden files do not cover, recorded
+from a per-shot engine; ``reference.per_shot_counts`` must reproduce each one
+bit for bit. The sampled engine draws one multinomial from exact mode's
+table, so it must follow the same law as that per-shot reference. A monomial
 operator, stored as (rows, phases), must give the same decays bit for bit
 as the same operator stored as a dense array.
 """
@@ -34,7 +36,8 @@ from twirlsim import protocol
 from twirlsim.cli import ExperimentConfig, run_experiment
 from twirlsim.states import Monomial, dense
 from conftest import random_kraus_channel, random_unitary, random_unitary_ensemble
-from reference import TEN_POOLS, initial_state, projection, twirl
+from reference import (TEN_POOLS, initial_state, per_shot_counts, projection, shot_probabilities,
+                       twirl)
 
 
 def channel_on_leading_qubits(kind: str, k: int, n: int, rng) -> QuantumChannel:
@@ -94,9 +97,9 @@ def test_exact_closed_forms_at_ten_qubits(target):
 
 def test_sampled_memory_stays_per_block():
     # a sampled full-24 triple at n = 8 has 13824 assignments and 32
-    # complement states; tables for all of them at once would take 28 MB,
-    # one state's table and its reordered copy take 1.8 MB. The budget is
-    # 3 MiB, three times the 1 MiB dense CNOT matrix of an 8-qubit register
+    # complement states; a table for each state would take 28 MB, the one
+    # summed table takes 0.9 MB. The budget is 3 MiB, three times the 1 MiB
+    # dense CNOT matrix of an 8-qubit register
     channel = QuantumChannel.from_unitary(cnot_gate(1, 2, 8))
     pool = build_pool("full-24")
     run_sampled_campaign(channel, (1, 2, 3), plan_from_count(50), pool, seed=1)
@@ -119,27 +122,45 @@ def crotonic_channel(*pulse_errors: float) -> QuantumChannel:
 
 @pytest.mark.parametrize("sampling, arrays", [("exact", 4.2), ("per-shot-ensemble", 5.1)])
 def test_sampled_peak_in_shot_arrays(sampling, arrays):
-    # the bound that MAX_REALIZATIONS is set by: the traced peak of a campaign
-    # is a few N-long 8-byte arrays, whatever the register and the block count
+    # the traced peak of a campaign stays under a few N-long 8-byte arrays,
+    # whether the channel is held as Kraus operators ("exact") or as the
+    # unitary ensemble that the retired per-shot-ensemble option drew from
     channel = crotonic_channel(0.05, 0.02)
+    if sampling == "exact":
+        channel = QuantumChannel.from_kraus(np.sqrt(w) * op for w, op in channel.terms)
     N = 10**6
-    run_sampled_campaign(channel, (1, 2), plan_from_count(1000), seed=1,
-                         channel_sampling=sampling)
+    run_sampled_campaign(channel, (1, 2), plan_from_count(1000), seed=1)
     tracemalloc.start()
     try:
-        run_sampled_campaign(channel, (1, 2), plan_from_count(N), seed=1,
-                             channel_sampling=sampling)
+        run_sampled_campaign(channel, (1, 2), plan_from_count(N), seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= arrays * 8 * N, peak / (8 * N)
 
 
+def test_sampled_peak_independent_of_shots():
+    # one multinomial draw builds no N-long array: 10^7 shots trace the peak
+    # of 10^3 shots, up to 64 KiB
+    channel = crotonic_channel(0.05, 0.02)
+    run_sampled_campaign(channel, (1, 2), plan_from_count(1000), seed=1)
+    peaks = []
+    for N in (10**3, 10**7):
+        tracemalloc.start()
+        try:
+            run_sampled_campaign(channel, (1, 2), plan_from_count(N), seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 64 * 2**10, peaks
+
+
 @pytest.mark.parametrize("case", ["cnot-n7-pair", "full24-n8-triple-cyclic",
                                   "ensemble-n5-per-shot"])
 def test_sampled_estimates_independent_of_blocks(case, monkeypatch):
-    # one flip per block, the default blocks and one block for every drawn flip
-    # must draw every shot from the same table row
+    # one flip per block, the default blocks and one block for every flip add
+    # the per-flip maps in the same order, so both modes give the same bits;
+    # the ensemble case keeps its name from the retired per-shot-ensemble option
     rng = np.random.default_rng(15)
     if case == "cnot-n7-pair":
         args = (QuantumChannel.from_unitary(cnot_gate(1, 2, 7)), (1, 2), plan_from_count(3000))
@@ -152,16 +173,18 @@ def test_sampled_estimates_independent_of_blocks(case, monkeypatch):
         channel = QuantumChannel.unitary_ensemble(
             [(0.7, random_unitary(32, rng)), (0.3, random_monomial(5, rng))])
         args = (channel, (2, 4), plan_from_count(3000))
-        options = {"seed": 6, "channel_sampling": "per-shot-ensemble"}
-    want = bits(run_sampled_campaign(*args, **options))
+        options = {"seed": 6}
+    exact_args = args[:2] + args[3:]
+    want = bits(run_sampled_campaign(*args, **options)), bits(run_exact_campaign(*exact_args))
     for block in (1, 2**30):
-        monkeypatch.setattr(protocol, "SAMPLED_BLOCK", block)
-        assert bits(run_sampled_campaign(*args, **options)) == want, block
+        monkeypatch.setattr(protocol, "BLOCK", block)
+        got = bits(run_sampled_campaign(*args, **options)), bits(run_exact_campaign(*exact_args))
+        assert got == want, block
 
 
 def test_sampled_shots_neither_hashed_nor_sorted(monkeypatch):
-    # the shot pass counts and indexes the N draws; np.unique or a sort over
-    # them costs more than the whole physics of a small register
+    # a campaign draws its N shots as one histogram; np.unique or a sort over
+    # N draws would cost more than the whole physics of a small register
     N = 20000
     config = ExperimentConfig(gate="ie-sequence", n=4, mode="sampled", realizations=N,
                               subsets=((1, 2), (1, 2, 3)), ie_pulse_error=0.05, seed=9)
@@ -233,15 +256,9 @@ def test_monomial_terms_match_dense_storage(n):
             plan = plan_from_count(400)
             want = [bits(run_exact_campaign(channel, target, pool)),
                     bits(run_sampled_campaign(channel, target, plan, pool, seed=n))]
-            if channel.kind == "unitary-ensemble" and len(channel.terms) > 1:
-                want.append(bits(run_sampled_campaign(
-                    channel, target, plan, pool, seed=n, channel_sampling="per-shot-ensemble")))
             for twin in twins:
                 got = [bits(run_exact_campaign(twin, target, pool)),
                        bits(run_sampled_campaign(twin, target, plan, pool, seed=n))]
-                if len(want) == 3:
-                    got.append(bits(run_sampled_campaign(
-                        twin, target, plan, pool, seed=n, channel_sampling="per-shot-ensemble")))
                 assert got == want, (n, target, twin.kind)
 
 
@@ -360,8 +377,41 @@ PINNED = {
 
 @pytest.mark.parametrize("case", sorted(PINNED), ids=lambda c: "-".join(map(str, c)))
 def test_sampled_campaign_pinned(case):
+    # "per-shot-ensemble" draws one channel term per shot, "exact" applies them all
     pool, order, sampling, subset = case
-    got = run_sampled_campaign(pinned_channel(), subset, plan_from_count(500),
-                               parse_pool(pool), seed=2024, assignment_order=order,
-                               channel_sampling=sampling)
+    counts = per_shot_counts(pinned_channel(), subset, 500, parse_pool(pool), 2024, order,
+                             per_term=sampling == "per-shot-ensemble")
+    got = protocol._readout(counts, subset, 500)
     assert {s: (e.value, e.std_error) for s, e in got.items()} == PINNED[case]
+
+
+def test_sampled_law_matches_per_shot_reference():
+    # the one multinomial draw must have the law of shots taken one at a time,
+    # each with its own flip, assignment, channel term and uniform: over 300
+    # seeds each decay's mean and variance agree within binomial bands, here
+    # for a two-term ensemble, cyclic order and a full-24 triple with a flip
+    rng = np.random.default_rng(18)
+    channel = QuantumChannel.unitary_ensemble(
+        [(0.6, random_unitary(16, rng)), (0.4, cnot_gate(1, 2, 4).data)])
+    target, pool, N, seeds = (1, 2, 3), build_pool("full-24"), 500, 300
+    rows = np.arange(pool.size ** len(target))
+    want = np.concatenate([  # 1024 dense states at a time
+        sum(shot_probabilities(channel.terms, 4, target, pool, rows[lo:lo + 1024],
+                               np.full(len(rows[lo:lo + 1024]), f)) for f in (0, 1))
+        for lo in range(0, len(rows), 1024)])
+    table = protocol._summed_table(channel, target, pool)
+    assert np.abs(table / table.sum(axis=1, keepdims=True)
+                  - want / want.sum(axis=1, keepdims=True)).max() <= 1e-15
+    engine, shots = [], []
+    for seed in range(seeds):
+        engine.append(run_sampled_campaign(channel, target, plan_from_count(N), pool, seed=seed,
+                                           assignment_order="cyclic"))
+        counts = per_shot_counts(channel, target, N, pool, seed, "cyclic", per_term=True)
+        shots.append(protocol._readout(counts, target, N))
+    for sub in engine[0]:
+        a = np.array([e[sub].value for e in engine])
+        b = np.array([e[sub].value for e in shots])
+        p = (a.mean() + b.mean()) / 2
+        var = p * (1 - p) / N  # binomial; cycling the assignments only lowers it
+        assert abs(a.mean() - b.mean()) <= 4 * math.sqrt(2 * var / seeds), sub
+        assert abs(a.var(ddof=1) - b.var(ddof=1)) <= 4 * var * math.sqrt(4 / (seeds - 1)), sub

@@ -435,20 +435,6 @@ class TestSampledProtocol:
         # cycling covers the pool uniformly, so only shot noise remains
         assert abs(est.value - 5 / 9) <= 3 / math.sqrt(plan.realizations)
 
-    def test_per_shot_ensemble_mode(self, rng):
-        ch = random_unitary_ensemble(2, 3, rng)
-        exact = exact_decay(ch, [1, 2]).value
-        plan = plan_from_count(40000)
-        est = sampled_decay(ch, [1, 2], plan, seed=17,
-                                   channel_sampling="per-shot-ensemble")
-        assert abs(est.value - exact) <= 4 / math.sqrt(plan.realizations)
-
-    def test_per_shot_requires_ensemble(self, rng):
-        ch = random_kraus_channel(2, 3, rng)
-        with pytest.raises(ValueError, match="unitary-ensemble"):
-            sampled_decay(ch, [1, 2], plan_from_count(100), seed=0,
-                                 channel_sampling="per-shot-ensemble")
-
     def test_invalid_options(self):
         plan = plan_from_count(100)
         with pytest.raises(ValueError, match="assignment order"):
