@@ -252,30 +252,22 @@ class Report:
 
     def to_report_text(self) -> str:
         cfg = self.config
-        lines = ["# twirlsim experiment report", "[config]"]
-        lines.append(f"gate {cfg.gate}")
-        lines.append(f"n {cfg.n}")
-        lines.append(f"mode {cfg.mode}")
-        lines.append(f"pool {cfg.pool}")
-        lines.append(f"seed {cfg.seed}")
-        lines.append("subsets " + (",".join(format_subset(s) for s in cfg.subsets) or "none"))
-        lines.append(f"realizations {self.plan.realizations if self.plan else 0}")
-        lines.append(f"assignment_order {cfg.assignment_order}")
-        lines.append(f"prep_error {cfg.prep_error:.12e}")
-        lines.append(f"clifford_error {cfg.clifford_error:.12e}")
+        lines = ["# twirlsim experiment report", "[config]", f"gate {cfg.gate}", f"n {cfg.n}",
+                 f"mode {cfg.mode}", f"pool {cfg.pool}", f"seed {cfg.seed}",
+                 "subsets " + (",".join(format_subset(s) for s in cfg.subsets) or "none"),
+                 f"realizations {self.plan.realizations if self.plan else 0}",
+                 f"assignment_order {cfg.assignment_order}",
+                 f"prep_error {cfg.prep_error:.12e}", f"clifford_error {cfg.clifford_error:.12e}"]
         for res in self.results:
-            lines.append("")
-            lines.append(f"[subset {format_subset(res.subset)}]")
+            lines += ["", f"[subset {format_subset(res.subset)}]"]
             for sub, est in res.decays.items():
                 lines.append(
                     f"decay {format_subset(sub)} {est.value:.12e} "
                     f"stderr {est.std_error:.12e} realizations {est.realizations}")
-            lines.append(f"eta_col {res.eta_col:.12e}")
-            lines.append(f"eta_stderr {res.eta_stderr:.12e}")
+            lines += [f"eta_col {res.eta_col:.12e}", f"eta_stderr {res.eta_stderr:.12e}"]
             if res.oracle is not None:
-                lines.append(f"oracle {res.oracle:.12e}")
-                lines.append(f"discrepancy {res.discrepancy:.12e}")
-                lines.append(f"oracle_tail {res.tail:.12e}")
+                lines += [f"oracle {res.oracle:.12e}", f"discrepancy {res.discrepancy:.12e}",
+                          f"oracle_tail {res.tail:.12e}"]
             for sub, bound in res.decay_bounds.items():
                 lines.append(f"decay_bound {format_subset(sub)} {bound:.12e}")
             if res.eta_bound is not None:

@@ -18,14 +18,21 @@ for it; the six-element twirl does not reproduce the full twirled state).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .paulis import SINGLE_QUBIT_PAULIS
+from .states import _read_only
 
 SYMPLECTIC_LABELS = ("S1.0", "S1.1", "S1.2", "S2.x", "S2.y", "S2.z")
 PAULI_FIRST_CHOICES = ("I", "Z")
 PAULI_SECOND_CHOICES = ("X", "Y")
+
+#: (sigma_mu x sigma_nu) / 2 on one qubit's bits (a, i), flattened over
+#: ((a, i), (b, j)): an orthonormal basis of the Hermitian 4 x 4 matrices
+_PAULIS = np.array([SINGLE_QUBIT_PAULIS[c] for c in "IXYZ"])
+PAULI_PAIRS = np.einsum("mab,nij->mnaibj", _PAULIS, _PAULIS).reshape(16, 16) / 2
 
 
 def _symplectic_matrices() -> dict[str, np.ndarray]:
@@ -85,6 +92,18 @@ class CliffordPool:
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def superops(self) -> np.ndarray:
+        """(2K, 16) coefficients of conj(C[a, x]) C[b, x] C[i, 0] conj(C[j, 0]) on
+        ``PAULI_PAIRS``, one row per element C and outcome x, built once per pool.
+
+        Each is half a product of Bloch components of C|x> and C|0>, 0 or +-1 for a
+        Clifford; rounding to that grid keeps tables of untouched qubits exact.
+        """
+        c = np.array([e.matrix for e in self.elements])
+        s = np.einsum("kax,kbx,ki,kj->kxaibj", c.conj(), c, c[:, :, 0], c[:, :, 0].conj())
+        return _read_only(np.rint(2 * (s.reshape(2 * self.size, 16) @ PAULI_PAIRS.T).real) / 2)
 
 
 def build_pool(

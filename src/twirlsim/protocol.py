@@ -8,16 +8,15 @@ nonempty sub-subsets of a target set combine, inclusion-exclusion style,
 into the channel's collective coefficient on exactly that set (plus any
 higher-weight tail the channel carries).
 
-Both modes share one engine and one table. One Gram pass over the channel
-operators reduces the channel to a 4^m x 4^m map on the m measured qubits,
-summed over the basis states of the others. A dense array gives its columns
-over all 2^(n-m) basis states of the others; a ``Monomial`` scatters its 2^m
-nonzeros per basis state into 2^m row slots (``_factor``) and gives the same
-map bit for bit. Twirling the map one qubit at a time gives the outcome table
-of every assignment, and one readout turns an outcome histogram into every
-sub-decay. Exact mode sums the table over all assignments. Sampled mode draws
-the histogram of N independent shots from that table as one multinomial,
-from a counter-based generator keyed by the seed.
+Both modes share one engine and one table. One Gram product per basis state
+of the other qubits, summed over those states, reduces each channel operator
+to a 4^m x 4^m map on the m measured qubits: a dense array's product runs
+over its columns, a ``Monomial``'s over its 2^m nonzeros only, and gives the
+same map bit for bit. Twirling the map one qubit at a time gives the outcome
+table of every assignment, and one readout turns an outcome histogram into
+every sub-decay. Exact mode sums the table over all assignments. Sampled mode
+draws the histogram of N independent shots from that table as one
+multinomial, from a counter-based generator keyed by the seed.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .cliffords import CliffordPool, build_pool
-from .paulis import SINGLE_QUBIT_PAULIS, ChiDiagonal, _letters
+from .cliffords import PAULI_PAIRS, CliffordPool, build_pool
+from .paulis import ChiDiagonal, _letters
 from .states import (
     ATOL, MAX_QUBITS, Monomial, QuantumChannel, _finite, _integer, _validate_subset,
     apply_local, checked_probability, outcome_codes)
@@ -148,53 +147,52 @@ class ErrorBudget:
                 raise ValueError(f"{name} error must be finite and nonnegative, got {v}")
 
 
-#: entries of the largest array built per block of complement states: 256 KB
-#: bounds the peak memory of the Gram pass; no block size changes a bit
+#: entries of the largest array a dense term's Gram pass builds per block of
+#: complement states: 256 KB bounds its peak memory; no block size changes a bit
 BLOCK = 2**14
 
-#: (sigma_mu x sigma_nu) / 2 on one qubit's bits (a, i), flattened over
-#: ((a, i), (b, j)): an orthonormal basis of the Hermitian 4 x 4 matrices
-_PAULIS = np.array([SINGLE_QUBIT_PAULIS[c] for c in "IXYZ"])
-_PAULI_PAIRS = np.einsum("mab,nij->mnaibj", _PAULIS, _PAULIS).reshape(16, 16) / 2
 
-
-def _factor(op: np.ndarray | Monomial, index: np.ndarray, flips: np.ndarray) -> np.ndarray:
-    """x[f, r, (a, i)] = A[(a, r), (i, f)] for each f in ``flips``: the operator's
-    columns (i, f), their rows split into target bits a and the others' bits r.
-
-    A dense operator gives all 2^(n-m) rows r. A ``Monomial`` has one nonzero
-    per column, M = 2^m per flip, so a flip's map needs only M row slots:
-    column (i, f) goes to slot i', the first column of the flip whose nonzero
-    has the same r. The slots keep every pair of columns that shares an r and
-    nothing else, so each entry of the flip's Gram product is the same one
-    nonzero product as over all rows r.
-    """
-    M, F, R = index.shape[0], len(flips), index.shape[1]
-    if not isinstance(op, Monomial):
-        cols, rows = index[:, flips].T.ravel(), index.T.ravel()
+def _dense_map(op: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The 4^m x 4^m map of ``_summed_table`` for a dense term, from
+    x[f, r, (a, i)] = A[(a, r), (i, f)]: the columns (i, f), their rows split
+    into target bits a and the others' bits r. A flip f's factor has R x M^2
+    entries and its map M^2 x M^2; a block holds as many flips as ``BLOCK`` allows."""
+    M, R = index.shape
+    step, total = max(1, BLOCK // max(M**4, M * M * R)), 0.0
+    for f in range(0, R, step):
         # columns first, so that rows are read in runs
-        x = op.take(cols, axis=1)[rows].reshape(-1, M, F, M).transpose(2, 0, 1, 3)
-        return x.reshape(F, R, M * M)
+        x = op.take(index[:, f:f + step].T.ravel(), axis=1)[index.T.ravel()]
+        x = x.reshape(R, M, -1, M).transpose(2, 0, 1, 3).reshape(-1, R, M * M)
+        gram = x.transpose(0, 2, 1) @ x.conj()
+        gram[0] += total
+        total = gram.sum(axis=0)
+    return total
+
+
+def _monomial_map(op: Monomial, index: np.ndarray) -> np.ndarray:
+    """The 4^m x 4^m map of ``_summed_table`` for a monomial term, whose flip f
+    has M = 2^m nonzeros: column (i, f) holds one in row (a_i, r_i).
+
+    Column i goes to row slot i', the first column of the flip whose nonzero
+    has the same r. The slots keep every pair of columns that shares an r and
+    nothing else, so the flip's M x M Gram product over its slots holds each
+    nonzero product of the map, added at ((a_i, i), (a_j, j)). The factor is
+    padded to 4 columns at m = 1: OpenBLAS rounds a 2 x 2 complex product in
+    another kernel than a wider one, up to 1 ulp off the dense factor's bits.
+    """
+    M, R = index.shape
     place = np.empty(index.size, dtype=np.int64)
     place[index.ravel()] = np.arange(index.size)
-    cols = index[:, flips].T
-    a, r = np.divmod(place[op.rows[cols]], R)
+    a, r = np.divmod(place[op.rows[index.T]], R)
     slot = (r[:, :, None] == r[:, None, :]).argmax(axis=2)
-    x = np.zeros((F, M, M * M), dtype=complex)
-    x[np.arange(F)[:, None], slot, a * M + np.arange(M)] = op.phases[cols]
-    return x
-
-
-def _local_superops(pool: CliffordPool) -> np.ndarray:
-    """(2K, 16) coefficients of conj(C[a, x]) C[b, x] C[i, 0] conj(C[j, 0])
-    on ``_PAULI_PAIRS``, one row per pool element C and outcome x.
-
-    Each is half a product of Bloch components of C|x> and C|0>, 0 or +-1 for a
-    Clifford; rounding to that grid keeps tables of untouched qubits exact.
-    """
-    c = np.array([e.matrix for e in pool.elements])
-    s = np.einsum("kax,kbx,ki,kj->kxaibj", c.conj(), c, c[:, :, 0], c[:, :, 0].conj())
-    return np.rint(2 * (s.reshape(2 * pool.size, 16) @ _PAULI_PAIRS.T).real) / 2
+    x = np.zeros((R, M, max(M, 4)), dtype=complex)
+    x[np.arange(R)[:, None], slot, np.arange(M)] = op.phases[index.T]
+    gram = (x.transpose(0, 2, 1) @ x.conj())[:, :M, :M]
+    row = a * M + np.arange(M)
+    # flip-major, so that each entry adds its flips' products in flip order
+    at = (row[:, :, None] * M * M + row[:, None, :]).ravel()
+    total = [np.bincount(at, part.ravel(), M**4) for part in (gram.real, gram.imag)]
+    return np.stack(total, axis=-1).view(complex).reshape(M * M, M * M)
 
 
 def _twirl_table(reduced: np.ndarray, superops: np.ndarray, m: int) -> np.ndarray:
@@ -204,13 +202,13 @@ def _twirl_table(reduced: np.ndarray, superops: np.ndarray, m: int) -> np.ndarra
     digit i of k in base K, first qubit most significant (the order of
     itertools.product over the pool); column x holds the target's outcome
     bits (first most significant) after C^dag S(C |0, f><0, f| C^dag) C.
-    A map is Hermitian: its coefficients on products of ``_PAULI_PAIRS`` are real.
+    A map is Hermitian: its coefficients on products of ``PAULI_PAIRS`` are real.
     """
     K = superops.shape[0] // 2
     # per-qubit groups (a_q, i_q, b_q, j_q) first
     t = reduced.reshape((2,) * (4 * m))
     t = t.transpose([p + g * m for p in range(m) for g in range(4)])
-    t = apply_local([_PAULI_PAIRS.conj()] * m, t).real
+    t = apply_local([PAULI_PAIRS.conj()] * m, t).real
     t = apply_local([superops] * m, t).reshape((K, 2) * m)
     return t.transpose(*range(0, 2 * m, 2), *range(1, 2 * m, 2)).reshape(K**m, 2**m)
 
@@ -221,32 +219,23 @@ def _summed_table(channel: QuantumChannel, qs: tuple[int, ...], pool: CliffordPo
     state f of the qubits outside ``qs``: the twirl of |0> on ``qs`` with the
     rest maximally mixed, unnormalized (each row sums to 2^(n-m)).
 
-    One Gram pass reduces each term to the 4^m x 4^m map
-    sum_f sum_r A[(a, r), (i, f)] conj(A[(b, r), (j, f)]) on the target, from
-    the factor x that ``_factor`` reads; ``index[i, f]`` is the basis state
-    with bits i on the target and f on the other qubits. The per-flip Gram
-    products are added one after another, whatever the block, and each term's
-    sum is weighted once, so a monomial term gives the same table as the same
-    operator stored dense, bit for bit.
+    Each term reduces to the 4^m x 4^m map sum_f sum_r A[(a, r), (i, f)]
+    conj(A[(b, r), (j, f)]) on the target, one Gram product per flip f
+    (``_dense_map``, ``_monomial_map``), with ``index[i, f]`` the basis state of
+    bits i on the target and f on the others. The per-flip products are added
+    one after another, whatever the block, and each term's sum is weighted
+    once, so a monomial term gives the same table as its dense twin, bit for bit.
     """
     if len(qs) > MAX_EXACT_SUBSET:
         raise ValueError(f"decays support at most {MAX_EXACT_SUBSET} measured qubits")
     n, m = channel.n, len(qs)
     # basis states by target bits, then by the other qubits' bits
     index = np.argsort(outcome_codes(n, qs), kind="stable").reshape(2**m, -1)
-    flips = np.arange(index.shape[1])
     reduced = 0.0
     for w, op in channel.terms:
-        # per flip: a dense factor's 2^(n-m) x 4^m entries, and the 4^m x 4^m map
-        step = max(1, BLOCK // (16**m if isinstance(op, Monomial) else max(16**m, 2 ** (n + m))))
-        total = 0.0
-        for f in range(0, len(flips), step):
-            x = _factor(op, index, flips[f:f + step])
-            gram = x.transpose(0, 2, 1) @ x.conj()
-            gram[0] += total
-            total = gram.sum(axis=0)
-        reduced = reduced + w * total
-    return _twirl_table(reduced, _local_superops(pool), m)
+        reduce = _monomial_map if isinstance(op, Monomial) else _dense_map
+        reduced = reduced + w * reduce(op, index)
+    return _twirl_table(reduced, pool.superops, m)
 
 
 def _parts(qs: tuple[int, ...]) -> list[tuple[int, ...]]:

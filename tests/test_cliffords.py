@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twirlsim import (
+    CliffordPool,
     QuantumChannel,
     build_pool,
     cnot_gate,
@@ -103,6 +104,17 @@ class TestPools:
     def test_parse_pool_takes_only_exact_forms(self, text):
         with pytest.raises(ValueError):
             parse_pool(text)
+
+    def test_superops_built_once_per_pool_object(self):
+        # every campaign on a pool reads one read-only array; a pool that a
+        # caller builds under another pool's label keeps its own coefficients
+        pool = build_pool()
+        assert pool.superops is pool.superops
+        assert not pool.superops.flags.writeable
+        assert pool.superops.shape == (2 * pool.size, 16)
+        impostor = CliffordPool(build_pool("minimal-6", "S2").elements, pool.label)
+        assert not np.array_equal(impostor.superops, pool.superops)
+        assert np.array_equal(impostor.superops, build_pool("minimal-6", "S2").superops)
 
 
 class TestTwirlExact:

@@ -31,6 +31,7 @@ from twirlsim import (
     run_exact_campaign,
     run_sampled_campaign,
     time_suspension_sequence,
+    zz_coupling,
 )
 from twirlsim import protocol
 from twirlsim.cli import ExperimentConfig, run_experiment
@@ -156,16 +157,19 @@ def test_sampled_peak_independent_of_shots():
 
 
 @pytest.mark.parametrize("case", ["cnot-n7-pair", "full24-n8-triple-cyclic",
-                                  "ensemble-n5-per-shot"])
+                                  "ensemble-n5-per-shot", "cnot-n7-pair-dense",
+                                  "full24-n8-triple-cyclic-dense"])
 def test_sampled_estimates_independent_of_blocks(case, monkeypatch):
     # one flip per block, the default blocks and one block for every flip add
     # the per-flip maps in the same order, so both modes give the same bits;
-    # the ensemble case keeps its name from the retired per-shot-ensemble option
+    # the ensemble case keeps its name from the retired per-shot-ensemble option.
+    # A monomial term is reduced without blocks, so the CNOT cases also run
+    # stored dense ("-dense"), where several blocks cover n = 7 and 8
     rng = np.random.default_rng(15)
-    if case == "cnot-n7-pair":
+    if case.startswith("cnot-n7-pair"):
         args = (QuantumChannel.from_unitary(cnot_gate(1, 2, 7)), (1, 2), plan_from_count(3000))
         options = {"seed": 4}
-    elif case == "full24-n8-triple-cyclic":
+    elif case.startswith("full24-n8-triple-cyclic"):
         args = (QuantumChannel.from_unitary(cnot_gate(1, 2, 8)), (1, 2, 3),
                 plan_from_count(3000), build_pool("full-24"))
         options = {"seed": 5, "assignment_order": "cyclic"}
@@ -174,6 +178,8 @@ def test_sampled_estimates_independent_of_blocks(case, monkeypatch):
             [(0.7, random_unitary(32, rng)), (0.3, random_monomial(5, rng))])
         args = (channel, (2, 4), plan_from_count(3000))
         options = {"seed": 6}
+    if case.endswith("-dense"):
+        args = (dense_twin(args[0]),) + args[1:]
     exact_args = args[:2] + args[3:]
     want = bits(run_sampled_campaign(*args, **options)), bits(run_exact_campaign(*exact_args))
     for block in (1, 2**30):
@@ -205,8 +211,9 @@ def test_sampled_shots_neither_hashed_nor_sorted(monkeypatch):
 
 
 def test_sampled_ten_qubit_cnot_never_densified():
-    # the CNOT is stored as (rows, phases) and read through its compact factor;
-    # writing it out as a matrix anywhere on the way would trace 16 MB
+    # the CNOT is stored as (rows, phases) and reduced from its 2^10 nonzeros,
+    # one 2^m x 2^m Gram product per basis state of the other qubits; writing
+    # it out as a matrix anywhere on the way would trace 16 MB
     config = ExperimentConfig(gate="cnot", n=10, subsets=((1, 2),), mode="sampled",
                               realizations=4000)
     run_experiment(config)
@@ -257,6 +264,34 @@ def test_monomial_terms_match_dense_storage(n):
             want = [bits(run_exact_campaign(channel, target, pool)),
                     bits(run_sampled_campaign(channel, target, plan, pool, seed=n))]
             for twin in twins:
+                got = [bits(run_exact_campaign(twin, target, pool)),
+                       bits(run_sampled_campaign(twin, target, plan, pool, seed=n))]
+                assert got == want, (n, target, twin.kind)
+
+
+@pytest.mark.parametrize("n, ms", [(8, (1, 2, 3)), (10, (1, 2))], ids=["n8", "n10"])
+def test_monomial_terms_match_dense_storage_at_benchmark_shapes(n, ms):
+    # the benchmark's registers: cnot and c12 on targets that hold their pair,
+    # and a random monomial on a random target, each give the decays of their
+    # dense and Kraus twins bit for bit, in both modes. The summed tables are
+    # compared byte for byte as well, since readout rounding can hide a 1-ulp
+    # drift of a table entry
+    rng = np.random.default_rng([n, 19])
+    pool, plan = build_pool(), plan_from_count(400)
+    for op, drawn in ((cnot_gate(1, 2, n).data, False),
+                      (zz_coupling(0.3, (1, 2), n).data, False), (random_monomial(n, rng), True)):
+        single = QuantumChannel.from_unitary(op)
+        assert isinstance(single.terms[0][1], Monomial)
+        twins = (QuantumChannel.from_kraus([dense(op)]), dense_twin(single))
+        for m in ms:
+            qubits = rng.choice(np.arange(1, n + 1), m, replace=False) if drawn else range(1, m + 1)
+            target = tuple(sorted(int(q) for q in qubits))
+            table = protocol._summed_table(single, target, pool).tobytes()
+            want = [bits(run_exact_campaign(single, target, pool)),
+                    bits(run_sampled_campaign(single, target, plan, pool, seed=n))]
+            for twin in twins:
+                assert protocol._summed_table(twin, target, pool).tobytes() == table, (
+                    n, target, twin.kind)
                 got = [bits(run_exact_campaign(twin, target, pool)),
                        bits(run_sampled_campaign(twin, target, plan, pool, seed=n))]
                 assert got == want, (n, target, twin.kind)
