@@ -8,29 +8,23 @@ from .states import DimensionError, QuantumChannel, UnitaryMatrix
 from .paulis import (
     ChiDiagonal,
     CollectiveCoefficients,
-    PauliString,
     chi_diagonal,
     collective_coefficients,
     max_weight_coefficient,
-    pauli_weight,
 )
 from .cliffords import (
     CliffordElement,
     CliffordPool,
     build_pool,
-    enumerate_cliffords,
-    minimal_pool_choices,
     parse_pool,
 )
 from .protocol import (
     DecayEstimate,
     ErrorBudget,
-    ExperimentCounts,
     SamplePlan,
     combine_subset,
     decay_error_bound,
     derive_seed,
-    experiment_counts,
     fidelity_decay_from_chi,
     plan_from_count,
     plan_realizations,
@@ -56,12 +50,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DimensionError", "QuantumChannel", "UnitaryMatrix",
-    "ChiDiagonal", "CollectiveCoefficients", "PauliString", "chi_diagonal",
-    "collective_coefficients", "max_weight_coefficient", "pauli_weight",
-    "CliffordElement", "CliffordPool", "build_pool", "enumerate_cliffords",
-    "minimal_pool_choices", "parse_pool",
-    "DecayEstimate", "ErrorBudget", "ExperimentCounts", "SamplePlan",
-    "combine_subset", "decay_error_bound", "derive_seed", "experiment_counts",
+    "ChiDiagonal", "CollectiveCoefficients", "chi_diagonal",
+    "collective_coefficients", "max_weight_coefficient",
+    "CliffordElement", "CliffordPool", "build_pool",
+    "parse_pool",
+    "DecayEstimate", "ErrorBudget", "SamplePlan",
+    "combine_subset", "decay_error_bound", "derive_seed",
     "fidelity_decay_from_chi", "plan_from_count", "plan_realizations",
     "run_exact_campaign", "run_sampled_campaign",
     "sampled_coefficient_error", "subset_coefficient_error",

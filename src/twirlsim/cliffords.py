@@ -57,10 +57,6 @@ class CliffordElement:
     pauli: str
     matrix: np.ndarray
 
-    @property
-    def label(self) -> str:
-        return f"{self.symplectic}*{self.pauli}"
-
 
 def _build_elements() -> tuple[CliffordElement, ...]:
     sym = _symplectic_matrices()
@@ -74,11 +70,6 @@ def _build_elements() -> tuple[CliffordElement, ...]:
 
 
 _ELEMENTS = _build_elements()
-
-
-def enumerate_cliffords() -> tuple[CliffordElement, ...]:
-    """All 24 single-qubit Cliffords, pairwise distinct up to global phase."""
-    return _ELEMENTS
 
 
 @dataclass(frozen=True)
@@ -134,14 +125,6 @@ def build_pool(
         chosen = tuple(e for e in subset if e.pauli in (p1, p2))
         return CliffordPool(chosen, f"{symplectic}:{p1}:{p2}")
     raise ValueError(f"unknown pool kind {kind!r}")
-
-
-def minimal_pool_choices() -> list[tuple[str, str, str]]:
-    """The 8 (symplectic, pauli1, pauli2) choices that define 6-element pools."""
-    return [(s, p1, p2)
-            for s in ("S1", "S2")
-            for p1 in PAULI_FIRST_CHOICES
-            for p2 in PAULI_SECOND_CHOICES]
 
 
 def parse_pool(text: str) -> CliffordPool:

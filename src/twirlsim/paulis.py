@@ -8,12 +8,13 @@ is the ground truth every protocol estimate is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .states import ATOL, QuantumChannel, _register_size, _validate_subset, apply_local, dense
+from .states import (
+    ATOL, QuantumChannel, _integer, _register_size, _validate_subset, apply_local, dense)
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -28,37 +29,6 @@ CLAMP_TOL = 1e-12
 
 #: the chi diagonal holds 4^n validated entries; keep the oracle at desk scale
 MAX_CHI_QUBITS = 6
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """A tensor product of I/X/Y/Z factors, one letter per qubit."""
-
-    letters: str
-    n: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.letters or any(c not in "IXYZ" for c in self.letters):
-            raise ValueError(f"invalid Pauli string {self.letters!r}")
-        object.__setattr__(self, "n", len(self.letters))
-
-    @property
-    def weight(self) -> int:
-        """Number of non-identity factors."""
-        return sum(1 for c in self.letters if c != "I")
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """1-based labels of the qubits carrying a non-identity factor."""
-        return tuple(i + 1 for i, c in enumerate(self.letters) if c != "I")
-
-    def __str__(self) -> str:
-        return self.letters
-
-
-def pauli_weight(s: PauliString | str) -> int:
-    """Count of non-identity letters (number of qubits the term touches)."""
-    return PauliString(str(s)).weight
 
 
 #: sigma^T of I, X, Y, Z flattened over one qubit's (row, column) bits
@@ -115,12 +85,9 @@ class ChiDiagonal:
         object.__setattr__(self, "values", arr)
 
     def __getitem__(self, label: str) -> float:
-        if PauliString(label).n != self.n:
-            raise ValueError(f"string {label!r} does not span {self.n} qubits")
+        if len(label) != self.n or not set(label) <= set("IXYZ"):
+            raise ValueError(f"{label!r} is not a Pauli string on {self.n} qubits")
         return float(self.values.reshape((4,) * self.n)[tuple(map("IXYZ".index, label))])
-
-    def total(self) -> float:
-        return float(self.values.sum())
 
 
 @dataclass(frozen=True)
@@ -148,9 +115,6 @@ class CollectiveCoefficients:
 
     def __getitem__(self, subset: Iterable[int]) -> float:
         return self.values.get(_validate_subset(subset, self.n), 0.0)
-
-    def total(self) -> float:
-        return sum(self.values.values())
 
     def max_at_weight(self, low: int, high: int) -> float:
         vals = [v for s, v in self.values.items() if low <= len(s) <= high]
@@ -201,6 +165,7 @@ def collective_coefficients(chi: ChiDiagonal) -> CollectiveCoefficients:
 
 def max_weight_coefficient(chi: ChiDiagonal, above: int) -> float:
     """Largest collective coefficient on any subset of more than ``above`` qubits."""
+    above = _integer(above, "weight cutoff")
     if not 0 <= above <= chi.n:
         raise ValueError(f"weight cutoff {above} out of range 0..{chi.n}")
     cc = collective_coefficients(chi)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -103,6 +103,7 @@ class SamplePlan:
     realizations: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "realizations", _integer(self.realizations, "realization count"))
         floor = max(_required_counts(self.delta, self.epsilon))
         if floor > MAX_REALIZATIONS:
             raise ValueError(f"delta {self.delta} and epsilon {self.epsilon} need more than "
@@ -115,12 +116,6 @@ class SamplePlan:
                 f"{self.realizations} realizations fall below the floor of {floor} "
                 f"for delta {self.delta} and epsilon {self.epsilon}")
 
-    @property
-    def dominant_bound(self) -> str:
-        """Which count sets the floor: ``chernoff``, ``clt`` or ``tie``."""
-        chernoff, clt = _required_counts(self.delta, self.epsilon)
-        return "chernoff" if chernoff > clt else "clt" if clt > chernoff else "tie"
-
 
 def plan_realizations(delta: float, epsilon: float) -> SamplePlan:
     """The smallest plan for precision ``delta`` at failure rate ``epsilon``."""
@@ -129,6 +124,7 @@ def plan_realizations(delta: float, epsilon: float) -> SamplePlan:
 
 def plan_from_count(realizations: int) -> SamplePlan:
     """Plan for an explicitly chosen N; implies precision 1/sqrt(N)."""
+    realizations = _integer(realizations, "realization count")
     if realizations <= 0:
         raise ValueError(f"realization count must be positive, got {realizations}")
     return SamplePlan(1.0 / math.sqrt(realizations), CLT_EPSILON, realizations)
@@ -378,30 +374,6 @@ def decay_error_bound(budget: ErrorBudget, decay: float) -> float:
         return math.sqrt(budget.preparation**2 * (1.0 + 4.0 * decay) + budget.clifford**2)
     except OverflowError:
         return math.inf
-
-
-class ExperimentCounts(NamedTuple):
-    """(protocol experiments, full process-tomography experiments)."""
-
-    protocol: int
-    process_tomography: int
-
-
-def experiment_counts(n: int, w: int, realizations: int) -> ExperimentCounts:
-    """Experiments to cover every w-qubit subset, next to the tomography cost.
-
-    N (n choose w) experiments measure every subset of w qubits; exhaustive
-    process tomography of the same register needs N 2^(4n). Exact integers,
-    no overflow.
-    """
-    n, w = _integer(n, "register size"), _integer(w, "weight cutoff")
-    realizations = _integer(realizations, "realization count")
-    if not 1 <= w <= n:
-        raise ValueError(f"weight cutoff {w} out of range 1..{n}")
-    if realizations < 0:
-        raise ValueError("realization count cannot be negative")
-    return ExperimentCounts(realizations * math.comb(n, w),
-                            realizations * 2 ** (4 * n))
 
 
 def derive_seed(seed: int, index: int) -> int:

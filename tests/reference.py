@@ -17,7 +17,7 @@ from functools import reduce
 
 import numpy as np
 
-from twirlsim import CliffordPool, QuantumChannel, build_pool, minimal_pool_choices
+from twirlsim import CliffordPool, QuantumChannel, build_pool
 from twirlsim.states import dense
 
 #: tolerance of the density-matrix checks on every twirled state
@@ -29,6 +29,13 @@ SIGMAS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.diag([1.0, -1.0]).astype(complex),
 }
+
+
+def minimal_pool_choices() -> list[tuple[str, str, str]]:
+    """The 8 (symplectic, pauli1, pauli2) choices that define 6-element pools:
+    one S half, one Pauli from {I, Z} and one from {X, Y}."""
+    return [(s, p1, p2) for s in ("S1", "S2") for p1 in "IZ" for p2 in "XY"]
+
 
 TEN_POOLS = [build_pool("full-24"), build_pool("half-12")] + [
     build_pool("minimal-6", symplectic=s, pauli_pair=(p1, p2))

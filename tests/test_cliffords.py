@@ -8,12 +8,11 @@ from twirlsim import (
     QuantumChannel,
     build_pool,
     cnot_gate,
-    enumerate_cliffords,
-    minimal_pool_choices,
     parse_pool,
 )
 from conftest import random_unitary, random_unitary_ensemble
-from reference import initial_state, partial_trace, pool_projections, projection, twirl
+from reference import (
+    initial_state, minimal_pool_choices, partial_trace, pool_projections, projection, twirl)
 
 SIGMAS = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -24,35 +23,36 @@ SIGMAS = {
 
 class TestEnumeration:
     def test_count_is_24(self):
-        assert len(enumerate_cliffords()) == 24
+        assert len(build_pool("full-24").elements) == 24
 
     def test_contains_identity(self):
-        els = enumerate_cliffords()
+        els = build_pool("full-24").elements
         ident = [e for e in els if e.symplectic == "S1.0" and e.pauli == "I"]
         assert len(ident) == 1
         assert np.allclose(ident[0].matrix, np.eye(2))
 
     def test_pairwise_distinct_up_to_phase(self):
-        els = enumerate_cliffords()
+        els = build_pool("full-24").elements
         for a, b in itertools.combinations(els, 2):
             overlap = abs(np.trace(a.matrix.conj().T @ b.matrix)) / 2
-            assert overlap < 1 - 1e-9, f"{a.label} ~ {b.label}"
+            assert overlap < 1 - 1e-9, f"{a.symplectic}*{a.pauli} ~ {b.symplectic}*{b.pauli}"
 
     def test_conjugation_closure(self):
         # every element maps each sigma to a signed sigma
-        for el in enumerate_cliffords():
+        for el in build_pool("full-24").elements:
             for name, sigma in SIGMAS.items():
                 conj = el.matrix @ sigma @ el.matrix.conj().T
                 matches = [abs(np.trace(other @ conj) / 2)
                            for other in SIGMAS.values()]
-                assert max(matches) == pytest.approx(1.0, abs=1e-9), (el.label, name)
+                assert max(matches) == pytest.approx(1.0, abs=1e-9), (
+                    f"{el.symplectic}*{el.pauli}", name)
 
     def test_inverse_matrix(self):
-        for el in enumerate_cliffords():
+        for el in build_pool("full-24").elements:
             assert np.allclose(el.matrix.conj().T @ el.matrix, np.eye(2))
 
     def test_conjugation_is_signed_permutation(self):
-        for el in enumerate_cliffords():
+        for el in build_pool("full-24").elements:
             images = []
             for sigma in SIGMAS.values():
                 conj = el.matrix @ sigma @ el.matrix.conj().T

@@ -1,7 +1,7 @@
-"""The package's public surface, the independence of the test references, the
-absence of dense Kronecker products from the package, the one owner of the
-register-size range and of qubit labels, the one module that touches files, and
-the README's quick tour and config block."""
+"""The package's public surface and a caller for each public name, the
+independence of the test references, the absence of dense Kronecker products
+from the package, the one owner of the register-size range and of qubit labels,
+the one module that touches files, and the README's quick tour and config block."""
 
 import ast
 import dataclasses
@@ -15,6 +15,7 @@ import twirlsim
 from twirlsim.cli import ExperimentConfig
 
 REFERENCE = Path(__file__).with_name("reference.py")
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 README = Path(__file__).parent.parent / "README.md"
 SOURCES = sorted(Path(twirlsim.__file__).parent.glob("*.py"))
 
@@ -29,6 +30,21 @@ def test_all_lists_every_public_binding():
     bound = {name for name, value in vars(twirlsim).items()
              if not name.startswith("_") and not inspect.ismodule(value)}
     assert bound == set(twirlsim.__all__)
+
+
+def test_every_public_name_has_a_caller():
+    # a public name is read by another part of the package (not at its definition,
+    # nor by the package root's re-export), by the README or by the acceptance tests
+    used = set(re.findall(r"\w+", README.read_text() + ACCEPTANCE.read_text()))
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    assert sorted(set(twirlsim.__all__) - used) == []
 
 
 def test_reference_shares_nothing_with_the_engine():

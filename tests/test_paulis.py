@@ -7,14 +7,12 @@ import pytest
 from twirlsim import (
     ChiDiagonal,
     CollectiveCoefficients,
-    PauliString,
     QuantumChannel,
     chi_diagonal,
     cnot_gate,
     UnitaryMatrix,
     collective_coefficients,
     max_weight_coefficient,
-    pauli_weight,
     zz_coupling,
 )
 from twirlsim.states import dense
@@ -26,24 +24,6 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
 class TestPauliString:
-    def test_rejects_bad_letters(self):
-        with pytest.raises(ValueError):
-            PauliString("XQ")
-        with pytest.raises(ValueError):
-            PauliString("")
-
-    @pytest.mark.parametrize("letters,weight", [
-        ("IIII", 0),
-        ("XIZI", 2),
-        ("XYZX", 4),
-    ])
-    def test_weight(self, letters, weight):
-        assert pauli_weight(letters) == weight
-        assert PauliString(letters).weight == weight
-
-    def test_support(self):
-        assert PauliString("IXIZ").support == (2, 4)
-
     def test_identity_matrix(self):
         assert np.array_equal(pauli("II"), np.eye(4))
 
@@ -129,7 +109,7 @@ class TestChiDiagonal:
         chi = chi_diagonal(QuantumChannel.from_unitary(cnot_gate(1, 2, n=2)))
         for lab in ("II", "ZI", "IX", "ZX"):
             assert chi[lab] == pytest.approx(0.25, abs=1e-12)
-        assert chi.total() == pytest.approx(1.0, abs=1e-12)
+        assert chi.values.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_linearity_in_ensemble(self, rng):
         u1 = random_unitary(4, rng)
@@ -190,7 +170,7 @@ class TestChiDiagonal:
 class TestCollectiveCoefficients:
     def test_identity_channel_all_zero(self):
         cc = collective_coefficients(chi_diagonal(QuantumChannel.identity(2)))
-        assert cc.total() < 1e-12
+        assert sum(cc.values.values()) < 1e-12
 
     def test_cnot(self):
         cc = collective_coefficients(chi_diagonal(QuantumChannel.from_unitary(cnot_gate(1, 2, n=2))))
@@ -209,8 +189,8 @@ class TestCollectiveCoefficients:
         chi = chi_diagonal(QuantumChannel.from_unitary(u))
         cc = collective_coefficients(chi)
         off_identity = sum(chi.values[1:])
-        assert cc.total() == pytest.approx(off_identity, abs=1e-12)
-        assert cc.total() == pytest.approx(1.0 - chi["III"], abs=1e-9)
+        assert sum(cc.values.values()) == pytest.approx(off_identity, abs=1e-12)
+        assert sum(cc.values.values()) == pytest.approx(1.0 - chi["III"], abs=1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_equals_label_loop(self, n, rng):
@@ -299,3 +279,6 @@ class TestMaxWeightCoefficient:
         chi = chi_diagonal(QuantumChannel.identity(2))
         with pytest.raises(ValueError):
             max_weight_coefficient(chi, 5)
+        for above in (1.5, True):
+            with pytest.raises(ValueError, match=f"weight cutoff {above!r} is not an integer"):
+                max_weight_coefficient(chi, above)

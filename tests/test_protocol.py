@@ -15,7 +15,6 @@ from twirlsim import (
     cnot_gate,
     combine_subset,
     decay_error_bound,
-    experiment_counts,
     fidelity_decay_from_chi,
     plan_from_count,
     plan_realizations,
@@ -267,12 +266,11 @@ class TestSamplePlanning:
     def test_chernoff_dominated(self):
         plan = plan_realizations(0.01, 0.05)
         assert plan.realizations == 18445
-        assert plan.dominant_bound == "chernoff"
+        assert plan.realizations > 1 / 0.01**2  # the central-limit count
 
     def test_clt_dominated(self):
         plan = plan_realizations(0.3, 0.5)
         assert plan.realizations == 12
-        assert plan.dominant_bound == "clt"
         assert math.ceil(math.log(4) / (2 * 0.3**2)) == 8
 
     def test_bounds_coincide(self):
@@ -282,7 +280,6 @@ class TestSamplePlanning:
         chernoff = math.ceil(math.log(2 / eps) / (2 * (2 * math.exp(-2)) ** 2))
         clt = math.ceil(1 / (2 * math.exp(-2)) ** 2)
         assert chernoff == clt == plan.realizations
-        assert plan.dominant_bound == "tie"
 
     @pytest.mark.parametrize("delta,eps", [(0.0, 0.1), (1.0, 0.1), (0.1, 0.0), (0.1, 1.5),
                                            (1e-6, 0.1)])
@@ -311,6 +308,13 @@ class TestSamplePlanning:
         assert plan.delta == pytest.approx(1 / 200)
         with pytest.raises(ValueError):
             plan_from_count(0)
+        # a float, text or bool count is refused before any plan is built
+        for count in (100.0, "5", True):
+            with pytest.raises(ValueError, match=f"realization count {count!r} is not an integer"):
+                plan_from_count(count)
+            with pytest.raises(ValueError, match=f"realization count {count!r} is not an integer"):
+                SamplePlan(0.1, 0.5, count)
+        assert type(SamplePlan(0.1, 0.5, np.int64(100)).realizations) is int
 
     def test_sample_plan_invariant(self):
         with pytest.raises(ValueError, match="below"):
@@ -320,7 +324,7 @@ class TestSamplePlanning:
         # eps = 0.5 needs 56 shots by Chernoff, but 100 by the central-limit count
         with pytest.raises(ValueError, match="floor of 100"):
             SamplePlan(0.1, 0.5, 80)
-        assert SamplePlan(0.1, 0.5, 100).dominant_bound == "clt"
+        assert SamplePlan(0.1, 0.5, 100).realizations == 100
 
     def test_plan_from_count_accepts_every_count(self):
         # a count always meets its own precision 1/sqrt(N), up to the 10^7 cap
@@ -515,46 +519,3 @@ class TestDerivedSeeds:
         assert derive_seed(7, 0) == derive_seed(7, 0)
         assert derive_seed(7, 0) != derive_seed(7, 1)
         assert derive_seed(7, 0) != derive_seed(8, 0)
-
-
-class TestExperimentCounts:
-    def test_pair_count(self):
-        assert experiment_counts(4, 2, 1).protocol == 6
-
-    def test_single_full_set(self):
-        assert experiment_counts(4, 4, 1).protocol == 1
-
-    def test_tomography_comparison(self):
-        counts = experiment_counts(4, 2, 18445)
-        assert counts.protocol == 110670
-        assert counts.process_tomography == 18445 * 2**16
-
-    def test_large_register_exact_integers(self):
-        counts = experiment_counts(50, 2, 10)
-        assert counts.protocol == 10 * 50 * 49 // 2
-        assert counts.process_tomography == 10 * 2**200
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            experiment_counts(4, 0, 1)
-        with pytest.raises(ValueError):
-            experiment_counts(4, 5, 1)
-
-    @pytest.mark.parametrize("args, what", [
-        ((4, 2, 2.5), "realization count"),
-        ((4, 2, True), "realization count"),
-        ((4, 2, "10"), "realization count"),
-        ((4.0, 2, 10), "register size"),
-        ((False, 1, 10), "register size"),
-        ((4, "2", 10), "weight cutoff"),
-        ((4, 2.0, 10), "weight cutoff"),
-    ])
-    def test_non_integer_counts_rejected(self, args, what):
-        # the counts are exact integers, so every input must be one
-        with pytest.raises(ValueError, match=f"{what} .* is not an integer"):
-            experiment_counts(*args)
-
-    def test_numpy_integers_give_python_integers(self):
-        counts = experiment_counts(np.int64(40), np.int64(2), np.int64(10))
-        assert counts == (10 * 780, 10 * 2**160)
-        assert type(counts.protocol) is int and type(counts.process_tomography) is int
