@@ -44,13 +44,12 @@ from .protocol import (
     DecayEstimate,
     ErrorBudget,
     SamplePlan,
+    _decays,
     combine_subset,
     decay_error_bound,
     derive_seed,
     plan_from_count,
     plan_realizations,
-    run_exact_campaign,
-    run_sampled_campaign,
     sampled_coefficient_error,
     subset_coefficient_error,
 )
@@ -116,8 +115,8 @@ class ExperimentConfig:
     prep_error: float = _option(0.0, _finite)
     clifford_error: float = _option(0.0, _finite)
     out: str | None = _option(None, str, "output base path (writes .report.txt and .table.csv)")
-    threads: int = _option(1, int, "at least 1; targets run one after another, and no "
-                                   "output depends on it")
+    threads: int = _option(1, int, "at least 1; the targets of one size share one engine "
+                                   "pass, and no output depends on it")
     oracle: bool = _option(True, lambda text: _SWITCH[text.lower()],
                            f"on | off (the check runs only when n <= {MAX_CHI_QUBITS})")
     assignment_order: str = _option("random", str, choices=ASSIGNMENT_ORDERS)
@@ -187,10 +186,11 @@ def _gate_channel(config: ExperimentConfig) -> QuantumChannel:
             raise ConfigError(f"cannot parse coupling angle in {gate!r}") from exc
         return QuantumChannel.from_unitary(zz_coupling(beta, (1, 2), n))
     if gate in ("ie", "ie-sequence"):
-        if n != crotonic_preset().n:
+        register = crotonic_preset()
+        if n != register.n:
             raise ConfigError("the ie-sequence gate requires n = 4")
         seq = time_suspension_sequence(config.ie_duration, config.ie_pulse_error)
-        return QuantumChannel.from_unitary(compile_sequence(seq, crotonic_preset()))
+        return QuantumChannel.from_unitary(compile_sequence(seq, register))
     if gate.startswith(("matrix:", "ensemble:")):
         kind, _, path = gate.partition(":")
         return QuantumChannel.unitary_ensemble(_read_operators(path, kind))
@@ -287,7 +287,10 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _validate_config(config: ExperimentConfig) -> tuple[SamplePlan | None, ErrorBudget, CliffordPool]:
+def _validate_config(
+    config: ExperimentConfig,
+) -> tuple[list[tuple[int, ...]], SamplePlan | None, ErrorBudget, CliffordPool]:
+    """The checked targets (labels sorted), plan, error budget and pool of ``config``."""
     for option in fields(config):
         choices, value = option.metadata["choices"], getattr(config, option.name)
         if choices and value not in choices:
@@ -300,10 +303,11 @@ def _validate_config(config: ExperimentConfig) -> tuple[SamplePlan | None, Error
         raise ConfigError("epsilon needs delta")
     try:
         _register_size(config.n)
+        targets = []
         for subset in config.subsets:
             if not 1 <= len(subset) <= MAX_EXACT_SUBSET:
                 raise ConfigError(f"target subsets must have 1 to {MAX_EXACT_SUBSET} qubits")
-            _validate_subset(subset, config.n)
+            targets.append(_validate_subset(subset, config.n))
         pool = parse_pool(config.pool)
         budget = ErrorBudget(config.prep_error, config.clifford_error)
         # the largest eta_bound the run prints: every decay of its largest target at 1
@@ -324,35 +328,27 @@ def _validate_config(config: ExperimentConfig) -> tuple[SamplePlan | None, Error
         raise ConfigError(f"prep_error {config.prep_error} and clifford_error "
                           f"{config.clifford_error} give an infinite error bound")
     if config.mode != "sampled":
-        return None, budget, pool
+        return targets, None, budget, pool
     if config.realizations is None and config.epsilon is None:
         raise ConfigError("sampled mode needs realizations, or delta and epsilon")
-    return plan, budget, pool
+    return targets, plan, budget, pool
 
 
-def _run_subset(
-    channel: QuantumChannel,
+def _subset_result(
     config: ExperimentConfig,
     plan: SamplePlan | None,
     budget: ErrorBudget,
-    pool: CliffordPool,
     oracle: CollectiveCoefficients | None,
-    index: int,
-    subset: tuple[int, ...],
+    qs: tuple[int, ...],
+    decays: dict[tuple[int, ...], DecayEstimate],
 ) -> SubsetResult:
-    qs = _validate_subset(subset, config.n)
-    if plan is None:
-        decays = run_exact_campaign(channel, qs, pool)
-    else:
-        decays = run_sampled_campaign(
-            channel, qs, plan, pool, derive_seed(config.seed, index),
-            assignment_order=config.assignment_order)
+    """One target's block of the report, from the decays of its parts."""
     eta = combine_subset(decays)
     eta_err = (0.0 if plan is None
                else sampled_coefficient_error(eta, len(qs), plan.realizations))
     oracle_val = tail = disc = None
     if oracle is not None:
-        oracle_val = oracle[qs]
+        oracle_val = oracle.values.get(qs, 0.0)
         tail = sum(v for s, v in oracle.values.items()
                    if set(s) > set(qs))
         disc = eta - oracle_val
@@ -366,21 +362,25 @@ def _run_subset(
         bounds = {s: decay_error_bound(budget, max(0.0, min(1.0, est.value)))
                   for s, est in decays.items()}
         eta_bound = subset_coefficient_error(bounds.values())
-    return SubsetResult(qs, dict(decays), eta, eta_err, oracle_val, disc, tail,
-                        bounds, eta_bound)
+    return SubsetResult(qs, decays, eta, eta_err, oracle_val, disc, tail, bounds, eta_bound)
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
     """Execute the configured experiment over every target subset."""
-    plan, budget, pool = _validate_config(config)
+    targets, plan, budget, pool = _validate_config(config)
     channel = build_channel(config)
     oracle = (collective_coefficients(chi_diagonal(channel))
               if config.oracle and config.n <= MAX_CHI_QUBITS else None)
-    # targets run one after another: each is a chain of small numpy and BLAS
-    # calls that threads only take turns at, so a pool made them no faster
-    results = [_run_subset(channel, config, plan, budget, pool, oracle, i, s)
-               for i, s in enumerate(config.subsets)]
-    return Report(config, plan, tuple(results))
+    # one engine pass per target size; target i draws from its own stream
+    # derive_seed(seed, i), so it reads as it would alone, in config order
+    decays = {}
+    for m in {len(qs) for qs in targets}:
+        group = [i for i, qs in enumerate(targets) if len(qs) == m]
+        seeds = [derive_seed(config.seed, i) for i in group] if plan else []
+        decays.update(zip(group, _decays(channel, [targets[i] for i in group], pool, plan, seeds,
+                                         config.assignment_order)))
+    return Report(config, plan, tuple(_subset_result(config, plan, budget, oracle, qs, decays[i])
+                                      for i, qs in enumerate(targets)))
 
 
 def report_write(report: Report, out_base: str | Path) -> tuple[Path, Path]:

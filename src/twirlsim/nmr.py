@@ -57,18 +57,20 @@ def crotonic_preset() -> NmrHamiltonian:
     )
 
 
-def _z_signs(n: int, q: int) -> np.ndarray:
-    """+1/-1 per basis state for the z operator of qubit q (MSB = qubit 1)."""
-    return 1.0 - 2.0 * outcome_codes(n, [q])
+def _z_signs(n: int) -> np.ndarray:
+    """+1/-1 per basis state for the z operator of each qubit, row q - 1 for
+    qubit q (MSB = qubit 1), from one table of bits."""
+    return 1.0 - 2.0 * outcome_codes(n, np.arange(1, n + 1)[:, None])
 
 
 def hamiltonian_diagonal(h: NmrHamiltonian) -> np.ndarray:
     """Diagonal of the internal Hamiltonian in rad/s."""
+    signs = _z_signs(h.n)
     diag = np.zeros(2**h.n)
     for q, f in h.shifts_hz.items():
-        diag += math.pi * f * _z_signs(h.n, q)
+        diag += math.pi * f * signs[q - 1]
     for (j, k), coupling in h.couplings_hz.items():
-        diag += (math.pi * coupling / 2.0) * _z_signs(h.n, j) * _z_signs(h.n, k)
+        diag += (math.pi * coupling / 2.0) * signs[j - 1] * signs[k - 1]
     return diag
 
 
@@ -196,7 +198,8 @@ def zz_coupling(beta: float, pair: tuple[int, int] = (1, 2), n: int = 4) -> Unit
     k*beta exactly (commuting diagonals).
     """
     j, k = _validate_subset(pair, n)
-    phase = beta * _z_signs(n, j) * _z_signs(n, k)
+    signs = _z_signs(n)
+    phase = beta * signs[j - 1] * signs[k - 1]
     return UnitaryMatrix(Monomial(_read_only(np.arange(2**n)), _read_only(np.exp(-1j * phase))))
 
 

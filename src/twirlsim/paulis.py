@@ -85,7 +85,7 @@ class ChiDiagonal:
         object.__setattr__(self, "values", arr)
 
     def __getitem__(self, label: str) -> float:
-        if len(label) != self.n or not set(label) <= set("IXYZ"):
+        if not isinstance(label, str) or len(label) != self.n or not set(label) <= set("IXYZ"):
             raise ValueError(f"{label!r} is not a Pauli string on {self.n} qubits")
         return float(self.values.reshape((4,) * self.n)[tuple(map("IXYZ".index, label))])
 

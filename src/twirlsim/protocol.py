@@ -8,15 +8,19 @@ nonempty sub-subsets of a target set combine, inclusion-exclusion style,
 into the channel's collective coefficient on exactly that set (plus any
 higher-weight tail the channel carries).
 
-Both modes share one engine and one table. One Gram product per basis state
-of the other qubits, summed over those states, reduces each channel operator
-to a 4^m x 4^m map on the m measured qubits: a dense array's product runs
-over its columns, a ``Monomial``'s over its 2^m nonzeros only, and gives the
-same map bit for bit. Twirling the map one qubit at a time gives the outcome
-table of every assignment, and one readout turns an outcome histogram into
-every sub-decay. Exact mode sums the table over all assignments. Sampled mode
-draws the histogram of N independent shots from that table as one
-multinomial, from a counter-based generator keyed by the seed.
+Both modes share one engine and one table per target, and every target of
+one size m goes through one engine pass. One table of outcome bits and one
+stable sort order every target's basis states. One Gram product per basis
+state of the other qubits, summed over those states, reduces each channel
+operator to a 4^m x 4^m map per target: a dense array's product runs over its
+columns, a ``Monomial``'s over its 2^m nonzeros only, and gives the same map
+bit for bit. Twirling the stack of maps one qubit at a time gives each
+target's outcome table of every assignment, and one readout turns one outcome
+histogram per target into every sub-decay. Exact mode sums each table over all
+assignments. Sampled mode draws the histogram of N independent shots from a
+target's table as one multinomial, from a counter-based generator keyed by
+that target's seed. A target reads the same bits alone as among others;
+``BLOCK`` bounds the memory of a pass, whatever the number of targets.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -143,31 +147,40 @@ class ErrorBudget:
                 raise ValueError(f"{name} error must be finite and nonnegative, got {v}")
 
 
-#: entries of the largest array a dense term's Gram pass builds per block of
+#: entries of the largest array a Gram pass builds per block of targets and
 #: complement states: 256 KB bounds its peak memory; no block size changes a bit
 BLOCK = 2**14
 
 
 def _dense_map(op: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The 4^m x 4^m map of ``_summed_table`` for a dense term, from
-    x[f, r, (a, i)] = A[(a, r), (i, f)]: the columns (i, f), their rows split
-    into target bits a and the others' bits r. A flip f's factor has R x M^2
-    entries and its map M^2 x M^2; a block holds as many flips as ``BLOCK`` allows."""
-    M, R = index.shape
-    step, total = max(1, BLOCK // max(M**4, M * M * R)), 0.0
-    for f in range(0, R, step):
-        # columns first, so that rows are read in runs
-        x = op.take(index[:, f:f + step].T.ravel(), axis=1)[index.T.ravel()]
-        x = x.reshape(R, M, -1, M).transpose(2, 0, 1, 3).reshape(-1, R, M * M)
-        gram = x.transpose(0, 2, 1) @ x.conj()
-        gram[0] += total
-        total = gram.sum(axis=0)
-    return total
+    """The 4^m x 4^m map of ``_outcome_tables`` for a dense term, per target,
+    from x[t, f, r, (a, i)] = A[(a, r), (i, f)]: target t's columns (i, f),
+    their rows split into target bits a and the others' bits r. A flip f's
+    factor has R x M^2 entries and its map M^2 x M^2; a block holds as many
+    (target, flip) pairs as ``BLOCK`` allows, all flips of a target first."""
+    T, M, R = index.shape
+    per = max(1, BLOCK // max(M**4, M * M * R))
+    batch, step = max(1, per // R), min(per, R)
+    out = np.empty((T, M * M, M * M), dtype=complex)
+    for t in range(0, T, batch):
+        idx = index[t:t + batch]
+        b = len(idx)
+        rows, total = idx.transpose(0, 2, 1).reshape(b, -1), 0.0
+        for f in range(0, R, step):
+            # columns first, so that rows are read in runs
+            x = op.take(idx[:, :, f:f + step].transpose(0, 2, 1).ravel(), axis=1)
+            x = x.reshape(M * R, b, -1)[rows, np.arange(b)[:, None]]
+            x = x.reshape(b, R, M, -1, M).transpose(0, 3, 1, 2, 4).reshape(-1, R, M * M)
+            gram = (x.transpose(0, 2, 1) @ x.conj()).reshape(b, -1, M * M, M * M)
+            gram[:, 0] += total
+            total = gram.sum(axis=1)
+        out[t:t + batch] = total
+    return out
 
 
 def _monomial_map(op: Monomial, index: np.ndarray) -> np.ndarray:
-    """The 4^m x 4^m map of ``_summed_table`` for a monomial term, whose flip f
-    has M = 2^m nonzeros: column (i, f) holds one in row (a_i, r_i).
+    """The 4^m x 4^m map of ``_outcome_tables`` for a monomial term, per target;
+    target t's flip f has M = 2^m nonzeros: column (i, f) holds one in row (a_i, r_i).
 
     Column i goes to row slot i', the first column of the flip whose nonzero
     has the same r. The slots keep every pair of columns that shares an r and
@@ -175,24 +188,34 @@ def _monomial_map(op: Monomial, index: np.ndarray) -> np.ndarray:
     nonzero product of the map, added at ((a_i, i), (a_j, j)). The factor is
     padded to 4 columns at m = 1: OpenBLAS rounds a 2 x 2 complex product in
     another kernel than a wider one, up to 1 ulp off the dense factor's bits.
+    A batch holds as many targets as ``BLOCK`` allows entries of their factors.
     """
-    M, R = index.shape
-    place = np.empty(index.size, dtype=np.int64)
-    place[index.ravel()] = np.arange(index.size)
-    a, r = np.divmod(place[op.rows[index.T]], R)
-    slot = (r[:, :, None] == r[:, None, :]).argmax(axis=2)
-    x = np.zeros((R, M, max(M, 4)), dtype=complex)
-    x[np.arange(R)[:, None], slot, np.arange(M)] = op.phases[index.T]
+    T, M, R = index.shape
+    batch = max(1, BLOCK // (R * M * max(M, 4)))
+    if T > batch:
+        return np.concatenate([_monomial_map(op, index[t:t + batch]) for t in range(0, T, batch)])
+    # every target's basis states and positions in one range, target t's from t D
+    D = M * R
+    shift = np.arange(0, T * D, D)[:, None, None]
+    place = np.empty(T * D, dtype=np.int64)
+    place[(index + shift).ravel()] = np.arange(T * D)
+    cols = index.transpose(0, 2, 1)
+    a, r = np.divmod(place[op.rows[cols] + shift], R)
+    slot = (r[..., :, None] == r[..., None, :]).argmax(axis=-1)
+    x = np.zeros((T * R, M, max(M, 4)), dtype=complex)
+    x[np.arange(T * R)[:, None], slot.reshape(-1, M), np.arange(M)] = op.phases[cols].reshape(-1, M)
     gram = (x.transpose(0, 2, 1) @ x.conj())[:, :M, :M]
+    # a counts target t's rows from t M, so row counts them from t M^2 and
+    # target t's entries start at t M^4; flip-major within each target, so
+    # that each entry adds its flips' products in flip order
     row = a * M + np.arange(M)
-    # flip-major, so that each entry adds its flips' products in flip order
-    at = (row[:, :, None] * M * M + row[:, None, :]).ravel()
-    total = [np.bincount(at, part.ravel(), M**4) for part in (gram.real, gram.imag)]
-    return np.stack(total, axis=-1).view(complex).reshape(M * M, M * M)
+    at = (row[..., :, None] * (M * M) + (row - shift // R * M)[..., None, :]).ravel()
+    total = [np.bincount(at, part.ravel(), T * M**4) for part in (gram.real, gram.imag)]
+    return np.stack(total, axis=-1).view(complex).reshape(T, M * M, M * M)
 
 
 def _twirl_table(reduced: np.ndarray, superops: np.ndarray, m: int) -> np.ndarray:
-    """(K^m, 2^m) outcome table of every assignment, from one reduced map.
+    """(T, K^m, 2^m) outcome tables of every assignment, from T reduced maps.
 
     Row k is the assignment whose pool element on the i-th target qubit is
     digit i of k in base K, first qubit most significant (the order of
@@ -200,33 +223,34 @@ def _twirl_table(reduced: np.ndarray, superops: np.ndarray, m: int) -> np.ndarra
     bits (first most significant) after C^dag S(C |0, f><0, f| C^dag) C.
     A map is Hermitian: its coefficients on products of ``PAULI_PAIRS`` are real.
     """
-    K = superops.shape[0] // 2
-    # per-qubit groups (a_q, i_q, b_q, j_q) first
-    t = reduced.reshape((2,) * (4 * m))
-    t = t.transpose([p + g * m for p in range(m) for g in range(4)])
-    t = apply_local([PAULI_PAIRS.conj()] * m, t).real
-    t = apply_local([superops] * m, t).reshape((K, 2) * m)
-    return t.transpose(*range(0, 2 * m, 2), *range(1, 2 * m, 2)).reshape(K**m, 2**m)
+    T, K = len(reduced), superops.shape[0] // 2
+    # per-qubit groups (a_q, i_q, b_q, j_q) first, targets last
+    t = reduced.reshape((T,) + (2,) * (4 * m))
+    t = t.transpose([1 + p + g * m for p in range(m) for g in range(4)] + [0])
+    t = apply_local([PAULI_PAIRS.conj()] * m, t).real.reshape(T, -1).T
+    t = apply_local([superops] * m, t).reshape((T,) + (K, 2) * m)
+    return t.transpose(0, *range(1, 2 * m, 2), *range(2, 2 * m + 1, 2)).reshape(T, K**m, 2**m)
 
 
-def _summed_table(channel: QuantumChannel, qs: tuple[int, ...], pool: CliffordPool
-                  ) -> np.ndarray:
-    """(K^m, 2^m) outcome table of ``_twirl_table``, summed over every basis
-    state f of the qubits outside ``qs``: the twirl of |0> on ``qs`` with the
-    rest maximally mixed, unnormalized (each row sums to 2^(n-m)).
+def _outcome_tables(channel: QuantumChannel, targets: list[tuple[int, ...]],
+                    pool: CliffordPool) -> np.ndarray:
+    """(T, K^m, 2^m) outcome tables of ``_twirl_table`` for T targets of one size
+    m, each summed over every basis state f of the qubits outside it: the twirl
+    of |0> on the target with the rest maximally mixed, unnormalized (each row
+    sums to 2^(n-m)).
 
     Each term reduces to the 4^m x 4^m map sum_f sum_r A[(a, r), (i, f)]
-    conj(A[(b, r), (j, f)]) on the target, one Gram product per flip f
-    (``_dense_map``, ``_monomial_map``), with ``index[i, f]`` the basis state of
-    bits i on the target and f on the others. The per-flip products are added
-    one after another, whatever the block, and each term's sum is weighted
-    once, so a monomial term gives the same table as its dense twin, bit for bit.
+    conj(A[(b, r), (j, f)]) on each target, one Gram product per flip f
+    (``_dense_map``, ``_monomial_map``), with ``index[t, i, f]`` the basis state
+    of bits i on target t and f on the others. The per-flip products are added
+    one after another, whatever the block or batch, and each term's sum is
+    weighted once, so a monomial term gives the same tables as its dense twin,
+    and a target the same table alone as among others, bit for bit.
     """
-    if len(qs) > MAX_EXACT_SUBSET:
-        raise ValueError(f"decays support at most {MAX_EXACT_SUBSET} measured qubits")
-    n, m = channel.n, len(qs)
+    n, m = channel.n, len(targets[0])
     # basis states by target bits, then by the other qubits' bits
-    index = np.argsort(outcome_codes(n, qs), kind="stable").reshape(2**m, -1)
+    index = np.argsort(outcome_codes(n, np.array(targets)), axis=1, kind="stable")
+    index = index.reshape(len(targets), 2**m, -1)
     reduced = 0.0
     for w, op in channel.terms:
         reduce = _monomial_map if isinstance(op, Monomial) else _dense_map
@@ -239,21 +263,73 @@ def _parts(qs: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [sub for r in range(1, len(qs) + 1) for sub in itertools.combinations(qs, r)]
 
 
-def _readout(weights: np.ndarray, qs: tuple[int, ...], realizations: int
-             ) -> dict[tuple[int, ...], DecayEstimate]:
-    """Decay of every nonempty part of ``qs``, in ``_parts`` order, from one histogram.
+def _readout(weights: np.ndarray, targets: list[tuple[int, ...]], realizations: int
+             ) -> list[dict[tuple[int, ...], DecayEstimate]]:
+    """Decay of every nonempty part of each target, in ``_parts`` order, from
+    one histogram per target.
 
     ``weights`` are shot counts (``realizations`` = N) or summed outcome
-    tables (0), indexed like ``_twirl_table`` columns.
+    tables (0), one row per target, indexed like ``_twirl_table`` columns.
     """
-    out = {}
-    for sub in _parts(qs):
-        zero = outcome_codes(len(qs), [qs.index(q) + 1 for q in sub]) == 0
-        hit, miss = float(weights[zero].sum()), float(weights[~zero].sum())
-        p = checked_probability(hit / (hit + miss))
-        std = math.sqrt(p * (1.0 - p) / realizations) if realizations else 0.0
-        out[sub] = DecayEstimate(sub, 1.0 - p, std, realizations)
+    m = len(targets[0])
+    parts = _parts(tuple(range(m)))
+    # zeros[k, x]: outcome x reads 0 at each position i of part k, its bit m - 1 - i
+    masks = np.array([[sum(1 << (m - 1 - i) for i in part)] for part in parts])
+    zeros = (np.arange(2**m) & masks) == 0
+    out: list[dict[tuple[int, ...], DecayEstimate]] = [{} for _ in targets]
+    for part, zero in zip(parts, zeros):
+        hits, misses = weights[:, zero].sum(axis=1).tolist(), weights[:, ~zero].sum(axis=1).tolist()
+        for qs, decays, hit, miss in zip(targets, out, hits, misses):
+            p = checked_probability(hit / (hit + miss))
+            std = math.sqrt(p * (1.0 - p) / realizations) if realizations else 0.0
+            sub = tuple(qs[i] for i in part)
+            decays[sub] = DecayEstimate(sub, 1.0 - p, std, realizations)
     return out
+
+
+def _decays(channel: QuantumChannel, targets: list[tuple[int, ...]], pool: CliffordPool,
+            plan: SamplePlan | None = None, seeds: Sequence[int] = (),
+            assignment_order: str = "random") -> list[dict[tuple[int, ...], DecayEstimate]]:
+    """Decays of every part of each target, all of one size m, from one engine pass.
+
+    The targets are checked by the caller: sorted labels of one register, at
+    most ``MAX_EXACT_SUBSET`` of them. Without a plan the decays are exact;
+    with one, target t's shots come from a Philox stream keyed by ``seeds[t]``,
+    so each target reads as it would alone. A pass takes as many targets as
+    ``BLOCK`` allows entries of their stacked maps (16^m each) and tables
+    (K^m 2^m each); more targets take more passes, which changes no bit.
+    """
+    m = len(targets[0])
+    step = max(1, BLOCK // max(16**m, pool.size**m * 2**m))
+    if len(targets) > step:
+        return [d for t in range(0, len(targets), step)
+                for d in _decays(channel, targets[t:t + step], pool, plan, seeds[t:t + step],
+                                 assignment_order)]
+    tables = _outcome_tables(channel, targets, pool)
+    if plan is None:
+        return _readout(tables.sum(axis=1), targets, 0)
+    tables = np.maximum(tables, 0.0)  # rounding can leave an entry just below 0
+    N, rows = plan.realizations, tables.shape[1]
+    counts = []
+    for table, seed in zip(tables, seeds):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        if assignment_order == "random":
+            p = table.sum(axis=0)
+            counts.append(rng.multinomial(N, p / p.sum()))
+        else:
+            shots = np.full(rows, N // rows)
+            shots[:N % rows] += 1
+            counts.append(rng.multinomial(shots, table / table.sum(axis=1, keepdims=True))
+                          .sum(axis=0))
+    return _readout(np.array(counts), targets, N)
+
+
+def _target(channel: QuantumChannel, subset) -> tuple[int, ...]:
+    """``subset`` by the subset rule, at most ``MAX_EXACT_SUBSET`` qubits of ``channel``."""
+    qs = _validate_subset(subset, channel.n)
+    if len(qs) > MAX_EXACT_SUBSET:
+        raise ValueError(f"decays support at most {MAX_EXACT_SUBSET} measured qubits")
+    return qs
 
 
 def run_exact_campaign(
@@ -265,9 +341,7 @@ def run_exact_campaign(
     subset with the rest maximally mixed; each part's decay reads off that
     one twirl.
     """
-    qs = _validate_subset(subset, channel.n)
-    table = _summed_table(channel, qs, build_pool() if pool is None else pool)
-    return _readout(table.sum(axis=0), qs, 0)
+    return _decays(channel, [_target(channel, subset)], build_pool() if pool is None else pool)[0]
 
 
 def fidelity_decay_from_chi(
@@ -311,11 +385,16 @@ def combine_subset(decays: Mapping) -> float:
     before anything downstream relies on it; for a pair it reduces to
     9/4 (g_a + g_b - g_ab). Sampling noise can push the result slightly
     negative; it is reported unclamped. Each entry passes ``DecayEstimate``'s
-    checks: a number v under key k is read as ``DecayEstimate(k, v)``.
+    checks: a number v under key k is read as ``DecayEstimate(k, v)``, and an
+    estimate whose subset is not its key likewise; one whose subset is its key
+    has passed them already.
     """
     table: dict[tuple[int, ...], float] = {}
     for key, val in decays.items():
-        est = DecayEstimate(key, val.value if isinstance(val, DecayEstimate) else val)
+        if isinstance(val, DecayEstimate):
+            est = val if val.subset == key else DecayEstimate(key, val.value)
+        else:
+            est = DecayEstimate(key, val)
         if est.subset in table:
             raise ValueError(f"subset {est.subset} is given twice")
         table[est.subset] = est.value
@@ -410,20 +489,10 @@ def run_sampled_campaign(
     The draw comes from a Philox stream keyed by ``seed``, so estimates are
     reproducible.
     """
-    qs = _validate_subset(subset, channel.n)
+    qs = _target(channel, subset)
     if _integer(seed, "seed") < 0:
         raise ValueError("seed must be nonnegative")
     if assignment_order not in ASSIGNMENT_ORDERS:
         raise ValueError(f"unknown assignment order {assignment_order!r}")
-    table = _summed_table(channel, qs, build_pool() if pool is None else pool)
-    table = np.maximum(table, 0.0)  # rounding can leave an entry just below 0
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    N, rows = plan.realizations, table.shape[0]
-    if assignment_order == "random":
-        p = table.sum(axis=0)
-        counts = rng.multinomial(N, p / p.sum())
-    else:
-        shots = np.full(rows, N // rows)
-        shots[:N % rows] += 1
-        counts = rng.multinomial(shots, table / table.sum(axis=1, keepdims=True)).sum(axis=0)
-    return _readout(counts, qs, N)
+    return _decays(channel, [qs], build_pool() if pool is None else pool, plan, [seed],
+                   assignment_order)[0]

@@ -271,12 +271,11 @@ def _validate_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
 
 def outcome_codes(n: int, subset: Sequence[int]) -> np.ndarray:
     """Bits of ``subset`` in each n-qubit basis index, first qubit most
-    significant; 0 where every listed qubit reads 0."""
-    idx = np.arange(2**n)
-    codes = np.zeros(2**n, dtype=np.int64)
-    for q in subset:
-        codes = (codes << 1) | ((idx >> (n - q)) & 1)
-    return codes
+    significant; 0 where every listed qubit reads 0. An (..., m) array of
+    subsets gives one row of codes per subset, from one table of bits."""
+    qs = np.asarray(subset, dtype=np.int64)
+    bits = (np.arange(2**n) >> (n - qs[..., None])) & 1
+    return (1 << np.arange(qs.shape[-1] - 1, -1, -1)) @ bits
 
 
 def checked_probability(p: float) -> float:

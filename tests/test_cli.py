@@ -4,6 +4,7 @@ import math
 import statistics
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from twirlsim.cli import (
     report_write,
     run_experiment,
 )
+from twirlsim import cli, derive_seed
 from twirlsim.states import dense
 
 DATA = Path(__file__).parent / "data"
@@ -381,6 +383,28 @@ class TestDeterminism:
         report_path, table_path = report_write(report, tmp_path / "golden")
         assert report_path.read_bytes() == (DATA / "golden.report.txt").read_bytes()
         assert table_path.read_bytes() == (DATA / "golden.table.csv").read_bytes()
+
+
+    @pytest.mark.parametrize("mode, order", [("exact", "random"), ("sampled", "random"),
+                                             ("sampled", "cyclic")])
+    def test_interleaved_targets_read_as_alone(self, mode, order, monkeypatch):
+        # the targets of one size share an engine pass, yet each report block and
+        # table row is that target's run alone with its own derived seed
+        # derive_seed(seed, config index), and the blocks keep config order
+        config = ExperimentConfig(
+            gate="ie-sequence", n=4, subsets=parse_subsets("2-3,1,1-2-4,3-4,2"), mode=mode,
+            assignment_order=order, realizations=3000 if mode == "sampled" else None,
+            seed=31, ie_pulse_error=0.04)
+        report = run_experiment(config)
+        blocks = [b.strip("\n") for b in report.to_report_text().split("\n\n")[1:]]
+        rows = report.to_table_csv().splitlines()[1:]
+        assert [b.splitlines()[0] for b in blocks] == [
+            "[subset 2-3]", "[subset 1]", "[subset 1-2-4]", "[subset 3-4]", "[subset 2]"]
+        for i, subset in enumerate(config.subsets):
+            monkeypatch.setattr(cli, "derive_seed", lambda seed, _, i=i: derive_seed(seed, i))
+            alone = run_experiment(replace(config, subsets=(subset,)))
+            assert alone.to_report_text().split("\n\n")[1].strip("\n") == blocks[i], subset
+            assert alone.to_table_csv().splitlines()[1] == rows[i], subset
 
 
 class TestMain:

@@ -12,6 +12,7 @@ as the same operator stored as a dense array.
 """
 
 import copy
+import itertools
 import math
 import tracemalloc
 
@@ -33,7 +34,7 @@ from twirlsim import (
     time_suspension_sequence,
     zz_coupling,
 )
-from twirlsim import protocol
+from twirlsim import cli, protocol
 from twirlsim.cli import ExperimentConfig, run_experiment
 from twirlsim.states import Monomial, dense
 from conftest import random_kraus_channel, random_unitary, random_unitary_ensemble
@@ -188,6 +189,26 @@ def test_sampled_estimates_independent_of_blocks(case, monkeypatch):
         assert got == want, block
 
 
+@pytest.mark.parametrize("mode, order", [("exact", "random"), ("sampled", "cyclic")])
+def test_reports_independent_of_batches_and_passes(mode, order, monkeypatch):
+    # one (target, flip) pair per block, the default blocks and one block for
+    # everything split the targets of one size into batches and passes in
+    # different ways; none moves a bit of the report. A dense and a monomial
+    # term at n = 7, every pair and three triples
+    rng = np.random.default_rng(21)
+    channel = QuantumChannel.unitary_ensemble(
+        [(0.6, random_unitary(2**7, rng)), (0.4, random_monomial(7, rng))])
+    monkeypatch.setattr(cli, "build_channel", lambda config: channel)
+    targets = tuple(itertools.combinations(range(1, 8), 2)) + ((1, 2, 3), (2, 4, 6), (3, 5, 7))
+    config = ExperimentConfig(gate="ensemble", n=7, subsets=targets, mode=mode,
+                              assignment_order=order, seed=8,
+                              realizations=2000 if mode == "sampled" else None)
+    want = run_experiment(config).to_report_text()
+    for block in (1, 2**30):
+        monkeypatch.setattr(protocol, "BLOCK", block)
+        assert run_experiment(config).to_report_text() == want, block
+
+
 def test_sampled_shots_neither_hashed_nor_sorted(monkeypatch):
     # a campaign draws its N shots as one histogram; np.unique or a sort over
     # N draws would cost more than the whole physics of a small register
@@ -224,6 +245,27 @@ def test_sampled_ten_qubit_cnot_never_densified():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak
+
+
+@pytest.mark.parametrize("pairs", [2, 28])
+def test_exact_memory_bounded_by_block_over_targets(pairs, monkeypatch):
+    # one engine pass takes every pair of an 8-qubit register, stored dense:
+    # BLOCK bounds the batch's largest array, so 28 pairs keep the budget of
+    # 2, about four BLOCK-entry complex arrays of the Gram pass and a little
+    # more; a per-target bound would let the batch grow with the target count
+    channel = dense_twin(QuantumChannel.from_unitary(cnot_gate(1, 2, 8)))
+    monkeypatch.setattr(cli, "build_channel", lambda config: channel)
+    targets = tuple(itertools.combinations(range(1, 9), 2))[::14 if pairs == 2 else 1]
+    config = ExperimentConfig(gate="cnot", n=8, subsets=targets)
+    assert len(targets) == pairs
+    run_experiment(config)
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 16 * protocol.BLOCK, peak / (16 * protocol.BLOCK)
 
 
 def random_monomial(n: int, rng) -> Monomial:
@@ -286,11 +328,11 @@ def test_monomial_terms_match_dense_storage_at_benchmark_shapes(n, ms):
         for m in ms:
             qubits = rng.choice(np.arange(1, n + 1), m, replace=False) if drawn else range(1, m + 1)
             target = tuple(sorted(int(q) for q in qubits))
-            table = protocol._summed_table(single, target, pool).tobytes()
+            table = protocol._outcome_tables(single, [target], pool)[0].tobytes()
             want = [bits(run_exact_campaign(single, target, pool)),
                     bits(run_sampled_campaign(single, target, plan, pool, seed=n))]
             for twin in twins:
-                assert protocol._summed_table(twin, target, pool).tobytes() == table, (
+                assert protocol._outcome_tables(twin, [target], pool)[0].tobytes() == table, (
                     n, target, twin.kind)
                 got = [bits(run_exact_campaign(twin, target, pool)),
                        bits(run_sampled_campaign(twin, target, plan, pool, seed=n))]
@@ -416,7 +458,7 @@ def test_sampled_campaign_pinned(case):
     pool, order, sampling, subset = case
     counts = per_shot_counts(pinned_channel(), subset, 500, parse_pool(pool), 2024, order,
                              per_term=sampling == "per-shot-ensemble")
-    got = protocol._readout(counts, subset, 500)
+    got = protocol._readout(np.array([counts]), [subset], 500)[0]
     assert {s: (e.value, e.std_error) for s, e in got.items()} == PINNED[case]
 
 
@@ -434,7 +476,7 @@ def test_sampled_law_matches_per_shot_reference():
         sum(shot_probabilities(channel.terms, 4, target, pool, rows[lo:lo + 1024],
                                np.full(len(rows[lo:lo + 1024]), f)) for f in (0, 1))
         for lo in range(0, len(rows), 1024)])
-    table = protocol._summed_table(channel, target, pool)
+    table = protocol._outcome_tables(channel, [target], pool)[0]
     assert np.abs(table / table.sum(axis=1, keepdims=True)
                   - want / want.sum(axis=1, keepdims=True)).max() <= 1e-15
     engine, shots = [], []
@@ -442,7 +484,7 @@ def test_sampled_law_matches_per_shot_reference():
         engine.append(run_sampled_campaign(channel, target, plan_from_count(N), pool, seed=seed,
                                            assignment_order="cyclic"))
         counts = per_shot_counts(channel, target, N, pool, seed, "cyclic", per_term=True)
-        shots.append(protocol._readout(counts, target, N))
+        shots.append(protocol._readout(np.array([counts]), [target], N)[0])
     for sub in engine[0]:
         a = np.array([e[sub].value for e in engine])
         b = np.array([e[sub].value for e in shots])

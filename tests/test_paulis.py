@@ -160,7 +160,7 @@ class TestChiDiagonal:
         with pytest.raises(ValueError, match="out of range 1..10"):
             ChiDiagonal(n, [], trace_preserving=False)
 
-    @pytest.mark.parametrize("label", ["QQ", "XXX", "X", "", "xx"])
+    @pytest.mark.parametrize("label", ["QQ", "XXX", "X", "", "xx", 12, None])
     def test_lookup_refuses_label_naming_nothing(self, label):
         chi = chi_diagonal(QuantumChannel.identity(2))
         with pytest.raises(ValueError, match="Pauli string|does not span"):
