@@ -37,7 +37,6 @@ from .nmr import (
     Delay,
     NmrHamiltonian,
     Pulse,
-    PulseSequence,
     cnot_gate,
     compile_sequence,
     crotonic_preset,
@@ -59,7 +58,7 @@ __all__ = [
     "fidelity_decay_from_chi", "plan_from_count", "plan_realizations",
     "run_exact_campaign", "run_sampled_campaign",
     "sampled_coefficient_error", "subset_coefficient_error",
-    "Delay", "NmrHamiltonian", "Pulse", "PulseSequence", "cnot_gate",
+    "Delay", "NmrHamiltonian", "Pulse", "cnot_gate",
     "compile_sequence", "crotonic_preset", "hamiltonian_diagonal",
     "time_suspension_sequence", "zz_coupling",
 ]

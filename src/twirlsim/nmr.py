@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .paulis import SINGLE_QUBIT_PAULIS
 from .states import (
     MAX_QUBITS, Monomial, UnitaryMatrix, _finite, _read_only, _register_size, _validate_subset,
-    apply_local, outcome_codes)
+    outcome_codes)
 
 PULSE_AXES = ("+x", "-x", "+y", "-y")
 
@@ -81,8 +81,10 @@ class Delay:
     tau: float
 
     def __post_init__(self) -> None:
-        if not _finite(self.tau) > 0.0:
-            raise ValueError(f"delay must be positive, got {self.tau}")
+        tau = _finite(self.tau)
+        if not tau > 0.0:
+            raise ValueError(f"delay must be positive, got {tau}")
+        object.__setattr__(self, "tau", tau)
 
 
 @dataclass(frozen=True)
@@ -95,36 +97,9 @@ class Pulse:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubits", _validate_subset(self.qubits, MAX_QUBITS))
-        _finite(self.angle)
+        object.__setattr__(self, "angle", _finite(self.angle))
         if self.axis not in PULSE_AXES:
             raise ValueError(f"pulse axis must be one of {PULSE_AXES}, got {self.axis!r}")
-
-
-@dataclass(frozen=True)
-class PulseSequence:
-    """Time-ordered delays and pulses; total duration is the delay sum."""
-
-    events: tuple = ()
-
-    def __post_init__(self) -> None:
-        for ev in self.events:
-            if not isinstance(ev, (Delay, Pulse)):
-                raise TypeError(f"sequence events must be Delay or Pulse, got {ev!r}")
-        object.__setattr__(self, "events", tuple(self.events))
-
-    @property
-    def total_duration(self) -> float:
-        return sum(ev.tau for ev in self.events if isinstance(ev, Delay))
-
-
-def _pulse_ops(n: int, pulse: Pulse) -> list[np.ndarray]:
-    """One 2x2 factor per qubit: the pulse's rotation where it acts, the identity elsewhere."""
-    qubits = _validate_subset(pulse.qubits, n)
-    sign = -1.0 if pulse.axis[0] == "-" else 1.0
-    sigma = sign * SINGLE_QUBIT_PAULIS[pulse.axis[1].upper()]
-    half = pulse.angle / 2.0
-    rotation = math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(half) * sigma
-    return [rotation if q in qubits else SINGLE_QUBIT_PAULIS["I"] for q in range(1, n + 1)]
 
 
 def normalize_global_phase(mat: np.ndarray) -> np.ndarray:
@@ -140,21 +115,32 @@ def normalize_global_phase(mat: np.ndarray) -> np.ndarray:
     return mat * (abs(ref) / ref)
 
 
-def compile_sequence(seq: PulseSequence, h: NmrHamiltonian) -> UnitaryMatrix:
-    """Propagator of a sequence: product of event unitaries, earliest first.
+def compile_sequence(events: Iterable[Delay | Pulse], h: NmrHamiltonian) -> UnitaryMatrix:
+    """Propagator of ``events``, a time-ordered iterable of ``Delay`` and ``Pulse``: the
+    product of their unitaries, earliest first.
 
     Delays exponentiate the (diagonal) internal Hamiltonian entrywise;
-    pulses are ideal zero-duration rotations. The returned unitary has its
-    global phase normalized.
+    pulses are ideal zero-duration rotations, one 2x2 rotation applied to
+    each qubit the pulse names, which must lie in ``h``'s register. The
+    returned unitary has its global phase normalized.
     """
+    events = tuple(events)
+    for ev in events:
+        if not isinstance(ev, (Delay, Pulse)):
+            raise TypeError(f"sequence events must be Delay or Pulse, got {ev!r}")
     n = h.n
     hdiag = hamiltonian_diagonal(h)
     total = np.eye(2**n, dtype=complex)
-    for ev in seq.events:
+    for ev in events:
         if isinstance(ev, Delay):
             total = np.exp(-1j * hdiag * ev.tau)[:, None] * total
-        else:
-            total = apply_local(_pulse_ops(n, ev), total).reshape(2**n, 2**n).T
+            continue
+        sign = -1.0 if ev.axis[0] == "-" else 1.0
+        sigma = sign * SINGLE_QUBIT_PAULIS[ev.axis[1].upper()]
+        half = ev.angle / 2.0
+        rotation = math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(half) * sigma
+        for q in _validate_subset(ev.qubits, n):
+            total = (rotation @ total.reshape(2 ** (q - 1), 2, -1)).reshape(2**n, 2**n)
     return UnitaryMatrix(_read_only(normalize_global_phase(total)))
 
 
@@ -167,19 +153,22 @@ _SUSPENSION_PATTERN: tuple[tuple[tuple[int, ...], str], ...] = (
 
 def time_suspension_sequence(
     total_duration: float = 12.2e-3, pulse_error: float = 0.0
-) -> PulseSequence:
-    """The 8-segment sequence that refocuses the whole internal Hamiltonian.
+) -> tuple[Delay | Pulse, ...]:
+    """The events of the 8-segment sequence that refocuses the whole internal
+    Hamiltonian, for ``compile_sequence``.
 
     Eight equal delays, each followed by a pi pulse on the listed qubits;
     the second half inverts the rotation axes of the first. With ideal
     pulses every z and zz term accumulates zero net phase, so the
     propagator is the identity up to a global phase for any delay length
     and coupling values. ``pulse_error`` is added to every pi rotation
-    angle to model a systematically miscalibrated pulse.
+    angle to model a systematically miscalibrated pulse. Both arguments are
+    read by the finite-number rule.
 
     Only the total duration is configurable; the equal split across the
     eight segments is a modeling choice, not a measured timing.
     """
+    total_duration, pulse_error = _finite(total_duration), _finite(pulse_error)
     if not total_duration > 0.0:
         raise ValueError(f"total duration must be positive, got {total_duration}")
     tau = total_duration / len(_SUSPENSION_PATTERN)
@@ -187,7 +176,7 @@ def time_suspension_sequence(
     for qubits, axis in _SUSPENSION_PATTERN:
         events.append(Delay(tau))
         events.append(Pulse(qubits, axis, math.pi + pulse_error))
-    return PulseSequence(tuple(events))
+    return tuple(events)
 
 
 def zz_coupling(beta: float, pair: tuple[int, int] = (1, 2), n: int = 4) -> UnitaryMatrix:

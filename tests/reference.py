@@ -6,7 +6,9 @@ the twirl is the average over every pool assignment of C^dag S(C rho C^dag) C
 (Emerson et al., "Symmetrized characterization of noisy quantum processes",
 2007). ``per_shot_counts`` samples outcomes one shot at a time from those
 same states. Nothing here comes from ``twirlsim.protocol``; the engine's
-results are checked against these.
+results are checked against these. ``compile_by_factors`` is the reference of
+the pulse compiler: it applies one 2x2 factor per qubit for every pulse,
+identities included.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from functools import reduce
 
 import numpy as np
 
-from twirlsim import CliffordPool, QuantumChannel, build_pool
-from twirlsim.states import dense
+from twirlsim import (CliffordPool, Delay, QuantumChannel, UnitaryMatrix, build_pool,
+                      hamiltonian_diagonal)
+from twirlsim.nmr import normalize_global_phase
+from twirlsim.states import apply_local, dense
 
 #: tolerance of the density-matrix checks on every twirled state
 ATOL = 1e-9
@@ -218,3 +222,26 @@ def per_shot_counts(channel: QuantumChannel, subset, realizations: int, pool: Cl
         hits = (cdf <= uniforms[shots, None]).sum(axis=1)
         counts += np.bincount(np.minimum(hits, 2**m - 1), minlength=2**m)
     return counts
+
+
+def compile_by_factors(events, h) -> UnitaryMatrix:
+    """Propagator of the ``Delay`` and ``Pulse`` events under ``h``, earliest first,
+    with its global phase normalized as ``compile_sequence`` does.
+
+    A delay multiplies the rows by the phases of the diagonal Hamiltonian. A
+    pulse hands ``apply_local`` one 2x2 factor per qubit of the register: its
+    rotation on the qubits it names and the identity on the others.
+    """
+    n = h.n
+    hdiag = hamiltonian_diagonal(h)
+    total = np.eye(2**n, dtype=complex)
+    for ev in events:
+        if isinstance(ev, Delay):
+            total = np.exp(-1j * hdiag * ev.tau)[:, None] * total
+            continue
+        sigma = (-1.0 if ev.axis[0] == "-" else 1.0) * SIGMAS[ev.axis[1].upper()]
+        half = ev.angle / 2.0
+        rotation = math.cos(half) * SIGMAS["I"] - 1j * math.sin(half) * sigma
+        factors = [rotation if q in ev.qubits else SIGMAS["I"] for q in range(1, n + 1)]
+        total = apply_local(factors, total).reshape(2**n, 2**n).T
+    return UnitaryMatrix(normalize_global_phase(total))

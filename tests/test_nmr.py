@@ -10,7 +10,6 @@ from twirlsim import (
     Delay,
     NmrHamiltonian,
     Pulse,
-    PulseSequence,
     QuantumChannel,
     chi_diagonal,
     cnot_gate,
@@ -22,7 +21,9 @@ from twirlsim import (
     time_suspension_sequence,
     zz_coupling,
 )
+from twirlsim.nmr import PULSE_AXES
 from twirlsim.states import dense
+from reference import compile_by_factors
 
 
 def bit_pattern_eigenvalue(h: NmrHamiltonian, state: int) -> float:
@@ -37,7 +38,7 @@ def bit_pattern_eigenvalue(h: NmrHamiltonian, state: int) -> float:
     return total
 
 
-def toggling_sign_sums(seq: PulseSequence, n: int) -> dict[tuple[int, ...], float]:
+def toggling_sign_sums(events, n: int) -> dict[tuple[int, ...], float]:
     """Independent refocusing oracle for a commuting z/zz Hamiltonian.
 
     Tracks the sign of each qubit's z term through the pi pulses and
@@ -50,7 +51,7 @@ def toggling_sign_sums(seq: PulseSequence, n: int) -> dict[tuple[int, ...], floa
         for qs in itertools.combinations(range(1, n + 1), r):
             sums[qs] = 0.0
     sign = {q: 1.0 for q in range(1, n + 1)}
-    for ev in seq.events:
+    for ev in events:
         if isinstance(ev, Delay):
             for qs in sums:
                 prod = 1.0
@@ -64,9 +65,39 @@ def toggling_sign_sums(seq: PulseSequence, n: int) -> dict[tuple[int, ...], floa
     return sums
 
 
+def assert_same_bits(a, b) -> None:
+    """``a`` and ``b`` hold the same float bits, zero signs included."""
+    fa, fb = (np.ascontiguousarray(dense(u)).view(np.float64) for u in (a, b))
+    assert np.array_equal(fa, fb)
+    assert np.array_equal(np.signbit(fa), np.signbit(fb))
+
+
+def random_register_and_events(n: int, rng: np.random.Generator):
+    """A register with random offsets and couplings, and 1-11 events that mix
+    delays with pulses on random qubit subsets, about every axis, by pi, pi/2
+    or a random angle."""
+    h = NmrHamiltonian(
+        n,
+        {q: float(rng.uniform(-9000, 9000)) for q in range(1, n + 1)},
+        {pair: float(rng.uniform(0, 80))
+         for pair in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.7},
+    )
+    events = []
+    for _ in range(int(rng.integers(1, 12))):
+        if rng.random() < 0.4:
+            events.append(Delay(float(rng.uniform(1e-5, 2e-3))))
+            continue
+        qubits = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, n + 1)), replace=False)
+        angle = (math.pi, math.pi / 2, float(rng.uniform(-2 * math.pi, 2 * math.pi)))[
+            int(rng.integers(3))]
+        events.append(Pulse(tuple(int(q) for q in qubits), PULSE_AXES[int(rng.integers(4))],
+                            angle))
+    return h, tuple(events)
+
+
 def delay_propagator(h: NmrHamiltonian, tau: float) -> np.ndarray:
     """Propagator of one delay of ``tau`` seconds under ``h``."""
-    return dense(compile_sequence(PulseSequence((Delay(tau),)), h))
+    return dense(compile_sequence((Delay(tau),), h))
 
 
 class TestHamiltonian:
@@ -150,7 +181,7 @@ class TestFreeEvolution:
 
 class TestPulseSequence:
     def test_empty_sequence_compiles_to_identity(self):
-        u = compile_sequence(PulseSequence(()), crotonic_preset())
+        u = compile_sequence((), crotonic_preset())
         assert np.allclose(dense(u), np.eye(16))
 
     def test_event_validation(self):
@@ -162,13 +193,48 @@ class TestPulseSequence:
             Pulse((), "+x", math.pi)
         with pytest.raises(ValueError):
             Pulse((1,), "z", math.pi)
-        with pytest.raises(TypeError):
-            PulseSequence(("delay",))
+        with pytest.raises(TypeError, match="sequence events must be Delay or Pulse"):
+            compile_sequence(("delay",), crotonic_preset())
+        with pytest.raises(TypeError, match="sequence events must be Delay or Pulse"):
+            compile_sequence(iter((Delay(1e-3), "delay")), crotonic_preset())
+
+    def test_pulse_outside_register_refused(self):
+        with pytest.raises(ValueError, match=re.escape("qubit label 3 out of range 1..2")):
+            compile_sequence((Pulse((3,), "+x", math.pi),), NmrHamiltonian(2, {}, {}))
+
+    @pytest.mark.parametrize("make, text, number", [
+        (lambda v: (Delay(v),), "1e-3", 1e-3),
+        (lambda v: (Pulse((1,), "+x", v),), "3.14", 3.14),
+        (lambda v: time_suspension_sequence(pulse_error=v), "0.05", 0.05),
+        (lambda v: time_suspension_sequence(total_duration=v), "0.01", 0.01),
+    ], ids=["delay", "pulse", "pulse-error", "total-duration"])
+    def test_numeric_text_reads_as_its_float(self, make, text, number):
+        events = make(text)
+        assert events == make(number)
+        for ev in events:
+            assert type(ev.tau if isinstance(ev, Delay) else ev.angle) is float
+        h = crotonic_preset()
+        assert_same_bits(compile_sequence(events, h), compile_sequence(make(number), h))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_compiler_keeps_reference_bits(self, n):
+        # each pulse rotates only its own qubits; the reference multiplies
+        # identities into the rest, and the float bits must not differ
+        rng = np.random.default_rng(20261019 + n)
+        for _ in range(100):
+            h, events = random_register_and_events(n, rng)
+            assert_same_bits(compile_sequence(events, h), compile_by_factors(events, h))
+
+    @pytest.mark.parametrize("eps", [0.0, 0.02, 0.05, 0.1])
+    def test_ie_sequence_keeps_reference_bits(self, eps):
+        events, h = time_suspension_sequence(pulse_error=eps), crotonic_preset()
+        assert_same_bits(compile_sequence(events, h), compile_by_factors(events, h))
 
     def test_total_duration(self):
-        seq = time_suspension_sequence(total_duration=8e-3)
-        assert seq.total_duration == pytest.approx(8e-3)
-        assert len(seq.events) == 16
+        events = time_suspension_sequence(total_duration=8e-3)
+        delays = [ev.tau for ev in events if isinstance(ev, Delay)]
+        assert len(events) == 16 and len(delays) == 8
+        assert sum(delays) == pytest.approx(8e-3)
 
     @pytest.mark.parametrize("qubits", [(0,), (11,)], ids=["zero", "beyond-max-qubits"])
     def test_pulse_refuses_label_out_of_range(self, qubits):
@@ -187,10 +253,8 @@ class TestPulseSequence:
 
     def test_pulse_order_matters(self):
         h = NmrHamiltonian(1, {1: 1000.0}, {})
-        seq_a = PulseSequence((Delay(1e-4), Pulse((1,), "+x", math.pi / 2)))
-        seq_b = PulseSequence((Pulse((1,), "+x", math.pi / 2), Delay(1e-4)))
-        ua = dense(compile_sequence(seq_a, h))
-        ub = dense(compile_sequence(seq_b, h))
+        ua = dense(compile_sequence((Delay(1e-4), Pulse((1,), "+x", math.pi / 2)), h))
+        ub = dense(compile_sequence((Pulse((1,), "+x", math.pi / 2), Delay(1e-4)), h))
         assert np.max(np.abs(ua - ub)) > 1e-3
 
 
@@ -244,7 +308,7 @@ class TestTimeSuspension:
     def test_coupling_delay_product_small(self):
         # the hierarchy regime: J tau stays well under a quarter turn
         seq = time_suspension_sequence()
-        tau = seq.events[0].tau
+        tau = seq[0].tau
         max_j = max(crotonic_preset().couplings_hz.values())
         assert max_j * tau / (math.pi / 2) < 0.14
 
