@@ -15,7 +15,6 @@ from .paulis import (
 from .cliffords import (
     CliffordElement,
     CliffordPool,
-    build_pool,
     parse_pool,
 )
 from .protocol import (
@@ -28,8 +27,7 @@ from .protocol import (
     fidelity_decay_from_chi,
     plan_from_count,
     plan_realizations,
-    run_exact_campaign,
-    run_sampled_campaign,
+    run_campaign,
     sampled_coefficient_error,
     subset_coefficient_error,
 )
@@ -51,12 +49,11 @@ __all__ = [
     "DimensionError", "QuantumChannel", "UnitaryMatrix",
     "ChiDiagonal", "CollectiveCoefficients", "chi_diagonal",
     "collective_coefficients", "max_weight_coefficient",
-    "CliffordElement", "CliffordPool", "build_pool",
-    "parse_pool",
+    "CliffordElement", "CliffordPool", "parse_pool",
     "DecayEstimate", "ErrorBudget", "SamplePlan",
     "combine_subset", "decay_error_bound", "derive_seed",
     "fidelity_decay_from_chi", "plan_from_count", "plan_realizations",
-    "run_exact_campaign", "run_sampled_campaign",
+    "run_campaign",
     "sampled_coefficient_error", "subset_coefficient_error",
     "Delay", "NmrHamiltonian", "Pulse", "cnot_gate",
     "compile_sequence", "crotonic_preset", "hamiltonian_diagonal",

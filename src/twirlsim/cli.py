@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cliffords import CliffordPool, parse_pool
+from .cliffords import DEFAULT_POOL, CliffordPool, parse_pool
 from .nmr import (
     cnot_gate,
     compile_sequence,
@@ -107,7 +107,7 @@ class ExperimentConfig:
     subsets: tuple[tuple[int, ...], ...] = _option((), parse_subsets,
                                                    "targets, e.g. 1-2,2-3,1-4")
     mode: str = _option("exact", str, choices=("exact", "sampled"))
-    pool: str = _option("S1:I:X", str, "full-24 | half-12[:S] | S:P1:P2 (e.g. S1:I:X)")
+    pool: str = _option(DEFAULT_POOL, str, "full-24 | half-12[:S] | S:P1:P2 (e.g. S1:I:X)")
     seed: int = _option(0, int)
     delta: float | None = _option(None, _finite, "target precision")
     epsilon: float | None = _option(None, _finite, "allowed failure probability")
@@ -311,9 +311,9 @@ def _validate_config(
         pool = parse_pool(config.pool)
         budget = ErrorBudget(config.prep_error, config.clifford_error)
         # the largest eta_bound the run prints: every decay of its largest target at 1
-        worst = decay_error_bound(budget, 1.0)
-        largest = worst if math.isinf(worst) else subset_coefficient_error(
-            [worst] * (2 ** max(map(len, config.subsets), default=0) - 1))
+        worst, m = decay_error_bound(budget, 1.0), max(map(len, config.subsets), default=0)
+        largest = worst if math.isinf(worst) or not m else subset_coefficient_error(
+            [worst] * (2**m - 1))
         if config.delta is None:
             plan = None if config.realizations is None else plan_from_count(config.realizations)
         else:
@@ -413,7 +413,7 @@ class _StoreOnce(argparse.Action):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
-        prog="twirlsim",
+        prog="twirlsim", allow_abbrev=False,
         description="Measure spatially resolved error coefficients of a gate "
                     "by Clifford twirling.")
     parser.add_argument("--config", action=_StoreOnce, help="flat key-value config file")

@@ -13,6 +13,8 @@ onto |0...0>, six elements per qubit suffice: one S half combined with two
 Paulis, one from {I, Z} and one from {X, Y}. That gives 2 x 2 x 2 = 8
 distinct six-element pools, all equivalent for that projection (and only
 for it; the six-element twirl does not reproduce the full twirled state).
+``parse_pool`` builds every pool from its label, ``DEFAULT_POOL`` when none is
+named.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from .states import _read_only
 SYMPLECTIC_LABELS = ("S1.0", "S1.1", "S1.2", "S2.x", "S2.y", "S2.z")
 PAULI_FIRST_CHOICES = ("I", "Z")
 PAULI_SECOND_CHOICES = ("X", "Y")
+
+#: the pool of the library and the CLI when none is named
+DEFAULT_POOL = "S1:I:X"
 
 #: (sigma_mu x sigma_nu) / 2 on one qubit's bits (a, i), flattened over
 #: ((a, i), (b, j)): an orthonormal basis of the Hermitian 4 x 4 matrices
@@ -97,45 +102,30 @@ class CliffordPool:
         return _read_only(np.rint(2 * (s.reshape(2 * self.size, 16) @ PAULI_PAIRS.T).real) / 2)
 
 
-def build_pool(
-    kind: str = "minimal-6",
-    symplectic: str = "S1",
-    pauli_pair: tuple[str, str] = ("I", "X"),
-) -> CliffordPool:
-    """Assemble a twirl pool.
+def parse_pool(label: str = DEFAULT_POOL) -> CliffordPool:
+    """The pool named by ``label``: ``full-24``, ``half-12:<S>`` (``half-12`` is
+    ``half-12:S1``) or ``<S>:<P1>:<P2>``, e.g. ``half-12:S2`` or ``S1:I:X``.
 
-    ``kind`` is one of ``full-24``, ``half-12`` or ``minimal-6``. The
-    ``symplectic`` half (``S1`` or ``S2``) selects the S triple for the two
-    reduced kinds; ``pauli_pair`` must pick one letter from {I, Z} and one
-    from {X, Y} and only applies to ``minimal-6``.
+    ``<S>`` is the symplectic half, ``S1`` or ``S2``; a six-element pool combines
+    it with one Pauli from {I, Z} and one from {X, Y}. Elements keep the group's
+    order, and every pool's ``label`` names the same pool again.
     """
-    if kind == "full-24":
-        return CliffordPool(_ELEMENTS, "full-24")
-    if symplectic not in ("S1", "S2"):
-        raise ValueError(f"symplectic half must be S1 or S2, got {symplectic!r}")
-    subset = tuple(e for e in _ELEMENTS if e.symplectic.startswith(symplectic))
-    if kind == "half-12":
-        return CliffordPool(subset, f"half-12:{symplectic}")
-    if kind == "minimal-6":
-        p1, p2 = pauli_pair
-        if p1 not in PAULI_FIRST_CHOICES or p2 not in PAULI_SECOND_CHOICES:
-            raise ValueError(
-                f"pauli pair must combine one of {PAULI_FIRST_CHOICES} with one of "
-                f"{PAULI_SECOND_CHOICES}, got {pauli_pair!r}")
-        chosen = tuple(e for e in subset if e.pauli in (p1, p2))
-        return CliffordPool(chosen, f"{symplectic}:{p1}:{p2}")
-    raise ValueError(f"unknown pool kind {kind!r}")
-
-
-def parse_pool(text: str) -> CliffordPool:
-    """The pool of ``full-24``, ``half-12``, ``half-12:<S>`` or ``<S>:<P1>:<P2>``
-    (e.g. ``half-12:S2``, ``S1:I:X``); ``build_pool`` checks the parts."""
-    text = text.strip()
+    text = label.strip()
     parts = text.split(":")
     if parts == ["full-24"]:
-        return build_pool("full-24")
+        return CliffordPool(_ELEMENTS, "full-24")
     if parts[0] == "half-12" and len(parts) <= 2:
-        return build_pool("half-12", *parts[1:])
-    if len(parts) == 3:
-        return build_pool("minimal-6", symplectic=parts[0], pauli_pair=(parts[1], parts[2]))
-    raise ValueError(f"cannot parse pool description {text!r}")
+        symplectic, paulis = parts[1] if len(parts) == 2 else "S1", "IXYZ"
+    elif len(parts) == 3:
+        symplectic, paulis = parts[0], parts[1:]
+    else:
+        raise ValueError(f"cannot parse pool description {text!r}")
+    if symplectic not in ("S1", "S2"):
+        raise ValueError(f"symplectic half must be S1 or S2, got {symplectic!r}")
+    if len(parts) == 3 and (paulis[0] not in PAULI_FIRST_CHOICES
+                            or paulis[1] not in PAULI_SECOND_CHOICES):
+        raise ValueError(
+            f"pauli pair must combine one of {PAULI_FIRST_CHOICES} with one of "
+            f"{PAULI_SECOND_CHOICES}, got {tuple(paulis)!r}")
+    chosen = tuple(e for e in _ELEMENTS if e.symplectic.startswith(symplectic) and e.pauli in paulis)
+    return CliffordPool(chosen, text if len(parts) == 3 else f"half-12:{symplectic}")

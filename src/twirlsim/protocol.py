@@ -21,6 +21,8 @@ assignments. Sampled mode draws the histogram of N independent shots from a
 target's table as one multinomial, from a counter-based generator keyed by
 that target's seed. A target reads the same bits alone as among others;
 ``BLOCK`` bounds the memory of a pass, whatever the number of targets.
+``run_campaign`` runs one target in either mode: exact without a plan,
+sampled with one.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cliffords import PAULI_PAIRS, CliffordPool, build_pool
+from .cliffords import PAULI_PAIRS, CliffordPool, parse_pool
 from .paulis import ChiDiagonal, _letters
 from .states import (
     ATOL, MAX_QUBITS, Monomial, QuantumChannel, _finite, _integer, _validate_subset,
@@ -45,7 +47,7 @@ MAX_EXACT_SUBSET = 3
 #: a tiny delta, or a mistyped count, a plan error instead of a run
 MAX_REALIZATIONS = 10**7
 
-#: how ``run_sampled_campaign`` picks twirl assignments
+#: how sampled mode picks each shot's twirl assignment
 ASSIGNMENT_ORDERS = ("random", "cyclic")
 
 
@@ -69,10 +71,11 @@ class DecayEstimate:
         object.__setattr__(self, "realizations", _integer(self.realizations, "realization count"))
         if self.realizations < 0:
             raise ValueError("realization count cannot be negative")
+        object.__setattr__(self, "std_error", _finite(self.std_error))
         if self.realizations == 0:
             if self.std_error != 0.0:
                 raise ValueError("exact estimates carry zero standard error")
-        elif not 0.0 <= _finite(self.std_error) <= 1.0 / math.sqrt(self.realizations) + 1e-12:
+        elif not 0.0 <= self.std_error <= 1.0 / math.sqrt(self.realizations) + 1e-12:
             raise ValueError(
                 f"standard error {self.std_error} lies outside the bound [0, 1/sqrt(N)]")
 
@@ -107,6 +110,8 @@ class SamplePlan:
     realizations: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "delta", _finite(self.delta))
+        object.__setattr__(self, "epsilon", _finite(self.epsilon))
         object.__setattr__(self, "realizations", _integer(self.realizations, "realization count"))
         floor = max(_required_counts(self.delta, self.epsilon))
         if floor > MAX_REALIZATIONS:
@@ -123,6 +128,7 @@ class SamplePlan:
 
 def plan_realizations(delta: float, epsilon: float) -> SamplePlan:
     """The smallest plan for precision ``delta`` at failure rate ``epsilon``."""
+    delta, epsilon = _finite(delta), _finite(epsilon)
     return SamplePlan(delta, epsilon, max(_required_counts(delta, epsilon)))
 
 
@@ -142,9 +148,11 @@ class ErrorBudget:
     clifford: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, v in (("preparation", self.preparation), ("clifford", self.clifford)):
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} error must be finite and nonnegative, got {v}")
+        for name in ("preparation", "clifford"):
+            v = _finite(getattr(self, name))
+            if v < 0.0:
+                raise ValueError(f"{name} error must be nonnegative, got {v}")
+            object.__setattr__(self, name, v)
 
 
 #: entries of the largest array a Gram pass builds per block of targets and
@@ -324,26 +332,6 @@ def _decays(channel: QuantumChannel, targets: list[tuple[int, ...]], pool: Cliff
     return _readout(np.array(counts), targets, N)
 
 
-def _target(channel: QuantumChannel, subset) -> tuple[int, ...]:
-    """``subset`` by the subset rule, at most ``MAX_EXACT_SUBSET`` qubits of ``channel``."""
-    qs = _validate_subset(subset, channel.n)
-    if len(qs) > MAX_EXACT_SUBSET:
-        raise ValueError(f"decays support at most {MAX_EXACT_SUBSET} measured qubits")
-    return qs
-
-
-def run_exact_campaign(
-    channel: QuantumChannel, subset, pool: CliffordPool | None = None
-) -> dict[tuple[int, ...], DecayEstimate]:
-    """Exact decays of a subset and of all its sub-subsets from one twirl.
-
-    Summing the outcome table over every assignment twirls |0> on the
-    subset with the rest maximally mixed; each part's decay reads off that
-    one twirl.
-    """
-    return _decays(channel, [_target(channel, subset)], build_pool() if pool is None else pool)[0]
-
-
 def fidelity_decay_from_chi(
     chi: ChiDiagonal, purities: Mapping[int, float], subset
 ) -> float:
@@ -426,7 +414,7 @@ def subset_coefficient_error(std_errors: Iterable[float]) -> float:
         if s < 0.0:
             raise ValueError(f"standard error cannot be negative, got {s}")
     m = round(math.log2(len(sigmas) + 1))
-    if 2**m - 1 != len(sigmas):
+    if not sigmas or 2**m - 1 != len(sigmas):
         raise ValueError(f"{len(sigmas)} errors do not cover the subsets of any set")
     return (1.5**m) * math.sqrt(sum(s * s for s in sigmas))
 
@@ -437,6 +425,9 @@ def sampled_coefficient_error(eta: float, m: int, realizations: int) -> float:
     The shared-shot decays combine to eta = (3/2)^m q, q the fraction of
     shots reading 1 on every measured qubit; q is clamped to [0, 1].
     """
+    realizations = _integer(realizations, "realization count")
+    if realizations < 1:
+        raise ValueError(f"realization count must be positive, got {realizations}")
     q = min(max(_finite(eta) / 1.5**m, 0.0), 1.0)
     return 1.5**m * math.sqrt(q * (1.0 - q) / realizations)
 
@@ -461,38 +452,38 @@ def derive_seed(seed: int, index: int) -> int:
     return (int(words[0]) << 64) | int(words[1])
 
 
-def run_sampled_campaign(
+def run_campaign(
     channel: QuantumChannel,
     subset,
-    plan: SamplePlan,
+    plan: SamplePlan | None = None,
     pool: CliffordPool | None = None,
     seed: int = 0,
     assignment_order: str = "random",
 ) -> dict[tuple[int, ...], DecayEstimate]:
-    """Monte-Carlo decay estimates for a subset and all its sub-subsets.
+    """Decays of a subset and of all its sub-subsets from one twirl of ``pool``
+    (``DEFAULT_POOL`` if none): exact without a plan, sampled with one.
 
-    Each realization prepares a computational-basis state (|0> on the
-    measured qubits, an independent uniformly random bit on each of the
-    others), conjugates the channel by a twirl assignment, and reads one
-    outcome bit per measured qubit. The recorded bit-vectors yield the decay
-    of the full subset and of every smaller subset from the same
-    realizations.
-
-    Shots are independent, so the outcome histogram is drawn in one go from
-    exact mode's summed table: Multinomial(N, p), p the table summed over
+    Summing the outcome table over every assignment twirls |0> on the subset
+    with the rest maximally mixed; exact mode reads each part's decay off that
+    one twirl. A sampled realization prepares a computational-basis state (|0>
+    on the measured qubits, an independent uniformly random bit on each of the
+    others), conjugates the channel by a twirl assignment, and reads one outcome
+    bit per measured qubit, so the same realizations give the decay of every
+    part. Shots are independent, so the outcome histogram is drawn in one go
+    from exact mode's table: Multinomial(N, p), p the table summed over
     assignments and normalized. ``assignment_order`` picks each shot's
     assignment uniformly at random (``random``) or cycles the pool
     deterministically (``cyclic``): assignment a then gets
     c_a = floor(N / K^m) + [a < N mod K^m] shots, and the histogram is
-    sum_a Multinomial(c_a, p_a), p_a row a of the table normalized.
-
-    The draw comes from a Philox stream keyed by ``seed``, so estimates are
-    reproducible.
+    sum_a Multinomial(c_a, p_a), p_a row a of the table normalized. The draw
+    comes from a Philox stream keyed by ``seed``, so estimates are reproducible.
     """
-    qs = _target(channel, subset)
+    qs = _validate_subset(subset, channel.n)
+    if len(qs) > MAX_EXACT_SUBSET:
+        raise ValueError(f"decays support at most {MAX_EXACT_SUBSET} measured qubits")
     if _integer(seed, "seed") < 0:
         raise ValueError("seed must be nonnegative")
     if assignment_order not in ASSIGNMENT_ORDERS:
         raise ValueError(f"unknown assignment order {assignment_order!r}")
-    return _decays(channel, [qs], build_pool() if pool is None else pool, plan, [seed],
+    return _decays(channel, [qs], parse_pool() if pool is None else pool, plan, [seed],
                    assignment_order)[0]

@@ -46,8 +46,12 @@ def _check_square_pow2(data, what: str) -> int:
 
 
 def _finite(text, kind: type = float) -> float | complex:
-    """``kind(text)``, refusing NaN and infinite values: the package's one number rule."""
-    value = kind(text)
+    """``kind(text)``, refusing NaN, infinite values and what is not a number: the
+    package's one number rule."""
+    try:
+        value = kind(text)
+    except TypeError as exc:
+        raise ValueError(f"{text!r} is not a number") from exc
     if not cmath.isfinite(value):
         raise ValueError(f"{text!r} is not finite")
     return value

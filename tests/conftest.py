@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from twirlsim import QuantumChannel, run_exact_campaign
+from twirlsim import QuantumChannel, run_campaign
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -45,7 +45,7 @@ def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
 def exact_decay(channel: QuantumChannel, subset):
     """Exact decay of ``subset`` from a twirl of that subset alone."""
     qs = tuple(sorted(subset))
-    return run_exact_campaign(channel, qs)[qs]
+    return run_campaign(channel, qs)[qs]
 
 
 def dedicated_decays(channel: QuantumChannel, subsets) -> dict:

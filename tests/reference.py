@@ -19,8 +19,8 @@ from functools import reduce
 
 import numpy as np
 
-from twirlsim import (CliffordPool, Delay, QuantumChannel, UnitaryMatrix, build_pool,
-                      hamiltonian_diagonal)
+from twirlsim import (CliffordPool, Delay, QuantumChannel, UnitaryMatrix, hamiltonian_diagonal,
+                      parse_pool)
 from twirlsim.nmr import normalize_global_phase
 from twirlsim.states import apply_local, dense
 
@@ -41,9 +41,8 @@ def minimal_pool_choices() -> list[tuple[str, str, str]]:
     return [(s, p1, p2) for s in ("S1", "S2") for p1 in "IZ" for p2 in "XY"]
 
 
-TEN_POOLS = [build_pool("full-24"), build_pool("half-12")] + [
-    build_pool("minimal-6", symplectic=s, pauli_pair=(p1, p2))
-    for s, p1, p2 in minimal_pool_choices()]
+TEN_POOLS = [parse_pool("full-24"), parse_pool("half-12")] + [
+    parse_pool(f"{s}:{p1}:{p2}") for s, p1, p2 in minimal_pool_choices()]
 
 
 def kron(factors) -> np.ndarray:

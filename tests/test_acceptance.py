@@ -24,7 +24,7 @@ from twirlsim import (
     max_weight_coefficient,
     plan_from_count,
     plan_realizations,
-    run_sampled_campaign,
+    run_campaign,
     time_suspension_sequence,
     zz_coupling,
 )
@@ -175,8 +175,7 @@ def test_criterion_5_sampling_statistics():
     envelope = 3.0 / math.sqrt(n_shots)
     hits = 0
     for seed in range(100):
-        estimate = run_sampled_campaign(ch, (1, 2), plan_from_count(n_shots),
-                                        seed=seed)[(1, 2)]
+        estimate = run_campaign(ch, (1, 2), plan_from_count(n_shots), seed=seed)[(1, 2)]
         if abs(estimate.value - 5.0 / 9.0) <= envelope:
             hits += 1
     if hits < 99:

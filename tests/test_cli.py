@@ -1,10 +1,11 @@
 import contextlib
 import io
 import math
+import re
 import statistics
 import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,28 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith(f"twirlsim: config error: repeated flag {flag} ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--gat", "cnot"], ["--ie-pulse", "0.05"],
+                                      ["--n-real", "50"]])
+    def test_flag_prefix_refused(self, argv, tmp_path, capsys):
+        # a config line "gat cnot" names no key, so neither does the flag; each
+        # run would exit 0 if the prefix were read as its flag
+        path = tmp_path / "exp.config"
+        path.write_text(f"{argv[0][2:]} {argv[1]}\n")
+        assert main(["--config", str(path)]) == 1
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(e.startswith("twirlsim: config error: ") for e in err)
+
+    def test_help_lists_every_flag(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        flags = {option.metadata["flag"] or "--" + option.name.replace("_", "-")
+                 for option in fields(ExperimentConfig)}
+        assert len(flags) == len(fields(ExperimentConfig))
+        assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) == flags | {"--help",
+                                                                                 "--config"}
 
 
 class TestBuildChannel:

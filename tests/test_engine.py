@@ -21,7 +21,6 @@ import pytest
 
 from twirlsim import (
     QuantumChannel,
-    build_pool,
     chi_diagonal,
     cnot_gate,
     compile_sequence,
@@ -29,8 +28,7 @@ from twirlsim import (
     fidelity_decay_from_chi,
     parse_pool,
     plan_from_count,
-    run_exact_campaign,
-    run_sampled_campaign,
+    run_campaign,
     time_suspension_sequence,
     zz_coupling,
 )
@@ -66,7 +64,7 @@ def test_exact_engine_matches_density_matrix_twirl(index, kind):
         channel = channel_on_leading_qubits(kind, n - 1, n, rng)
         others = rng.choice(np.arange(1, n), size=m - 1, replace=False)
         target = tuple(sorted(int(q) for q in others)) + (n,)
-        got = run_exact_campaign(channel, target, pool)
+        got = run_campaign(channel, target, pool=pool)
         chi = chi_diagonal(channel)
         assert len(got) == 2**m - 1
         for sub, est in got.items():
@@ -103,11 +101,11 @@ def test_sampled_memory_stays_per_block():
     # summed table takes 0.9 MB. The budget is 3 MiB, three times the 1 MiB
     # dense CNOT matrix of an 8-qubit register
     channel = QuantumChannel.from_unitary(cnot_gate(1, 2, 8))
-    pool = build_pool("full-24")
-    run_sampled_campaign(channel, (1, 2, 3), plan_from_count(50), pool, seed=1)
+    pool = parse_pool("full-24")
+    run_campaign(channel, (1, 2, 3), plan_from_count(50), pool, seed=1)
     tracemalloc.start()
     try:
-        run_sampled_campaign(channel, (1, 2, 3), plan_from_count(2000), pool, seed=2)
+        run_campaign(channel, (1, 2, 3), plan_from_count(2000), pool, seed=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -131,10 +129,10 @@ def test_sampled_peak_in_shot_arrays(sampling, arrays):
     if sampling == "exact":
         channel = QuantumChannel.from_kraus(np.sqrt(w) * op for w, op in channel.terms)
     N = 10**6
-    run_sampled_campaign(channel, (1, 2), plan_from_count(1000), seed=1)
+    run_campaign(channel, (1, 2), plan_from_count(1000), seed=1)
     tracemalloc.start()
     try:
-        run_sampled_campaign(channel, (1, 2), plan_from_count(N), seed=1)
+        run_campaign(channel, (1, 2), plan_from_count(N), seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -145,12 +143,12 @@ def test_sampled_peak_independent_of_shots():
     # one multinomial draw builds no N-long array: 10^7 shots trace the peak
     # of 10^3 shots, up to 64 KiB
     channel = crotonic_channel(0.05, 0.02)
-    run_sampled_campaign(channel, (1, 2), plan_from_count(1000), seed=1)
+    run_campaign(channel, (1, 2), plan_from_count(1000), seed=1)
     peaks = []
     for N in (10**3, 10**7):
         tracemalloc.start()
         try:
-            run_sampled_campaign(channel, (1, 2), plan_from_count(N), seed=1)
+            run_campaign(channel, (1, 2), plan_from_count(N), seed=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -172,7 +170,7 @@ def test_sampled_estimates_independent_of_blocks(case, monkeypatch):
         options = {"seed": 4}
     elif case.startswith("full24-n8-triple-cyclic"):
         args = (QuantumChannel.from_unitary(cnot_gate(1, 2, 8)), (1, 2, 3),
-                plan_from_count(3000), build_pool("full-24"))
+                plan_from_count(3000), parse_pool("full-24"))
         options = {"seed": 5, "assignment_order": "cyclic"}
     else:
         channel = QuantumChannel.unitary_ensemble(
@@ -181,11 +179,11 @@ def test_sampled_estimates_independent_of_blocks(case, monkeypatch):
         options = {"seed": 6}
     if case.endswith("-dense"):
         args = (dense_twin(args[0]),) + args[1:]
-    exact_args = args[:2] + args[3:]
-    want = bits(run_sampled_campaign(*args, **options)), bits(run_exact_campaign(*exact_args))
+    exact_args = args[:2] + (None,) + args[3:]  # no plan: exact
+    want = bits(run_campaign(*args, **options)), bits(run_campaign(*exact_args))
     for block in (1, 2**30):
         monkeypatch.setattr(protocol, "BLOCK", block)
-        got = bits(run_sampled_campaign(*args, **options)), bits(run_exact_campaign(*exact_args))
+        got = bits(run_campaign(*args, **options)), bits(run_campaign(*exact_args))
         assert got == want, block
 
 
@@ -291,7 +289,7 @@ def test_monomial_terms_match_dense_storage(n):
     # the compact factor of a monomial term must give the dense factor's decays
     # bit for bit, in both modes, alone or mixed with a generic unitary
     rng = np.random.default_rng([n, 14])
-    pool = build_pool()
+    pool = parse_pool()
     for m in (1, 2, 3):
         target = tuple(sorted(int(q) for q in rng.choice(np.arange(1, n + 1), m, replace=False)))
         single = QuantumChannel.from_unitary(random_monomial(n, rng))
@@ -303,11 +301,11 @@ def test_monomial_terms_match_dense_storage(n):
         for channel, twins in ((single, (kraus, dense_twin(single))),
                                (mixed, (dense_twin(mixed),))):
             plan = plan_from_count(400)
-            want = [bits(run_exact_campaign(channel, target, pool)),
-                    bits(run_sampled_campaign(channel, target, plan, pool, seed=n))]
+            want = [bits(run_campaign(channel, target, pool=pool)),
+                    bits(run_campaign(channel, target, plan, pool, seed=n))]
             for twin in twins:
-                got = [bits(run_exact_campaign(twin, target, pool)),
-                       bits(run_sampled_campaign(twin, target, plan, pool, seed=n))]
+                got = [bits(run_campaign(twin, target, pool=pool)),
+                       bits(run_campaign(twin, target, plan, pool, seed=n))]
                 assert got == want, (n, target, twin.kind)
 
 
@@ -319,7 +317,7 @@ def test_monomial_terms_match_dense_storage_at_benchmark_shapes(n, ms):
     # compared byte for byte as well, since readout rounding can hide a 1-ulp
     # drift of a table entry
     rng = np.random.default_rng([n, 19])
-    pool, plan = build_pool(), plan_from_count(400)
+    pool, plan = parse_pool(), plan_from_count(400)
     for op, drawn in ((cnot_gate(1, 2, n).data, False),
                       (zz_coupling(0.3, (1, 2), n).data, False), (random_monomial(n, rng), True)):
         single = QuantumChannel.from_unitary(op)
@@ -329,13 +327,13 @@ def test_monomial_terms_match_dense_storage_at_benchmark_shapes(n, ms):
             qubits = rng.choice(np.arange(1, n + 1), m, replace=False) if drawn else range(1, m + 1)
             target = tuple(sorted(int(q) for q in qubits))
             table = protocol._outcome_tables(single, [target], pool)[0].tobytes()
-            want = [bits(run_exact_campaign(single, target, pool)),
-                    bits(run_sampled_campaign(single, target, plan, pool, seed=n))]
+            want = [bits(run_campaign(single, target, pool=pool)),
+                    bits(run_campaign(single, target, plan, pool, seed=n))]
             for twin in twins:
                 assert protocol._outcome_tables(twin, [target], pool)[0].tobytes() == table, (
                     n, target, twin.kind)
-                got = [bits(run_exact_campaign(twin, target, pool)),
-                       bits(run_sampled_campaign(twin, target, plan, pool, seed=n))]
+                got = [bits(run_campaign(twin, target, pool=pool)),
+                       bits(run_campaign(twin, target, plan, pool, seed=n))]
                 assert got == want, (n, target, twin.kind)
 
 
@@ -470,7 +468,7 @@ def test_sampled_law_matches_per_shot_reference():
     rng = np.random.default_rng(18)
     channel = QuantumChannel.unitary_ensemble(
         [(0.6, random_unitary(16, rng)), (0.4, cnot_gate(1, 2, 4).data)])
-    target, pool, N, seeds = (1, 2, 3), build_pool("full-24"), 500, 300
+    target, pool, N, seeds = (1, 2, 3), parse_pool("full-24"), 500, 300
     rows = np.arange(pool.size ** len(target))
     want = np.concatenate([  # 1024 dense states at a time
         sum(shot_probabilities(channel.terms, 4, target, pool, rows[lo:lo + 1024],
@@ -481,8 +479,8 @@ def test_sampled_law_matches_per_shot_reference():
                   - want / want.sum(axis=1, keepdims=True)).max() <= 1e-15
     engine, shots = [], []
     for seed in range(seeds):
-        engine.append(run_sampled_campaign(channel, target, plan_from_count(N), pool, seed=seed,
-                                           assignment_order="cyclic"))
+        engine.append(run_campaign(channel, target, plan_from_count(N), pool, seed=seed,
+                                   assignment_order="cyclic"))
         counts = per_shot_counts(channel, target, N, pool, seed, "cyclic", per_term=True)
         shots.append(protocol._readout(np.array([counts]), [target], N)[0])
     for sub in engine[0]:

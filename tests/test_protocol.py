@@ -10,16 +10,15 @@ from twirlsim import (
     ErrorBudget,
     QuantumChannel,
     SamplePlan,
-    build_pool,
     chi_diagonal,
     cnot_gate,
     combine_subset,
     decay_error_bound,
     fidelity_decay_from_chi,
+    parse_pool,
     plan_from_count,
     plan_realizations,
-    run_exact_campaign,
-    run_sampled_campaign,
+    run_campaign,
     sampled_coefficient_error,
     subset_coefficient_error,
     zz_coupling,
@@ -41,7 +40,7 @@ def cnot_channel(n=2):
 def sampled_decay(channel, subset, plan, **options):
     """Sampled decay of ``subset``: the full-subset entry of its campaign."""
     qs = tuple(sorted(subset))
-    return run_sampled_campaign(channel, qs, plan, **options)[qs]
+    return run_campaign(channel, qs, plan, **options)[qs]
 
 
 def zzz_channel(theta):
@@ -67,7 +66,7 @@ class TestInitialState:
 class TestFidelityDecayExact:
     def test_non_integer_label_rejected(self):
         with pytest.raises(ValueError, match="qubit label 1.7 is not an integer"):
-            run_exact_campaign(cnot_channel(), [1.7])
+            run_campaign(cnot_channel(), [1.7])
 
     def test_identity_channel(self):
         est = exact_decay(QuantumChannel.identity(2), [1, 2])
@@ -167,7 +166,7 @@ class TestJointReadout:
     def test_marginals_match_dedicated_twirls(self, rng):
         # one twirl of the pair determines the single-qubit decays too
         for ch in (cnot_channel(), random_unitary_ensemble(2, 3, rng)):
-            rho1 = twirl(ch, [1, 2], initial_state(2, [1, 2]), build_pool())
+            rho1 = twirl(ch, [1, 2], initial_state(2, [1, 2]), parse_pool())
             for subset in ((1,), (2,), (1, 2)):
                 dedicated = exact_decay(ch, subset).value
                 assert 1.0 - projection(rho1, subset) == pytest.approx(dedicated, abs=1e-9)
@@ -326,6 +325,23 @@ class TestSamplePlanning:
             SamplePlan(0.1, 0.5, 80)
         assert SamplePlan(0.1, 0.5, 100).realizations == 100
 
+    def test_numeric_text_kept_as_float(self):
+        plan = SamplePlan(0.1, "0.05", 10000)
+        assert plan == SamplePlan(0.1, 0.05, 10000) and type(plan.epsilon) is float
+        plan = plan_realizations("0.1", 0.05)
+        assert plan == plan_realizations(0.1, 0.05) and type(plan.delta) is float
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SamplePlan(None, 0.5, 100), "None is not a number"),
+        (lambda: SamplePlan(0.1, [0.5], 100), re.escape("[0.5] is not a number")),
+        (lambda: SamplePlan("abc", 0.5, 100), "could not convert string to float: 'abc'"),
+        (lambda: plan_realizations(0.1, None), "None is not a number"),
+        (lambda: plan_realizations("nan", 0.5), "'nan' is not finite"),
+    ], ids=["none-delta", "list-epsilon", "text-delta", "none-epsilon", "nan-text-delta"])
+    def test_non_numbers_refused(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_plan_from_count_accepts_every_count(self):
         # a count always meets its own precision 1/sqrt(N), up to the 10^7 cap
         rng = np.random.default_rng(8)
@@ -374,6 +390,11 @@ class TestDecayEstimateInvariants:
         est = DecayEstimate((1,), 0.5, 0.01, np.int64(10000))
         assert est.realizations == 10000 and type(est.realizations) is int
 
+    def test_numeric_text_kept_as_float(self):
+        est = DecayEstimate((1,), "0.1", "0.01", 100)
+        assert est == DecayEstimate((1,), 0.1, 0.01, 100)
+        assert type(est.value) is float and type(est.std_error) is float
+
     def test_sampled_error_bound(self):
         DecayEstimate((1,), 0.5, std_error=0.005, realizations=10000)
         with pytest.raises(ValueError, match="bound"):
@@ -410,18 +431,18 @@ class TestSampledProtocol:
         assert a != c
 
     def test_campaign_covers_all_subsets(self):
-        camp = run_sampled_campaign(cnot_channel(), [1, 2], plan_from_count(2000), seed=9)
+        camp = run_campaign(cnot_channel(), [1, 2], plan_from_count(2000), seed=9)
         assert set(camp) == {(1,), (2,), (1, 2)}
 
     def test_campaign_marginals_near_exact(self):
-        camp = run_sampled_campaign(cnot_channel(), [1, 2], plan_from_count(40000), seed=21)
+        camp = run_campaign(cnot_channel(), [1, 2], plan_from_count(40000), seed=21)
         assert abs(camp[(1,)].value - 1 / 3) <= 3 / 200
         assert abs(camp[(2,)].value - 1 / 3) <= 3 / 200
 
     def test_complement_qubits_randomized(self):
         # 4-qubit register, measure the pair: spectators are flipped per shot
         ch = QuantumChannel.from_unitary(cnot_gate(1, 2, n=4))
-        camp = run_sampled_campaign(ch, [1, 2], plan_from_count(20000), seed=3)
+        camp = run_campaign(ch, [1, 2], plan_from_count(20000), seed=3)
         assert abs(camp[(1, 2)].value - 5 / 9) <= 3 / math.sqrt(20000)
 
     def test_convergence_over_seeds(self):
@@ -510,6 +531,24 @@ class TestErrorPropagation:
             subset_coefficient_error([0.1, 0.1])
         with pytest.raises(ValueError, match="negative"):
             subset_coefficient_error([-0.1, 0.1, 0.1])
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: sampled_coefficient_error(0.1, 2, 0), "realization count must be positive, got 0"),
+        (lambda: sampled_coefficient_error(0.1, 2, -5), "realization count must be positive"),
+        (lambda: sampled_coefficient_error(0.1, 2, 2.5), "realization count 2.5 is not an integer"),
+        (lambda: sampled_coefficient_error(0.1, 2, True), "realization count True is not an"),
+        (lambda: subset_coefficient_error([]), "0 errors do not cover the subsets of any set"),
+    ], ids=["zero-count", "negative-count", "fractional-count", "bool-count", "no-errors"])
+    def test_error_helpers_refuse_unusable_input(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_budget_keeps_numbers(self):
+        budget = ErrorBudget("0.1")
+        assert budget == ErrorBudget(0.1, 0.0) and type(budget.preparation) is float
+        for bad in (None, "abc", [0.1], float("nan")):
+            with pytest.raises(ValueError):
+                ErrorBudget(0.0, bad)
 
 
 class TestDerivedSeeds:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from twirlsim import (
-    DimensionError, QuantumChannel, UnitaryMatrix, cnot_gate, run_exact_campaign, zz_coupling)
+    DimensionError, QuantumChannel, UnitaryMatrix, cnot_gate, run_campaign, zz_coupling)
 from twirlsim.states import (
     ATOL, Monomial, _validate_subset, apply_local, checked_probability, dense, outcome_codes)
 from conftest import random_density, random_kraus_channel, random_unitary
@@ -277,7 +277,7 @@ class TestQuantumChannel:
         ch = QuantumChannel.from_kraus(ops)
         assert all(op is given for (_, op), given in zip(ch.terms, ops))
         want = QuantumChannel.from_kraus([dense(op) for op in ops])
-        assert run_exact_campaign(ch, (1,)) == run_exact_campaign(want, (1,))
+        assert run_campaign(ch, (1,)) == run_campaign(want, (1,))
         with pytest.raises(ValueError, match="identity"):
             QuantumChannel.from_kraus(ops[:1])
 
