@@ -25,8 +25,6 @@ from .protocol import (
     decay_error_bound,
     derive_seed,
     fidelity_decay_from_chi,
-    plan_from_count,
-    plan_realizations,
     run_campaign,
     sampled_coefficient_error,
     subset_coefficient_error,
@@ -52,8 +50,7 @@ __all__ = [
     "CliffordElement", "CliffordPool", "parse_pool",
     "DecayEstimate", "ErrorBudget", "SamplePlan",
     "combine_subset", "decay_error_bound", "derive_seed",
-    "fidelity_decay_from_chi", "plan_from_count", "plan_realizations",
-    "run_campaign",
+    "fidelity_decay_from_chi", "run_campaign",
     "sampled_coefficient_error", "subset_coefficient_error",
     "Delay", "NmrHamiltonian", "Pulse", "cnot_gate",
     "compile_sequence", "crotonic_preset", "hamiltonian_diagonal",

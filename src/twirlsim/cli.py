@@ -39,7 +39,6 @@ from .paulis import (
 )
 from .protocol import (
     ASSIGNMENT_ORDERS,
-    CLT_EPSILON,
     MAX_EXACT_SUBSET,
     DecayEstimate,
     ErrorBudget,
@@ -48,8 +47,6 @@ from .protocol import (
     combine_subset,
     decay_error_bound,
     derive_seed,
-    plan_from_count,
-    plan_realizations,
     sampled_coefficient_error,
     subset_coefficient_error,
 )
@@ -299,8 +296,6 @@ def _validate_config(
         raise ConfigError("thread count must be at least 1")
     if config.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {config.seed}")
-    if config.epsilon is not None and config.delta is None:
-        raise ConfigError("epsilon needs delta")
     try:
         _register_size(config.n)
         targets = []
@@ -314,12 +309,8 @@ def _validate_config(
         worst, m = decay_error_bound(budget, 1.0), max(map(len, config.subsets), default=0)
         largest = worst if math.isinf(worst) or not m else subset_coefficient_error(
             [worst] * (2**m - 1))
-        if config.delta is None:
-            plan = None if config.realizations is None else plan_from_count(config.realizations)
-        else:
-            epsilon = CLT_EPSILON if config.epsilon is None else config.epsilon
-            plan = (plan_realizations(config.delta, epsilon) if config.realizations is None
-                    else SamplePlan(config.delta, epsilon, config.realizations))
+        given = (config.delta, config.epsilon, config.realizations)
+        plan = None if given == (None, None, None) else SamplePlan(*given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     except ArithmeticError as exc:
@@ -432,7 +423,10 @@ def _merge_args(config: ExperimentConfig, args: argparse.Namespace) -> Experimen
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse exits after printing --help
+            return exc.code
         config = parse_config_file(args.config) if args.config else ExperimentConfig()
         config = _merge_args(config, args)
         started = time.perf_counter()

@@ -188,7 +188,7 @@ def zz_coupling(beta: float, pair: tuple[int, int] = (1, 2), n: int = 4) -> Unit
     """
     j, k = _validate_subset(pair, n)
     signs = _z_signs(n)
-    phase = beta * signs[j - 1] * signs[k - 1]
+    phase = _finite(beta) * signs[j - 1] * signs[k - 1]
     return UnitaryMatrix(Monomial(_read_only(np.arange(2**n)), _read_only(np.exp(-1j * phase))))
 
 

@@ -101,43 +101,43 @@ def _required_counts(delta: float, epsilon: float) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """A realization count for precision ``delta`` at failure rate ``epsilon``: at
-    least the larger of the Chernoff and central-limit counts (equal at eps = 2 e^-2,
-    Chernoff larger below it) and at most ``MAX_REALIZATIONS``."""
+    """A realization count N for precision ``delta`` at failure rate ``epsilon``,
+    every field filled in by the package's one plan rule: N is at least the larger
+    of the Chernoff count ln(2/eps)/(2 delta^2) and the central-limit count 1/delta^2
+    (equal at eps = ``CLT_EPSILON`` = 2 e^-2, Chernoff larger below it), and at most
+    ``MAX_REALIZATIONS``. Without N the plan takes the smallest such N; N alone
+    implies delta = 1/sqrt(N). ``epsilon`` defaults to ``CLT_EPSILON`` and needs
+    ``delta``."""
 
-    delta: float
-    epsilon: float
-    realizations: int
+    delta: float | None = None
+    epsilon: float | None = None
+    realizations: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", _finite(self.delta))
-        object.__setattr__(self, "epsilon", _finite(self.epsilon))
-        object.__setattr__(self, "realizations", _integer(self.realizations, "realization count"))
-        floor = max(_required_counts(self.delta, self.epsilon))
+        if self.delta is None and self.epsilon is not None:
+            raise ValueError("epsilon needs delta")
+        count = self.realizations
+        if count is not None:
+            count = _integer(count, "realization count")
+        if self.delta is None:
+            if count is None:
+                raise ValueError("a plan needs delta or realizations")
+            if count <= 0:
+                raise ValueError(f"realization count must be positive, got {count}")
+        delta = 1.0 / math.sqrt(count) if self.delta is None else _finite(self.delta)
+        epsilon = CLT_EPSILON if self.epsilon is None else _finite(self.epsilon)
+        floor = max(_required_counts(delta, epsilon))
+        count = floor if count is None else count
         if floor > MAX_REALIZATIONS:
-            raise ValueError(f"delta {self.delta} and epsilon {self.epsilon} need more than "
+            raise ValueError(f"delta {delta} and epsilon {epsilon} need more than "
                              f"the limit of {MAX_REALIZATIONS} realizations")
-        if self.realizations > MAX_REALIZATIONS:
-            raise ValueError(
-                f"{self.realizations} realizations exceed the limit of {MAX_REALIZATIONS}")
-        if self.realizations < floor:
-            raise ValueError(
-                f"{self.realizations} realizations fall below the floor of {floor} "
-                f"for delta {self.delta} and epsilon {self.epsilon}")
-
-
-def plan_realizations(delta: float, epsilon: float) -> SamplePlan:
-    """The smallest plan for precision ``delta`` at failure rate ``epsilon``."""
-    delta, epsilon = _finite(delta), _finite(epsilon)
-    return SamplePlan(delta, epsilon, max(_required_counts(delta, epsilon)))
-
-
-def plan_from_count(realizations: int) -> SamplePlan:
-    """Plan for an explicitly chosen N; implies precision 1/sqrt(N)."""
-    realizations = _integer(realizations, "realization count")
-    if realizations <= 0:
-        raise ValueError(f"realization count must be positive, got {realizations}")
-    return SamplePlan(1.0 / math.sqrt(realizations), CLT_EPSILON, realizations)
+        if count > MAX_REALIZATIONS:
+            raise ValueError(f"{count} realizations exceed the limit of {MAX_REALIZATIONS}")
+        if count < floor:
+            raise ValueError(f"{count} realizations fall below the floor of {floor} "
+                             f"for delta {delta} and epsilon {epsilon}")
+        for name, value in (("delta", delta), ("epsilon", epsilon), ("realizations", count)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -344,18 +344,20 @@ def fidelity_decay_from_chi(
     nothing by construction.
     """
     qs = _validate_subset(subset, chi.n)
+    purity = {}
     for q in qs:
         if q not in purities:
             raise ValueError(f"missing purity for qubit {q}")
-        if not 0.5 - ATOL <= purities[q] <= 1.0 + ATOL:
-            raise ValueError(f"purity {purities[q]} for qubit {q} outside [1/2, 1]")
+        purity[q] = _finite(purities[q])
+        if not 0.5 - ATOL <= purity[q] <= 1.0 + ATOL:
+            raise ValueError(f"purity {purity[q]} for qubit {q} outside [1/2, 1]")
     pure_product = 1.0
     twirled = np.ones(4**chi.n)
     letters = _letters(np.arange(4**chi.n), chi.n)
     for q in qs:
-        pure_product *= purities[q]
+        pure_product *= purity[q]
         acts = letters[q - 1] != 0
-        twirled *= np.where(acts, (2.0 / 3.0) * (1.0 - purities[q] / 2.0), purities[q])
+        twirled *= np.where(acts, (2.0 / 3.0) * (1.0 - purity[q] / 2.0), purity[q])
     return float(np.sum(chi.values * (pure_product - twirled)))
 
 
@@ -425,7 +427,9 @@ def sampled_coefficient_error(eta: float, m: int, realizations: int) -> float:
     The shared-shot decays combine to eta = (3/2)^m q, q the fraction of
     shots reading 1 on every measured qubit; q is clamped to [0, 1].
     """
-    realizations = _integer(realizations, "realization count")
+    m, realizations = _integer(m, "subset size"), _integer(realizations, "realization count")
+    if m < 1:
+        raise ValueError(f"subset size must be positive, got {m}")
     if realizations < 1:
         raise ValueError(f"realization count must be positive, got {realizations}")
     q = min(max(_finite(eta) / 1.5**m, 0.0), 1.0)
@@ -438,6 +442,7 @@ def decay_error_bound(budget: ErrorBudget, decay: float) -> float:
     sqrt(e_prep^2 (1 + 4 g) + e_clifford^2) for decay value g; infinite when
     a square overflows.
     """
+    decay = _finite(decay)
     if not -ATOL <= decay <= 1.0 + ATOL:
         raise ValueError(f"decay value {decay} outside [0, 1]")
     try:

@@ -46,8 +46,10 @@ def _check_square_pow2(data, what: str) -> int:
 
 
 def _finite(text, kind: type = float) -> float | complex:
-    """``kind(text)``, refusing NaN, infinite values and what is not a number: the
-    package's one number rule."""
+    """``kind(text)``, refusing NaN, infinite values and what is not a number, a
+    Python or NumPy bool included: the package's one number rule."""
+    if isinstance(text, (bool, np.bool_)):
+        raise ValueError(f"{text!r} is not a number")
     try:
         value = kind(text)
     except TypeError as exc:

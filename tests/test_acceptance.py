@@ -14,6 +14,7 @@ import pytest
 
 from twirlsim import (
     QuantumChannel,
+    SamplePlan,
     chi_diagonal,
     cnot_gate,
     collective_coefficients,
@@ -22,8 +23,6 @@ from twirlsim import (
     crotonic_preset,
     fidelity_decay_from_chi,
     max_weight_coefficient,
-    plan_from_count,
-    plan_realizations,
     run_campaign,
     time_suspension_sequence,
     zz_coupling,
@@ -166,7 +165,7 @@ def test_criterion_4_combination_correctness():
 def test_criterion_5_sampling_statistics():
     started = time.perf_counter()
     failures: list[str] = []
-    plan = plan_realizations(0.01, 0.05)
+    plan = SamplePlan(0.01, 0.05)
     if plan.realizations != 18445:
         failures.append(f"concentration plan gave N={plan.realizations}, "
                         f"expected 18445")
@@ -175,7 +174,7 @@ def test_criterion_5_sampling_statistics():
     envelope = 3.0 / math.sqrt(n_shots)
     hits = 0
     for seed in range(100):
-        estimate = run_campaign(ch, (1, 2), plan_from_count(n_shots), seed=seed)[(1, 2)]
+        estimate = run_campaign(ch, (1, 2), SamplePlan(realizations=n_shots), seed=seed)[(1, 2)]
         if abs(estimate.value - 5.0 / 9.0) <= envelope:
             hits += 1
     if hits < 99:

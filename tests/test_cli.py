@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import math
 import re
 import statistics
@@ -24,10 +25,12 @@ from twirlsim.cli import (
     report_write,
     run_experiment,
 )
-from twirlsim import cli, derive_seed
+from twirlsim import SamplePlan, cli, derive_seed
 from twirlsim.states import dense
 
 DATA = Path(__file__).parent / "data"
+#: the config keys a sample plan is built from
+PLAN_KEYS = ("delta", "epsilon", "realizations")
 
 
 class TestConfigParsing:
@@ -114,9 +117,7 @@ class TestConfigParsing:
         assert len(err) == 2 and all(e.startswith("twirlsim: config error: ") for e in err)
 
     def test_help_lists_every_flag(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["--help"])
-        assert info.value.code == 0
+        assert main(["--help"]) == 0
         flags = {option.metadata["flag"] or "--" + option.name.replace("_", "-")
                  for option in fields(ExperimentConfig)}
         assert len(flags) == len(fields(ExperimentConfig))
@@ -260,6 +261,30 @@ class TestValidation:
         cfg = ExperimentConfig(gate="cnot", n=2, subsets=((1, 2),), mode="sampled",
                                realizations=300, delta=0.1, epsilon=0.01)
         assert run_experiment(cfg).plan.realizations == 300
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("values", [(0.1, 0.05, 400), (0.01, 0.05, 100)],
+                             ids=["meets-floor", "below-floor"])
+    @pytest.mark.parametrize("given", [keys for r in range(4)
+                                       for keys in itertools.combinations(PLAN_KEYS, r)],
+                             ids=lambda keys: "+".join(keys) or "none")
+    def test_plan_has_one_owner(self, given, values, mode):
+        # the CLI hands the plan keys it is given to SamplePlan, in either mode, and
+        # builds no plan from none; its own rule is which keys sampled mode needs
+        chosen = {key: value for key, value in zip(PLAN_KEYS, values) if key in given}
+        cfg = ExperimentConfig(gate="cnot", n=2, subsets=((1, 2),), mode=mode, **chosen)
+        try:
+            want = SamplePlan(**chosen) if chosen else None
+        except ValueError as exc:
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
+                run_experiment(cfg)
+            return
+        if mode == "sampled" and not {"epsilon", "realizations"} & set(given):
+            with pytest.raises(ConfigError,
+                               match="^sampled mode needs realizations, or delta and epsilon$"):
+                run_experiment(cfg)
+        else:
+            assert run_experiment(cfg).plan == (want if mode == "sampled" else None)
 
     def test_bad_pool(self):
         cfg = ExperimentConfig(gate="cnot", n=2, subsets=((1, 2),), pool="S9:I:X")

@@ -21,13 +21,13 @@ import pytest
 
 from twirlsim import (
     QuantumChannel,
+    SamplePlan,
     chi_diagonal,
     cnot_gate,
     compile_sequence,
     crotonic_preset,
     fidelity_decay_from_chi,
     parse_pool,
-    plan_from_count,
     run_campaign,
     time_suspension_sequence,
     zz_coupling,
@@ -102,10 +102,10 @@ def test_sampled_memory_stays_per_block():
     # dense CNOT matrix of an 8-qubit register
     channel = QuantumChannel.from_unitary(cnot_gate(1, 2, 8))
     pool = parse_pool("full-24")
-    run_campaign(channel, (1, 2, 3), plan_from_count(50), pool, seed=1)
+    run_campaign(channel, (1, 2, 3), SamplePlan(realizations=50), pool, seed=1)
     tracemalloc.start()
     try:
-        run_campaign(channel, (1, 2, 3), plan_from_count(2000), pool, seed=2)
+        run_campaign(channel, (1, 2, 3), SamplePlan(realizations=2000), pool, seed=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -129,10 +129,10 @@ def test_sampled_peak_in_shot_arrays(sampling, arrays):
     if sampling == "exact":
         channel = QuantumChannel.from_kraus(np.sqrt(w) * op for w, op in channel.terms)
     N = 10**6
-    run_campaign(channel, (1, 2), plan_from_count(1000), seed=1)
+    run_campaign(channel, (1, 2), SamplePlan(realizations=1000), seed=1)
     tracemalloc.start()
     try:
-        run_campaign(channel, (1, 2), plan_from_count(N), seed=1)
+        run_campaign(channel, (1, 2), SamplePlan(realizations=N), seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -143,12 +143,12 @@ def test_sampled_peak_independent_of_shots():
     # one multinomial draw builds no N-long array: 10^7 shots trace the peak
     # of 10^3 shots, up to 64 KiB
     channel = crotonic_channel(0.05, 0.02)
-    run_campaign(channel, (1, 2), plan_from_count(1000), seed=1)
+    run_campaign(channel, (1, 2), SamplePlan(realizations=1000), seed=1)
     peaks = []
     for N in (10**3, 10**7):
         tracemalloc.start()
         try:
-            run_campaign(channel, (1, 2), plan_from_count(N), seed=1)
+            run_campaign(channel, (1, 2), SamplePlan(realizations=N), seed=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -166,16 +166,17 @@ def test_sampled_estimates_independent_of_blocks(case, monkeypatch):
     # stored dense ("-dense"), where several blocks cover n = 7 and 8
     rng = np.random.default_rng(15)
     if case.startswith("cnot-n7-pair"):
-        args = (QuantumChannel.from_unitary(cnot_gate(1, 2, 7)), (1, 2), plan_from_count(3000))
+        args = (QuantumChannel.from_unitary(cnot_gate(1, 2, 7)), (1, 2),
+                SamplePlan(realizations=3000))
         options = {"seed": 4}
     elif case.startswith("full24-n8-triple-cyclic"):
         args = (QuantumChannel.from_unitary(cnot_gate(1, 2, 8)), (1, 2, 3),
-                plan_from_count(3000), parse_pool("full-24"))
+                SamplePlan(realizations=3000), parse_pool("full-24"))
         options = {"seed": 5, "assignment_order": "cyclic"}
     else:
         channel = QuantumChannel.unitary_ensemble(
             [(0.7, random_unitary(32, rng)), (0.3, random_monomial(5, rng))])
-        args = (channel, (2, 4), plan_from_count(3000))
+        args = (channel, (2, 4), SamplePlan(realizations=3000))
         options = {"seed": 6}
     if case.endswith("-dense"):
         args = (dense_twin(args[0]),) + args[1:]
@@ -300,7 +301,7 @@ def test_monomial_terms_match_dense_storage(n):
             (0.2, random_unitary(2**n, rng))])
         for channel, twins in ((single, (kraus, dense_twin(single))),
                                (mixed, (dense_twin(mixed),))):
-            plan = plan_from_count(400)
+            plan = SamplePlan(realizations=400)
             want = [bits(run_campaign(channel, target, pool=pool)),
                     bits(run_campaign(channel, target, plan, pool, seed=n))]
             for twin in twins:
@@ -317,7 +318,7 @@ def test_monomial_terms_match_dense_storage_at_benchmark_shapes(n, ms):
     # compared byte for byte as well, since readout rounding can hide a 1-ulp
     # drift of a table entry
     rng = np.random.default_rng([n, 19])
-    pool, plan = parse_pool(), plan_from_count(400)
+    pool, plan = parse_pool(), SamplePlan(realizations=400)
     for op, drawn in ((cnot_gate(1, 2, n).data, False),
                       (zz_coupling(0.3, (1, 2), n).data, False), (random_monomial(n, rng), True)):
         single = QuantumChannel.from_unitary(op)
@@ -479,7 +480,7 @@ def test_sampled_law_matches_per_shot_reference():
                   - want / want.sum(axis=1, keepdims=True)).max() <= 1e-15
     engine, shots = [], []
     for seed in range(seeds):
-        engine.append(run_campaign(channel, target, plan_from_count(N), pool, seed=seed,
+        engine.append(run_campaign(channel, target, SamplePlan(realizations=N), pool, seed=seed,
                                    assignment_order="cyclic"))
         counts = per_shot_counts(channel, target, N, pool, seed, "cyclic", per_term=True)
         shots.append(protocol._readout(np.array([counts]), [target], N)[0])

@@ -16,8 +16,6 @@ from twirlsim import (
     decay_error_bound,
     fidelity_decay_from_chi,
     parse_pool,
-    plan_from_count,
-    plan_realizations,
     run_campaign,
     sampled_coefficient_error,
     subset_coefficient_error,
@@ -263,19 +261,19 @@ class TestCombination:
 
 class TestSamplePlanning:
     def test_chernoff_dominated(self):
-        plan = plan_realizations(0.01, 0.05)
+        plan = SamplePlan(0.01, 0.05)
         assert plan.realizations == 18445
         assert plan.realizations > 1 / 0.01**2  # the central-limit count
 
     def test_clt_dominated(self):
-        plan = plan_realizations(0.3, 0.5)
+        plan = SamplePlan(0.3, 0.5)
         assert plan.realizations == 12
         assert math.ceil(math.log(4) / (2 * 0.3**2)) == 8
 
     def test_bounds_coincide(self):
         # requirement flips exactly where log(2/eps) = 2
         eps = 2 * math.exp(-2)
-        plan = plan_realizations(2 * math.exp(-2), eps)
+        plan = SamplePlan(2 * math.exp(-2), eps)
         chernoff = math.ceil(math.log(2 / eps) / (2 * (2 * math.exp(-2)) ** 2))
         clt = math.ceil(1 / (2 * math.exp(-2)) ** 2)
         assert chernoff == clt == plan.realizations
@@ -284,33 +282,34 @@ class TestSamplePlanning:
                                            (1e-6, 0.1)])
     def test_domain_errors(self, delta, eps):
         with pytest.raises(ValueError):
-            plan_realizations(delta, eps)
+            SamplePlan(delta, eps)
 
     @pytest.mark.parametrize("delta", [1e-160, 1e-300], ids=["overflowing", "underflowing"])
     def test_unrepresentable_counts_are_value_errors(self, delta):
         with pytest.raises(ValueError, match="too many realizations"):
-            plan_realizations(delta, 0.5)
+            SamplePlan(delta, 0.5)
         with pytest.raises(ValueError, match="too many realizations"):
             SamplePlan(delta, 0.5, 100)
 
     def test_floor_beyond_limit_names_the_limit(self):
         with pytest.raises(ValueError) as info:
-            plan_realizations(1e-150, 0.5)
+            SamplePlan(1e-150, 0.5)
         message = str(info.value)
         assert len(message) < 120
         assert message == ("delta 1e-150 and epsilon 0.5 need more than the limit of "
                            "10000000 realizations")
 
-    def test_plan_from_count(self):
-        plan = plan_from_count(40000)
+    def test_count_alone(self):
+        plan = SamplePlan(realizations=40000)
         assert plan.realizations == 40000
         assert plan.delta == pytest.approx(1 / 200)
-        with pytest.raises(ValueError):
-            plan_from_count(0)
+        assert plan.epsilon == 2 * math.exp(-2)
+        with pytest.raises(ValueError, match="realization count must be positive, got 0"):
+            SamplePlan(realizations=0)
         # a float, text or bool count is refused before any plan is built
         for count in (100.0, "5", True):
             with pytest.raises(ValueError, match=f"realization count {count!r} is not an integer"):
-                plan_from_count(count)
+                SamplePlan(realizations=count)
             with pytest.raises(ValueError, match=f"realization count {count!r} is not an integer"):
                 SamplePlan(0.1, 0.5, count)
         assert type(SamplePlan(0.1, 0.5, np.int64(100)).realizations) is int
@@ -328,21 +327,35 @@ class TestSamplePlanning:
     def test_numeric_text_kept_as_float(self):
         plan = SamplePlan(0.1, "0.05", 10000)
         assert plan == SamplePlan(0.1, 0.05, 10000) and type(plan.epsilon) is float
-        plan = plan_realizations("0.1", 0.05)
-        assert plan == plan_realizations(0.1, 0.05) and type(plan.delta) is float
+        plan = SamplePlan("0.1", 0.05)
+        assert plan == SamplePlan(0.1, 0.05) and type(plan.delta) is float
 
     @pytest.mark.parametrize("make, message", [
-        (lambda: SamplePlan(None, 0.5, 100), "None is not a number"),
         (lambda: SamplePlan(0.1, [0.5], 100), re.escape("[0.5] is not a number")),
         (lambda: SamplePlan("abc", 0.5, 100), "could not convert string to float: 'abc'"),
-        (lambda: plan_realizations(0.1, None), "None is not a number"),
-        (lambda: plan_realizations("nan", 0.5), "'nan' is not finite"),
-    ], ids=["none-delta", "list-epsilon", "text-delta", "none-epsilon", "nan-text-delta"])
+        (lambda: SamplePlan("nan", 0.5), "'nan' is not finite"),
+    ], ids=["list-epsilon", "text-delta", "nan-text-delta"])
     def test_non_numbers_refused(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
 
-    def test_plan_from_count_accepts_every_count(self):
+    @pytest.mark.parametrize("given, expect", [
+        ((None, 0.5, 100), "epsilon needs delta"),
+        ((0.1, None), (0.1, 2 * math.exp(-2), 100)),
+        ((None, None, 400), (1 / 20, 2 * math.exp(-2), 400)),
+        ((), "a plan needs delta or realizations"),
+    ], ids=["epsilon-without-delta", "delta-without-epsilon", "count-without-delta", "nothing"])
+    def test_none_is_an_omitted_input(self, given, expect):
+        # None leaves a field to the plan rule: epsilon defaults to 2 e^-2 and
+        # delta to 1/sqrt(N); epsilon alone, or nothing, names no precision
+        if isinstance(expect, str):
+            with pytest.raises(ValueError, match=f"^{expect}$"):
+                SamplePlan(*given)
+        else:
+            plan = SamplePlan(*given)
+            assert (plan.delta, plan.epsilon, plan.realizations) == expect
+
+    def test_count_alone_accepts_every_count(self):
         # a count always meets its own precision 1/sqrt(N), up to the 10^7 cap
         rng = np.random.default_rng(8)
         counts = np.unique(np.concatenate([
@@ -350,9 +363,9 @@ class TestSamplePlanning:
             np.rint(np.geomspace(2, 10**7, 20000)).astype(np.int64),
             [3138376, 3174027, 10**7]]))
         for count in counts.tolist():
-            assert plan_from_count(count).realizations == count
+            assert SamplePlan(realizations=count).realizations == count
         with pytest.raises(ValueError, match="limit"):
-            plan_from_count(10**7 + 1)
+            SamplePlan(realizations=10**7 + 1)
 
 
 class TestDecayEstimateInvariants:
@@ -404,26 +417,26 @@ class TestDecayEstimateInvariants:
 class TestSampledProtocol:
     def test_identity_channel_exactly_zero(self):
         est = sampled_decay(QuantumChannel.identity(2), [1, 2],
-                                   plan_from_count(1000), seed=5)
+                                   SamplePlan(realizations=1000), seed=5)
         assert est.value == 0.0
         assert est.std_error == 0.0
         assert est.realizations == 1000
 
     def test_cnot_within_clt_envelope(self):
-        plan = plan_from_count(40000)
+        plan = SamplePlan(realizations=40000)
         est = sampled_decay(cnot_channel(), [1, 2], plan, seed=11)
         assert abs(est.value - 5 / 9) <= 3 / math.sqrt(plan.realizations)
         assert est.std_error <= 1 / math.sqrt(plan.realizations)
 
     def test_zz_gate_within_clt_envelope(self):
-        plan = plan_from_count(40000)
+        plan = SamplePlan(realizations=40000)
         ch = QuantumChannel.from_unitary(zz_coupling(0.1, (1, 2), n=2))
         est = sampled_decay(ch, [1, 2], plan, seed=11)
         expect = (8 / 9) * math.sin(0.1) ** 2
         assert abs(est.value - expect) <= 3 / math.sqrt(plan.realizations)
 
     def test_seeded_determinism(self):
-        plan = plan_from_count(2000)
+        plan = SamplePlan(realizations=2000)
         a = sampled_decay(cnot_channel(), [1, 2], plan, seed=123)
         b = sampled_decay(cnot_channel(), [1, 2], plan, seed=123)
         c = sampled_decay(cnot_channel(), [1, 2], plan, seed=124)
@@ -431,22 +444,22 @@ class TestSampledProtocol:
         assert a != c
 
     def test_campaign_covers_all_subsets(self):
-        camp = run_campaign(cnot_channel(), [1, 2], plan_from_count(2000), seed=9)
+        camp = run_campaign(cnot_channel(), [1, 2], SamplePlan(realizations=2000), seed=9)
         assert set(camp) == {(1,), (2,), (1, 2)}
 
     def test_campaign_marginals_near_exact(self):
-        camp = run_campaign(cnot_channel(), [1, 2], plan_from_count(40000), seed=21)
+        camp = run_campaign(cnot_channel(), [1, 2], SamplePlan(realizations=40000), seed=21)
         assert abs(camp[(1,)].value - 1 / 3) <= 3 / 200
         assert abs(camp[(2,)].value - 1 / 3) <= 3 / 200
 
     def test_complement_qubits_randomized(self):
         # 4-qubit register, measure the pair: spectators are flipped per shot
         ch = QuantumChannel.from_unitary(cnot_gate(1, 2, n=4))
-        camp = run_campaign(ch, [1, 2], plan_from_count(20000), seed=3)
+        camp = run_campaign(ch, [1, 2], SamplePlan(realizations=20000), seed=3)
         assert abs(camp[(1, 2)].value - 5 / 9) <= 3 / math.sqrt(20000)
 
     def test_convergence_over_seeds(self):
-        plan = plan_from_count(5000)
+        plan = SamplePlan(realizations=5000)
         bound = 3 / math.sqrt(plan.realizations)
         hits = sum(
             abs(sampled_decay(cnot_channel(), [1, 2], plan, seed=s).value - 5 / 9) <= bound
@@ -454,14 +467,14 @@ class TestSampledProtocol:
         assert hits >= 19
 
     def test_cyclic_assignments(self):
-        plan = plan_from_count(3600)  # multiple of the 36-assignment pool
+        plan = SamplePlan(realizations=3600)  # multiple of the 36-assignment pool
         est = sampled_decay(cnot_channel(), [1, 2], plan, seed=2,
                                    assignment_order="cyclic")
         # cycling covers the pool uniformly, so only shot noise remains
         assert abs(est.value - 5 / 9) <= 3 / math.sqrt(plan.realizations)
 
     def test_invalid_options(self):
-        plan = plan_from_count(100)
+        plan = SamplePlan(realizations=100)
         with pytest.raises(ValueError, match="assignment order"):
             sampled_decay(cnot_channel(), [1, 2], plan, seed=0,
                                  assignment_order="alphabetical")
@@ -542,6 +555,33 @@ class TestErrorPropagation:
     def test_error_helpers_refuse_unusable_input(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+    @pytest.mark.parametrize("call, expect", [
+        (lambda: zz_coupling("0.3", (1, 2), 2).data.phases,
+         lambda: zz_coupling(0.3, (1, 2), 2).data.phases),
+        (lambda: zz_coupling(math.inf), "inf is not finite"),
+        (lambda: zz_coupling(True), "True is not a number"),
+        (lambda: decay_error_bound(ErrorBudget(0.1), "0.5"),
+         lambda: decay_error_bound(ErrorBudget(0.1), 0.5)),
+        (lambda: decay_error_bound(ErrorBudget(0.1), None), "None is not a number"),
+        (lambda: fidelity_decay_from_chi(chi_diagonal(cnot_channel()), {1: "1.0"}, (1,)),
+         lambda: fidelity_decay_from_chi(chi_diagonal(cnot_channel()), {1: 1.0}, (1,))),
+        (lambda: fidelity_decay_from_chi(chi_diagonal(cnot_channel()), {1: "nan"}, (1,)),
+         "'nan' is not finite"),
+        (lambda: sampled_coefficient_error(0.1, -1, 10), "subset size must be positive, got -1"),
+        (lambda: sampled_coefficient_error(0.1, 0, 10), "subset size must be positive, got 0"),
+        (lambda: sampled_coefficient_error(0.1, 1.5, 10), "subset size 1.5 is not an integer"),
+        (lambda: sampled_coefficient_error(0.1, True, 10), "subset size True is not an integer"),
+    ], ids=["zz-text-beta", "zz-infinite-beta", "zz-bool-beta", "bound-text-decay",
+            "bound-none-decay", "chi-text-purity", "chi-nan-purity", "negative-size",
+            "zero-size", "fractional-size", "bool-size"])
+    def test_public_functions_read_numbers_by_the_rule(self, call, expect):
+        # numeric text reads as its float, bit for bit; anything else is a ValueError
+        if isinstance(expect, str):
+            with pytest.raises(ValueError, match=re.escape(expect)):
+                call()
+        else:
+            assert np.array_equal(call(), expect())
 
     def test_budget_keeps_numbers(self):
         budget = ErrorBudget("0.1")

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from twirlsim import (
-    DimensionError, QuantumChannel, UnitaryMatrix, cnot_gate, run_campaign, zz_coupling)
+    DecayEstimate, Delay, DimensionError, ErrorBudget, NmrHamiltonian, Pulse, QuantumChannel,
+    SamplePlan, UnitaryMatrix, cnot_gate, run_campaign, time_suspension_sequence, zz_coupling)
 from twirlsim.states import (
     ATOL, Monomial, _validate_subset, apply_local, checked_probability, dense, outcome_codes)
 from conftest import random_density, random_kraus_channel, random_unitary
@@ -391,6 +392,25 @@ class TestQubitLabels:
     def test_labels_returned_in_ascending_order(self):
         # the one canonical form of a target: callers do not sort it again
         assert _validate_subset((3, np.int64(1), 2), 3) == (1, 2, 3)
+
+
+class TestNumberRule:
+    # a bool is refused as a number, as the integer rule refuses it as a count
+    @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy-bool"])
+    @pytest.mark.parametrize("make", [
+        lambda v: ErrorBudget(v),
+        lambda v: DecayEstimate((1,), v),
+        lambda v: Delay(v),
+        lambda v: Pulse((1,), "+x", v),
+        lambda v: NmrHamiltonian(1, {1: v}, {}),
+        lambda v: time_suspension_sequence(v),
+        lambda v: SamplePlan(v),
+        lambda v: SamplePlan(0.1, v),
+    ], ids=["budget", "decay", "delay", "pulse", "shift", "sequence", "plan-delta",
+            "plan-epsilon"])
+    def test_bools_are_not_numbers(self, make, value):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(value))} is not a number$"):
+            make(value)
 
 
 class TestLocalKernel:
