@@ -26,7 +26,6 @@ from .protocol import (
     derive_seed,
     fidelity_decay_from_chi,
     run_campaign,
-    sampled_coefficient_error,
     subset_coefficient_error,
 )
 from .nmr import (
@@ -51,7 +50,7 @@ __all__ = [
     "DecayEstimate", "ErrorBudget", "SamplePlan",
     "combine_subset", "decay_error_bound", "derive_seed",
     "fidelity_decay_from_chi", "run_campaign",
-    "sampled_coefficient_error", "subset_coefficient_error",
+    "subset_coefficient_error",
     "Delay", "NmrHamiltonian", "Pulse", "cnot_gate",
     "compile_sequence", "crotonic_preset", "hamiltonian_diagonal",
     "time_suspension_sequence", "zz_coupling",

@@ -44,10 +44,8 @@ from .protocol import (
     ErrorBudget,
     SamplePlan,
     _decays,
-    combine_subset,
     decay_error_bound,
     derive_seed,
-    sampled_coefficient_error,
     subset_coefficient_error,
 )
 from .states import Monomial, QuantumChannel, _finite, _register_size, _validate_subset
@@ -302,7 +300,10 @@ def _validate_config(
         for subset in config.subsets:
             if not 1 <= len(subset) <= MAX_EXACT_SUBSET:
                 raise ConfigError(f"target subsets must have 1 to {MAX_EXACT_SUBSET} qubits")
-            targets.append(_validate_subset(subset, config.n))
+            qs = _validate_subset(subset, config.n)
+            if qs in targets:
+                raise ConfigError(f"repeated target {format_subset(qs)}")
+            targets.append(qs)
         pool = parse_pool(config.pool)
         budget = ErrorBudget(config.prep_error, config.clifford_error)
         # the largest eta_bound the run prints: every decay of its largest target at 1
@@ -332,11 +333,14 @@ def _subset_result(
     oracle: CollectiveCoefficients | None,
     qs: tuple[int, ...],
     decays: dict[tuple[int, ...], DecayEstimate],
+    ones: float,
 ) -> SubsetResult:
-    """One target's block of the report, from the decays of its parts."""
-    eta = combine_subset(decays)
-    eta_err = (0.0 if plan is None
-               else sampled_coefficient_error(eta, len(qs), plan.realizations))
+    """One target's block of the report, from the decays of its parts and the
+    share ``ones`` of its histogram in which every target qubit reads 1:
+    eta_col = (3/2)^m q, and in sampled mode (3/2)^m sqrt(q (1 - q) / N)."""
+    scale = 1.5 ** len(qs)
+    eta = scale * ones
+    eta_err = 0.0 if plan is None else scale * math.sqrt(ones * (1.0 - ones) / plan.realizations)
     oracle_val = tail = disc = None
     if oracle is not None:
         oracle_val = oracle.values.get(qs, 0.0)
@@ -364,14 +368,15 @@ def run_experiment(config: ExperimentConfig) -> Report:
               if config.oracle and config.n <= MAX_CHI_QUBITS else None)
     # one engine pass per target size; target i draws from its own stream
     # derive_seed(seed, i), so it reads as it would alone, in config order
-    decays = {}
+    readouts = {}
     for m in {len(qs) for qs in targets}:
         group = [i for i, qs in enumerate(targets) if len(qs) == m]
         seeds = [derive_seed(config.seed, i) for i in group] if plan else []
-        decays.update(zip(group, _decays(channel, [targets[i] for i in group], pool, plan, seeds,
-                                         config.assignment_order)))
-    return Report(config, plan, tuple(_subset_result(config, plan, budget, oracle, qs, decays[i])
-                                      for i, qs in enumerate(targets)))
+        readouts.update(zip(group, _decays(channel, [targets[i] for i in group], pool, plan,
+                                           seeds, config.assignment_order)))
+    return Report(config, plan, tuple(
+        _subset_result(config, plan, budget, oracle, qs, *readouts[i])
+        for i, qs in enumerate(targets)))
 
 
 def report_write(report: Report, out_base: str | Path) -> tuple[Path, Path]:

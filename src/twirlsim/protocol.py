@@ -16,13 +16,14 @@ operator to a 4^m x 4^m map per target: a dense array's product runs over its
 columns, a ``Monomial``'s over its 2^m nonzeros only, and gives the same map
 bit for bit. Twirling the stack of maps one qubit at a time gives each
 target's outcome table of every assignment, and one readout turns one outcome
-histogram per target into every sub-decay. Exact mode sums each table over all
-assignments. Sampled mode draws the histogram of N independent shots from a
-target's table as one multinomial, from a counter-based generator keyed by
-that target's seed. A target reads the same bits alone as among others;
-``BLOCK`` bounds the memory of a pass, whatever the number of targets.
-``run_campaign`` runs one target in either mode: exact without a plan,
-sampled with one.
+histogram per target into every sub-decay and into q, the share of the
+histogram in which every target qubit reads 1; the collective coefficient is
+(3/2)^m q. Exact mode sums each table over all assignments. Sampled mode draws
+the histogram of N independent shots from a target's table as one multinomial,
+from a counter-based generator keyed by that target's seed. A target reads
+the same bits alone as among others; ``BLOCK`` bounds the memory of a pass,
+whatever the number of targets. ``run_campaign`` runs one target in either
+mode: exact without a plan, sampled with one.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ class SamplePlan:
     of the Chernoff count ln(2/eps)/(2 delta^2) and the central-limit count 1/delta^2
     (equal at eps = ``CLT_EPSILON`` = 2 e^-2, Chernoff larger below it), and at most
     ``MAX_REALIZATIONS``. Without N the plan takes the smallest such N; N alone
-    implies delta = 1/sqrt(N). ``epsilon`` defaults to ``CLT_EPSILON`` and needs
-    ``delta``."""
+    is at least 2 and implies delta = 1/sqrt(N). ``epsilon`` defaults to
+    ``CLT_EPSILON`` and needs ``delta``."""
 
     delta: float | None = None
     epsilon: float | None = None
@@ -122,8 +123,8 @@ class SamplePlan:
         if self.delta is None:
             if count is None:
                 raise ValueError("a plan needs delta or realizations")
-            if count <= 0:
-                raise ValueError(f"realization count must be positive, got {count}")
+            if count < 2:
+                raise ValueError(f"realization count must be at least 2, got {count}")
         delta = 1.0 / math.sqrt(count) if self.delta is None else _finite(self.delta)
         epsilon = CLT_EPSILON if self.epsilon is None else _finite(self.epsilon)
         floor = max(_required_counts(delta, epsilon))
@@ -272,9 +273,10 @@ def _parts(qs: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def _readout(weights: np.ndarray, targets: list[tuple[int, ...]], realizations: int
-             ) -> list[dict[tuple[int, ...], DecayEstimate]]:
-    """Decay of every nonempty part of each target, in ``_parts`` order, from
-    one histogram per target.
+             ) -> list[tuple[dict[tuple[int, ...], DecayEstimate], float]]:
+    """Decay of every nonempty part of each target, in ``_parts`` order, and
+    the share q of its histogram in which every target qubit reads 1 (the last
+    column), from one histogram per target.
 
     ``weights`` are shot counts (``realizations`` = N) or summed outcome
     tables (0), one row per target, indexed like ``_twirl_table`` columns.
@@ -292,13 +294,16 @@ def _readout(weights: np.ndarray, targets: list[tuple[int, ...]], realizations: 
             std = math.sqrt(p * (1.0 - p) / realizations) if realizations else 0.0
             sub = tuple(qs[i] for i in part)
             decays[sub] = DecayEstimate(sub, 1.0 - p, std, realizations)
-    return out
+    ones = (weights[:, -1] / weights.sum(axis=1)).tolist()
+    return [(decays, checked_probability(q)) for decays, q in zip(out, ones)]
 
 
 def _decays(channel: QuantumChannel, targets: list[tuple[int, ...]], pool: CliffordPool,
             plan: SamplePlan | None = None, seeds: Sequence[int] = (),
-            assignment_order: str = "random") -> list[dict[tuple[int, ...], DecayEstimate]]:
-    """Decays of every part of each target, all of one size m, from one engine pass.
+            assignment_order: str = "random"
+            ) -> list[tuple[dict[tuple[int, ...], DecayEstimate], float]]:
+    """Decays of every part of each target, all of one size m, and its all-ones
+    share q (``_readout``), from one engine pass.
 
     The targets are checked by the caller: sorted labels of one register, at
     most ``MAX_EXACT_SUBSET`` of them. Without a plan the decays are exact;
@@ -373,11 +378,11 @@ def combine_subset(decays: Mapping) -> float:
     the coefficient on M plus the coefficients of its strict supersets.
     The alternating-sign pattern is pinned by the brute-force oracle tests
     before anything downstream relies on it; for a pair it reduces to
-    9/4 (g_a + g_b - g_ab). Sampling noise can push the result slightly
-    negative; it is reported unclamped. Each entry passes ``DecayEstimate``'s
-    checks: a number v under key k is read as ``DecayEstimate(k, v)``, and an
-    estimate whose subset is not its key likewise; one whose subset is its key
-    has passed them already.
+    9/4 (g_a + g_b - g_ab). It serves callers who hold decays; the CLI reads
+    the same number off the histogram as (3/2)^|M| q (``_readout``). Each
+    entry passes ``DecayEstimate``'s checks: a number v under key k is read as
+    ``DecayEstimate(k, v)``, and an estimate whose subset is not its key
+    likewise; one whose subset is its key has passed them already.
     """
     table: dict[tuple[int, ...], float] = {}
     for key, val in decays.items():
@@ -419,21 +424,6 @@ def subset_coefficient_error(std_errors: Iterable[float]) -> float:
     if not sigmas or 2**m - 1 != len(sigmas):
         raise ValueError(f"{len(sigmas)} errors do not cover the subsets of any set")
     return (1.5**m) * math.sqrt(sum(s * s for s in sigmas))
-
-
-def sampled_coefficient_error(eta: float, m: int, realizations: int) -> float:
-    """(3/2)^m sqrt(q (1 - q) / N): error of a sampled m-qubit coefficient.
-
-    The shared-shot decays combine to eta = (3/2)^m q, q the fraction of
-    shots reading 1 on every measured qubit; q is clamped to [0, 1].
-    """
-    m, realizations = _integer(m, "subset size"), _integer(realizations, "realization count")
-    if m < 1:
-        raise ValueError(f"subset size must be positive, got {m}")
-    if realizations < 1:
-        raise ValueError(f"realization count must be positive, got {realizations}")
-    q = min(max(_finite(eta) / 1.5**m, 0.0), 1.0)
-    return 1.5**m * math.sqrt(q * (1.0 - q) / realizations)
 
 
 def decay_error_bound(budget: ErrorBudget, decay: float) -> float:
@@ -491,4 +481,4 @@ def run_campaign(
     if assignment_order not in ASSIGNMENT_ORDERS:
         raise ValueError(f"unknown assignment order {assignment_order!r}")
     return _decays(channel, [qs], parse_pool() if pool is None else pool, plan, [seed],
-                   assignment_order)[0]
+                   assignment_order)[0][0]

@@ -10,12 +10,15 @@ case's table rows and the report's decay, eta, oracle and decay-bound lines
 are compared with ``data/battery.txt`` byte for byte.
 
 Re-record with ``PYTHONPATH=src python tests/test_battery.py``, and only in a
-change whose log lists the lines that moved and by how much.
+change whose log lists the lines that moved and by how much. Re-recording
+prints that list first: per first word of a report line, or ``csv`` for a
+table row, the count of moved lines and their largest deviation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import sys
 import tempfile
@@ -23,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from twirlsim import combine_subset
 from twirlsim.cli import ExperimentConfig, format_subset, run_experiment
 from conftest import random_unitary
 
@@ -137,25 +141,92 @@ def battery_lines(workdir: Path) -> list[str]:
     return [line for name, config in cases(workdir) for line in record(name, config)]
 
 
-def _deviation(got: str, want: str) -> str:
+def _deviation(got: str, want: str) -> float | None:
+    """The largest absolute difference of two lines' numbers, None unless the
+    lines agree outside their numbers."""
     a, b = NUMBER.findall(got), NUMBER.findall(want)
     if len(a) != len(b) or NUMBER.sub("#", got) != NUMBER.sub("#", want):
-        return "not the same fields"
-    return f"largest deviation {max(abs(float(x) - float(y)) for x, y in zip(a, b)):.3e}"
+        return None
+    return max(abs(float(x) - float(y)) for x, y in zip(a, b))
+
+
+def _describe(deviation: float | None) -> str:
+    return "not the same fields" if deviation is None else f"largest deviation {deviation:.3e}"
+
+
+def moved_summary(got: list[str], want: list[str]) -> list[str]:
+    """One line per kind of moved line, by first word (``csv`` for a table
+    row): how many moved and their largest deviation; then any change in
+    the number of lines."""
+    moved: dict[str, list[float | None]] = {}
+    for g, w in zip(got, want):
+        if g != w:
+            word = w.split(" ", 1)[0]
+            moved.setdefault("csv" if "," in word else word, []).append(_deviation(g, w))
+    out = [f"{kind}: {len(devs)} lines, "
+           + _describe(None if None in devs else max(devs)) for kind, devs in moved.items()]
+    if len(got) != len(want):
+        out.append(f"{len(got)} lines, {len(want)} recorded")
+    return out
 
 
 def test_battery_bytes(tmp_path):
     got = battery_lines(tmp_path)
     want = DATA.read_text(encoding="utf-8").splitlines()
     differ = [(i, g, w) for i, (g, w) in enumerate(zip(got, want), 1) if g != w]
-    report = [f"line {i}: {_deviation(g, w)}\n  got  {g}\n  want {w}" for i, g, w in differ]
+    report = [f"line {i}: {_describe(_deviation(g, w))}\n  got  {g}\n  want {w}"
+              for i, g, w in differ]
     if len(got) != len(want):
         report.append(f"{len(got)} lines, {len(want)} recorded")
     assert not report, f"{len(differ)} battery lines differ:\n" + "\n".join(report)
 
 
+def test_combined_decays_equal_the_all_ones_share(tmp_path):
+    # for any histogram, the inclusion-exclusion of combine_subset over a
+    # target's decays is (3/2)^m q, which the report prints as eta_col
+    every = cases(tmp_path)
+    rng = np.random.default_rng(SEED + 1)
+    sample = [every[i] for i in sorted(rng.choice(len(every), 60, replace=False))]
+    assert {config.mode for _, config in sample} == {"exact", "sampled"}
+    for name, config in sample:
+        for res in run_experiment(config).results:
+            assert abs(combine_subset(res.decays) - res.eta_col) <= 2e-15, (name, res.subset)
+
+
+def test_sampled_eta_reads_the_all_ones_count(tmp_path):
+    # each decay is a count of N shots, so inclusion-exclusion over the parts
+    # gives, in integers, the count of shots reading 1 on every target qubit:
+    # eta_col is (3/2)^m times its share, never negative, and eta_stderr the
+    # binomial error of that share, scaled alike
+    none_read_ones = 0
+    for name, config in cases(tmp_path):
+        if config.mode == "sampled":
+            N = config.realizations
+            for res in run_experiment(config).results:
+                ones = sum((-1) ** (len(sub) + 1) * round(est.value * N)
+                           for sub, est in res.decays.items())
+                q, scale = ones / N, 1.5 ** len(res.subset)
+                assert res.eta_col == scale * q >= 0.0, (name, res.subset)
+                assert res.eta_stderr == scale * math.sqrt(q * (1 - q) / N), (name, res.subset)
+                none_read_ones += ones == 0
+    assert none_read_ones
+
+
+def test_moved_summary_counts_by_first_word():
+    want = ["[case n=2]", "eta_col 1.000000000000e-01", "decay 1 2.0e-01", "x,1-2,1.0e-01,"]
+    got = ["[case n=2]", "eta_col 1.000000000003e-01", "decay 1 2.0e-01", "x,1-2,1.5e-01,"]
+    assert moved_summary(got, want) == ["eta_col: 1 lines, largest deviation 3.000e-13",
+                                        "csv: 1 lines, largest deviation 5.000e-02"]
+    assert moved_summary(got + ["eta_col 0"], want)[-1] == "5 lines, 4 recorded"
+    assert moved_summary(["eta_col nan"], ["eta_col 1.0e-01"]) == [
+        "eta_col: 1 lines, not the same fields"]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         lines = battery_lines(Path(tmp))
+    if DATA.exists():
+        for line in moved_summary(lines, DATA.read_text(encoding="utf-8").splitlines()):
+            print(line, file=sys.stderr)
     DATA.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(lines)} lines to {DATA}", file=sys.stderr)

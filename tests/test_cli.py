@@ -92,6 +92,18 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.startswith("twirlsim: config error: repeated") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("subsets", ["1-2,2-1", "1-2-3,2-3,3-2-1"])
+    def test_repeated_target(self, subsets, tmp_path, capsys):
+        # a repeated target would run twice, each run on its own seed stream
+        argv = ["--gate", "cnot", "--n", "3", "--mode", "sampled", "--n-realizations", "400"]
+        path = tmp_path / "exp.config"
+        path.write_text(f"subsets {subsets}\n")
+        repeated = "1-2" if subsets == "1-2,2-1" else "1-2-3"
+        assert main([*argv, "--subsets", subsets]) == 1
+        assert main([*argv, "--config", str(path)]) == 1
+        want = f"twirlsim: config error: repeated target {repeated}\n"
+        assert capsys.readouterr().err == want * 2
+
     @pytest.mark.parametrize("argv, flag", [
         (["--n", "4", "--n", "2", "--gate", "cnot", "--subsets", "1-2"], "--n"),
         (["--gate", "cnot", "--n", "2", "--gate", "cnot"], "--gate"),
@@ -257,6 +269,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="floor"):
             run_experiment(cfg)
 
+    def test_one_realization_refused_by_name(self, capsys):
+        argv = ["--gate", "cnot", "--n", "2", "--subsets", "1-2", "--mode", "sampled"]
+        assert main([*argv, "--n-realizations", "1"]) == 1
+        assert capsys.readouterr().err == ("twirlsim: config error: realization count must be "
+                                           "at least 2, got 1\n")
+        assert main([*argv, "--n-realizations", "2"]) == 0
+
     def test_count_with_precision_is_one_plan(self):
         cfg = ExperimentConfig(gate="cnot", n=2, subsets=((1, 2),), mode="sampled",
                                realizations=300, delta=0.1, epsilon=0.01)
@@ -399,6 +418,17 @@ class TestRunExperiment:
             res = run_experiment(cfg).results[0]
             assert res.eta_col == 0.0
             assert res.eta_stderr == 0.0
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("pool", ["S1:I:X", "half-12", "full-24"])
+    def test_untouched_qubit_gives_zero_coefficient(self, mode, pool):
+        # c12 acts on qubits 1 and 2 only: no coefficient reaches a triple
+        cfg = ExperimentConfig(gate="c12(0.7)", n=8, subsets=((1, 2, 3), (2, 3, 4), (1, 2)),
+                               mode=mode, pool=pool, realizations=2000, oracle=False)
+        results = run_experiment(cfg).results
+        for res in results[:2]:
+            assert (res.eta_col, res.eta_stderr) == (0.0, 0.0)
+        assert results[2].eta_col > 0.0
 
 
 class TestDeterminism:

@@ -457,8 +457,9 @@ def test_sampled_campaign_pinned(case):
     pool, order, sampling, subset = case
     counts = per_shot_counts(pinned_channel(), subset, 500, parse_pool(pool), 2024, order,
                              per_term=sampling == "per-shot-ensemble")
-    got = protocol._readout(np.array([counts]), [subset], 500)[0]
+    got, ones = protocol._readout(np.array([counts]), [subset], 500)[0]
     assert {s: (e.value, e.std_error) for s, e in got.items()} == PINNED[case]
+    assert ones == counts[-1] / 500  # the all-ones cell, last in outcome order
 
 
 def test_sampled_law_matches_per_shot_reference():
@@ -483,7 +484,7 @@ def test_sampled_law_matches_per_shot_reference():
         engine.append(run_campaign(channel, target, SamplePlan(realizations=N), pool, seed=seed,
                                    assignment_order="cyclic"))
         counts = per_shot_counts(channel, target, N, pool, seed, "cyclic", per_term=True)
-        shots.append(protocol._readout(np.array([counts]), [target], N)[0])
+        shots.append(protocol._readout(np.array([counts]), [target], N)[0][0])
     for sub in engine[0]:
         a = np.array([e[sub].value for e in engine])
         b = np.array([e[sub].value for e in shots])

@@ -17,7 +17,6 @@ from twirlsim import (
     fidelity_decay_from_chi,
     parse_pool,
     run_campaign,
-    sampled_coefficient_error,
     subset_coefficient_error,
     zz_coupling,
 )
@@ -304,8 +303,12 @@ class TestSamplePlanning:
         assert plan.realizations == 40000
         assert plan.delta == pytest.approx(1 / 200)
         assert plan.epsilon == 2 * math.exp(-2)
-        with pytest.raises(ValueError, match="realization count must be positive, got 0"):
-            SamplePlan(realizations=0)
+        # N = 1 would imply delta = 1, outside (0, 1): the count is refused by name
+        for count in (1, 0, -5):
+            with pytest.raises(ValueError,
+                               match=f"^realization count must be at least 2, got {count}$"):
+                SamplePlan(realizations=count)
+        assert SamplePlan(realizations=2).delta == 1 / math.sqrt(2)
         # a float, text or bool count is refused before any plan is built
         for count in (100.0, "5", True):
             with pytest.raises(ValueError, match=f"realization count {count!r} is not an integer"):
@@ -521,23 +524,12 @@ class TestErrorPropagation:
         got = subset_coefficient_error((sigma, sigma, sigma))
         assert got == pytest.approx(0.0674, abs=5e-5)
 
-    def test_sampled_error_binomial_in_all_ones_fraction(self):
-        # eta = (3/2)^m q for the shared shots; q = 0.112 of N = 2000 here
-        got = sampled_coefficient_error(0.252, 2, 2000)
-        assert got == pytest.approx(2.25 * math.sqrt(0.112 * 0.888 / 2000), rel=1e-12)
-        assert sampled_coefficient_error(0.0, 3, 2000) == 0.0
-        # q is clamped to [0, 1]: sampling noise can push eta past either end
-        assert sampled_coefficient_error(-0.01, 2, 100) == 0.0
-        assert sampled_coefficient_error(2.3, 2, 100) == 0.0
-
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_error_helpers_refuse_non_finite_input(self, value):
         with pytest.raises(ValueError, match="is not finite"):
             subset_coefficient_error([value])
         with pytest.raises(ValueError, match="is not finite"):
             subset_coefficient_error([0.1, value, 0.1])
-        with pytest.raises(ValueError, match="is not finite"):
-            sampled_coefficient_error(value, 2, 100)
 
     def test_subset_error_requires_full_cover(self):
         with pytest.raises(ValueError, match="cover"):
@@ -546,12 +538,8 @@ class TestErrorPropagation:
             subset_coefficient_error([-0.1, 0.1, 0.1])
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: sampled_coefficient_error(0.1, 2, 0), "realization count must be positive, got 0"),
-        (lambda: sampled_coefficient_error(0.1, 2, -5), "realization count must be positive"),
-        (lambda: sampled_coefficient_error(0.1, 2, 2.5), "realization count 2.5 is not an integer"),
-        (lambda: sampled_coefficient_error(0.1, 2, True), "realization count True is not an"),
         (lambda: subset_coefficient_error([]), "0 errors do not cover the subsets of any set"),
-    ], ids=["zero-count", "negative-count", "fractional-count", "bool-count", "no-errors"])
+    ], ids=["no-errors"])
     def test_error_helpers_refuse_unusable_input(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
@@ -568,13 +556,8 @@ class TestErrorPropagation:
          lambda: fidelity_decay_from_chi(chi_diagonal(cnot_channel()), {1: 1.0}, (1,))),
         (lambda: fidelity_decay_from_chi(chi_diagonal(cnot_channel()), {1: "nan"}, (1,)),
          "'nan' is not finite"),
-        (lambda: sampled_coefficient_error(0.1, -1, 10), "subset size must be positive, got -1"),
-        (lambda: sampled_coefficient_error(0.1, 0, 10), "subset size must be positive, got 0"),
-        (lambda: sampled_coefficient_error(0.1, 1.5, 10), "subset size 1.5 is not an integer"),
-        (lambda: sampled_coefficient_error(0.1, True, 10), "subset size True is not an integer"),
     ], ids=["zz-text-beta", "zz-infinite-beta", "zz-bool-beta", "bound-text-decay",
-            "bound-none-decay", "chi-text-purity", "chi-nan-purity", "negative-size",
-            "zero-size", "fractional-size", "bool-size"])
+            "bound-none-decay", "chi-text-purity", "chi-nan-purity"])
     def test_public_functions_read_numbers_by_the_rule(self, call, expect):
         # numeric text reads as its float, bit for bit; anything else is a ValueError
         if isinstance(expect, str):
