@@ -165,6 +165,10 @@ def build_channel(config: ExperimentConfig) -> QuantumChannel:
 def _gate_channel(config: ExperimentConfig) -> QuantumChannel:
     gate = config.gate.strip()
     n = config.n
+    if gate not in ("ie", "ie-sequence"):
+        for key in ("ie_duration", "ie_pulse_error"):
+            if getattr(config, key) != ExperimentConfig.__dataclass_fields__[key].default:
+                raise ConfigError(f"{key} applies only to the ie-sequence gate, not {gate!r}")
     if gate == "identity":
         return QuantumChannel.identity(n)
     if gate == "cnot":
@@ -290,6 +294,9 @@ def _validate_config(
         choices, value = option.metadata["choices"], getattr(config, option.name)
         if choices and value not in choices:
             raise ConfigError(f"{option.name} must be {' or '.join(choices)}, got {value!r}")
+    if config.mode == "exact" and config.assignment_order != "random":
+        raise ConfigError(f"assignment_order {config.assignment_order} needs sampled mode: "
+                          "exact mode sums over every assignment")
     if config.threads < 1:
         raise ConfigError("thread count must be at least 1")
     if config.seed < 0:

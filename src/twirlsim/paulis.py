@@ -134,7 +134,8 @@ def chi_diagonal(channel: QuantumChannel) -> ChiDiagonal:
 
     This is the one consumer that writes a ``Monomial`` term out as a dense
     array: the 4^n table already costs more, and at the n <= 6 cap the
-    matrix is at most 64 KB.
+    matrix is at most 64 KB. A channel is trace preserving by construction,
+    so the diagonal must sum to 1, and ``ChiDiagonal`` checks that it does.
     """
     n = channel.n
     if n > MAX_CHI_QUBITS:
@@ -146,7 +147,7 @@ def chi_diagonal(channel: QuantumChannel) -> ChiDiagonal:
         t = dense(op).reshape((2,) * (2 * n)).transpose([a for q in range(n) for a in (q, n + q)])
         acc += w * np.abs(apply_local([_PAULI_ROWS] * n, t).reshape(-1)) ** 2
     acc /= 4**n
-    return ChiDiagonal(n, acc, trace_preserving=abs(float(acc.sum()) - 1.0) <= ATOL)
+    return ChiDiagonal(n, acc)
 
 
 def collective_coefficients(chi: ChiDiagonal) -> CollectiveCoefficients:

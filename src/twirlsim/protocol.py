@@ -11,19 +11,19 @@ higher-weight tail the channel carries).
 Both modes share one engine and one table per target, and every target of
 one size m goes through one engine pass. One table of outcome bits and one
 stable sort order every target's basis states. One Gram product per basis
-state of the other qubits, summed over those states, reduces each channel
-operator to a 4^m x 4^m map per target: a dense array's product runs over its
-columns, a ``Monomial``'s over its 2^m nonzeros only, and gives the same map
-bit for bit. Twirling the stack of maps one qubit at a time gives each
-target's outcome table of every assignment, and one readout turns one outcome
-histogram per target into every sub-decay and into q, the share of the
-histogram in which every target qubit reads 1; the collective coefficient is
-(3/2)^m q. Exact mode sums each table over all assignments. Sampled mode draws
-the histogram of N independent shots from a target's table as one multinomial,
-from a counter-based generator keyed by that target's seed. A target reads
-the same bits alone as among others; ``BLOCK`` bounds the memory of a pass,
-whatever the number of targets. ``run_campaign`` runs one target in either
-mode: exact without a plan, sampled with one.
+state of the other qubits, summed over those states, reduces a dense channel
+operator to a 4^m x 4^m map per target; a ``Monomial`` adds its lone nonzero
+products only, rounded as that product rounds them: the same map bit for bit.
+Twirling the stack of maps one qubit at a time gives each target's outcome
+table of every assignment, and one readout turns one outcome histogram per
+target into every sub-decay and into q, the share of the histogram in which
+every target qubit reads 1; the collective coefficient is (3/2)^m q. Exact
+mode sums each table over all assignments. Sampled mode draws the histogram
+of N independent shots from a target's table as one multinomial, from a
+counter-based generator keyed by that target's seed. A target reads the same
+bits alone as among others; ``BLOCK`` bounds the memory of a pass, whatever
+the number of targets. ``run_campaign`` runs one target in either mode: exact
+without a plan, sampled with one.
 """
 
 from __future__ import annotations
@@ -191,16 +191,14 @@ def _monomial_map(op: Monomial, index: np.ndarray) -> np.ndarray:
     """The 4^m x 4^m map of ``_outcome_tables`` for a monomial term, per target;
     target t's flip f has M = 2^m nonzeros: column (i, f) holds one in row (a_i, r_i).
 
-    Column i goes to row slot i', the first column of the flip whose nonzero
-    has the same r. The slots keep every pair of columns that shares an r and
-    nothing else, so the flip's M x M Gram product over its slots holds each
-    nonzero product of the map, added at ((a_i, i), (a_j, j)). The factor is
-    padded to 4 columns at m = 1: OpenBLAS rounds a 2 x 2 complex product in
-    another kernel than a wider one, up to 1 ulp off the dense factor's bits.
-    A batch holds as many targets as ``BLOCK`` allows entries of their factors.
+    A pair of columns i, j whose nonzeros x, y share an r adds the one product
+    x conj(y) at ((a_i, i), (a_j, j)); any other pair adds 0. The product is
+    taken in real arithmetic, each part's two products rounded before their
+    one add, as a dense Gram product rounds a sum with a single nonzero term.
+    A batch holds as many targets as ``BLOCK`` allows entries of their products.
     """
     T, M, R = index.shape
-    batch = max(1, BLOCK // (R * M * max(M, 4)))
+    batch = max(1, BLOCK // (R * M * M))
     if T > batch:
         return np.concatenate([_monomial_map(op, index[t:t + batch]) for t in range(0, T, batch)])
     # every target's basis states and positions in one range, target t's from t D
@@ -210,16 +208,16 @@ def _monomial_map(op: Monomial, index: np.ndarray) -> np.ndarray:
     place[(index + shift).ravel()] = np.arange(T * D)
     cols = index.transpose(0, 2, 1)
     a, r = np.divmod(place[op.rows[cols] + shift], R)
-    slot = (r[..., :, None] == r[..., None, :]).argmax(axis=-1)
-    x = np.zeros((T * R, M, max(M, 4)), dtype=complex)
-    x[np.arange(T * R)[:, None], slot.reshape(-1, M), np.arange(M)] = op.phases[cols].reshape(-1, M)
-    gram = (x.transpose(0, 2, 1) @ x.conj())[:, :M, :M]
+    same = r[..., :, None] == r[..., None, :]
+    phases = op.phases[cols]
+    x, y = phases[..., :, None], phases[..., None, :]
+    parts = (x.real * y.real + x.imag * y.imag, x.imag * y.real - x.real * y.imag)
     # a counts target t's rows from t M, so row counts them from t M^2 and
     # target t's entries start at t M^4; flip-major within each target, so
     # that each entry adds its flips' products in flip order
     row = a * M + np.arange(M)
     at = (row[..., :, None] * (M * M) + (row - shift // R * M)[..., None, :]).ravel()
-    total = [np.bincount(at, part.ravel(), T * M**4) for part in (gram.real, gram.imag)]
+    total = [np.bincount(at, np.where(same, part, 0.0).ravel(), T * M**4) for part in parts]
     return np.stack(total, axis=-1).view(complex).reshape(T, M * M, M * M)
 
 
@@ -250,11 +248,12 @@ def _outcome_tables(channel: QuantumChannel, targets: list[tuple[int, ...]],
 
     Each term reduces to the 4^m x 4^m map sum_f sum_r A[(a, r), (i, f)]
     conj(A[(b, r), (j, f)]) on each target, one Gram product per flip f
-    (``_dense_map``, ``_monomial_map``), with ``index[t, i, f]`` the basis state
-    of bits i on target t and f on the others. The per-flip products are added
-    one after another, whatever the block or batch, and each term's sum is
-    weighted once, so a monomial term gives the same tables as its dense twin,
-    and a target the same table alone as among others, bit for bit.
+    (``_dense_map``) or its lone nonzero products (``_monomial_map``), with
+    ``index[t, i, f]`` the basis state of bits i on target t and f on the
+    others. The per-flip products are added one after another, whatever the
+    block or batch, and each term's sum is weighted once, so a monomial term
+    gives the same tables as its dense twin, and a target the same table alone
+    as among others, bit for bit.
     """
     n, m = channel.n, len(targets[0])
     # basis states by target bits, then by the other qubits' bits

@@ -146,12 +146,11 @@ class UnitaryMatrix:
                 dev = np.linalg.norm(data.conj().T @ data - np.eye(data.shape[0]))
         n = _check_square_pow2(data, "unitary")
         if isinstance(data, Monomial):
-            # each column's lone entry u gives conj(u) u, taken in row order as a 1x1
-            # product so that an overflow reads as in the dense check
+            # each column's lone entry u gives |u|^2, taken in row order
             by_row = np.empty_like(data.rows)
             by_row[data.rows] = np.arange(len(by_row))
-            col = data.phases[by_row][:, None, None]
-            dev = np.linalg.norm(col.conj() @ col - 1.0)
+            u = data.phases[by_row]
+            dev = np.linalg.norm(u.real * u.real + u.imag * u.imag - 1.0)
         if not dev <= ATOL:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
         object.__setattr__(self, "data", data)

@@ -566,6 +566,10 @@ class TestMain:
         ["--mode", "sampled", "--delta", "1e-6", "--epsilon", "0.1"],
         ["--prep-error", "1e154"],
         ["--clifford-error", "1e154"],
+        ["--ie-pulse-error", "0.05", "--ie-duration", "0.5"],
+        ["--config", "ie_pulse_error 0.05\n"],
+        ["--mode", "exact", "--assignment-order", "cyclic"],
+        ["--config", "mode exact\nassignment_order cyclic\n"],
     ], ids=["negative-seed", "negative-prep-error", "nan-prep-error", "bad-mode",
             "non-integer-n", "bad-oracle", "unknown-flag", "bad-assignment-order",
             "bad-channel-sampling", "epsilon-out-of-range", "epsilon-out-of-range-with-count",
@@ -573,7 +577,9 @@ class TestMain:
             "nan-ie-pulse-error", "nan-ie-duration", "inf-ie-duration",
             "overflowing-ie-duration", "overflowing-prep-error", "underflowing-delta",
             "count-below-chernoff-floor", "huge-realization-count", "tiny-delta",
-            "infinite-prep-bound", "infinite-clifford-bound"])
+            "infinite-prep-bound", "infinite-clifford-bound", "ie-keys-on-another-gate",
+            "config-ie-key-on-another-gate", "cyclic-in-exact-mode",
+            "config-cyclic-in-exact-mode"])
     def test_bad_numbers_are_config_errors(self, tmp_path, capsys, args):
         if args[0] == "--config":
             path = tmp_path / "exp.config"

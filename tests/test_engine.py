@@ -232,7 +232,7 @@ def test_sampled_shots_neither_hashed_nor_sorted(monkeypatch):
 
 def test_sampled_ten_qubit_cnot_never_densified():
     # the CNOT is stored as (rows, phases) and reduced from its 2^10 nonzeros,
-    # one 2^m x 2^m Gram product per basis state of the other qubits; writing
+    # one product per pair of them that shares the other qubits' bits; writing
     # it out as a matrix anywhere on the way would trace 16 MB
     config = ExperimentConfig(gate="cnot", n=10, subsets=((1, 2),), mode="sampled",
                               realizations=4000)
@@ -285,13 +285,13 @@ def bits(decays) -> dict:
     return {s: (e.value.hex(), e.std_error.hex(), e.realizations) for s, e in decays.items()}
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 9])
 def test_monomial_terms_match_dense_storage(n):
-    # the compact factor of a monomial term must give the dense factor's decays
-    # bit for bit, in both modes, alone or mixed with a generic unitary
+    # the lone products of a monomial term must give the dense factor's tables
+    # and decays bit for bit, in both modes, alone or mixed with a generic unitary
     rng = np.random.default_rng([n, 14])
     pool = parse_pool()
-    for m in (1, 2, 3):
+    for m in range(1, min(n, 3) + 1):
         target = tuple(sorted(int(q) for q in rng.choice(np.arange(1, n + 1), m, replace=False)))
         single = QuantumChannel.from_unitary(random_monomial(n, rng))
         assert isinstance(single.terms[0][1], Monomial)
@@ -302,21 +302,26 @@ def test_monomial_terms_match_dense_storage(n):
         for channel, twins in ((single, (kraus, dense_twin(single))),
                                (mixed, (dense_twin(mixed),))):
             plan = SamplePlan(realizations=400)
+            table = protocol._outcome_tables(channel, [target], pool).tobytes()
             want = [bits(run_campaign(channel, target, pool=pool)),
                     bits(run_campaign(channel, target, plan, pool, seed=n))]
             for twin in twins:
+                assert protocol._outcome_tables(twin, [target], pool).tobytes() == table, (
+                    n, target, twin.kind)
                 got = [bits(run_campaign(twin, target, pool=pool)),
                        bits(run_campaign(twin, target, plan, pool, seed=n))]
                 assert got == want, (n, target, twin.kind)
 
 
-@pytest.mark.parametrize("n, ms", [(8, (1, 2, 3)), (10, (1, 2))], ids=["n8", "n10"])
-def test_monomial_terms_match_dense_storage_at_benchmark_shapes(n, ms):
+@pytest.mark.parametrize("n", [8, 10], ids=["n8", "n10"])
+def test_monomial_terms_match_dense_storage_at_benchmark_shapes(n):
     # the benchmark's registers: cnot and c12 on targets that hold their pair,
     # and a random monomial on a random target, each give the decays of their
     # dense and Kraus twins bit for bit, in both modes. The summed tables are
     # compared byte for byte as well, since readout rounding can hide a 1-ulp
-    # drift of a table entry
+    # drift of a table entry. At n = 10 the random monomial on ten pairs, more
+    # than one batch of ``_monomial_map``, gives its twins' tables and each
+    # pair's table alone
     rng = np.random.default_rng([n, 19])
     pool, plan = parse_pool(), SamplePlan(realizations=400)
     for op, drawn in ((cnot_gate(1, 2, n).data, False),
@@ -324,7 +329,7 @@ def test_monomial_terms_match_dense_storage_at_benchmark_shapes(n, ms):
         single = QuantumChannel.from_unitary(op)
         assert isinstance(single.terms[0][1], Monomial)
         twins = (QuantumChannel.from_kraus([dense(op)]), dense_twin(single))
-        for m in ms:
+        for m in (1, 2, 3):
             qubits = rng.choice(np.arange(1, n + 1), m, replace=False) if drawn else range(1, m + 1)
             target = tuple(sorted(int(q) for q in qubits))
             table = protocol._outcome_tables(single, [target], pool)[0].tobytes()
@@ -336,6 +341,14 @@ def test_monomial_terms_match_dense_storage_at_benchmark_shapes(n, ms):
                 got = [bits(run_campaign(twin, target, pool=pool)),
                        bits(run_campaign(twin, target, plan, pool, seed=n))]
                 assert got == want, (n, target, twin.kind)
+        if n == 10 and drawn:
+            pairs = list(itertools.combinations((1, 2, 5, 9, 10), 2))
+            stack = protocol._outcome_tables(single, pairs, pool)
+            for twin in twins:
+                assert protocol._outcome_tables(twin, pairs, pool).tobytes() == stack.tobytes()
+            for target, table in zip(pairs, stack):
+                alone = protocol._outcome_tables(single, [target], pool)[0]
+                assert alone.tobytes() == table.tobytes(), target
 
 
 def pinned_channel() -> QuantumChannel:

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -132,6 +133,15 @@ class TestChiDiagonal:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError, match="sums"):
             ChiDiagonal(1, [0.5, 0.0, 0.0, 0.0], trace_preserving=True)
+
+    def test_oracle_enforces_normalization(self):
+        # a channel copied past its constructor with weights summing to 0.5:
+        # the oracle's diagonal sums to 0.5 and must be refused, not flagged
+        # as not trace preserving
+        channel = copy.copy(QuantumChannel.identity(2))
+        object.__setattr__(channel, "terms", ((0.5, channel.terms[0][1]),))
+        with pytest.raises(ValueError, match="chi diagonal sums to 0.5, expected 1"):
+            chi_diagonal(channel)
 
     @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf],
                              ids=["inf", "nan", "-inf"])
