@@ -9,7 +9,8 @@ timing goes to the console only.
 Exit codes: 0 on success, 1 for configuration problems, 2 when an
 exact-mode result disagrees with the chi-diagonal oracle beyond tolerance.
 Every bad input, a malformed or unknown flag included, gives exit 1 and one
-``twirlsim: config error:`` line on stderr.
+``twirlsim: config error:`` line on stderr. The run rules are the library's
+(``protocol._check_run``); the plan keys need sampled mode.
 """
 
 from __future__ import annotations
@@ -39,16 +40,16 @@ from .paulis import (
 )
 from .protocol import (
     ASSIGNMENT_ORDERS,
-    MAX_EXACT_SUBSET,
     DecayEstimate,
     ErrorBudget,
     SamplePlan,
+    _check_run,
     _decays,
     decay_error_bound,
     derive_seed,
     subset_coefficient_error,
 )
-from .states import Monomial, QuantumChannel, _finite, _register_size, _validate_subset
+from .states import Monomial, QuantumChannel, _finite, _register_size
 
 ORACLE_TOL = 1e-9
 
@@ -114,7 +115,7 @@ class ExperimentConfig:
                                    "pass, and no output depends on it")
     oracle: bool = _option(True, lambda text: _SWITCH[text.lower()],
                            f"on | off (the check runs only when n <= {MAX_CHI_QUBITS})")
-    assignment_order: str = _option("random", str, choices=ASSIGNMENT_ORDERS)
+    assignment_order: str = _option("random", str, " | ".join(ASSIGNMENT_ORDERS))
     ie_duration: float = _option(12.2e-3, _finite)
     ie_pulse_error: float = _option(0.0, _finite)
 
@@ -294,31 +295,23 @@ def _validate_config(
         choices, value = option.metadata["choices"], getattr(config, option.name)
         if choices and value not in choices:
             raise ConfigError(f"{option.name} must be {' or '.join(choices)}, got {value!r}")
-    if config.mode == "exact" and config.assignment_order != "random":
-        raise ConfigError(f"assignment_order {config.assignment_order} needs sampled mode: "
-                          "exact mode sums over every assignment")
     if config.threads < 1:
         raise ConfigError("thread count must be at least 1")
-    if config.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {config.seed}")
+    given = (config.delta, config.epsilon, config.realizations)
+    if config.mode == "exact" and given != (None, None, None):
+        raise ConfigError("delta, epsilon and realizations need sampled mode")
+    if config.mode == "sampled" and config.realizations is None and config.epsilon is None:
+        raise ConfigError("sampled mode needs realizations, or delta and epsilon")
     try:
         _register_size(config.n)
-        targets = []
-        for subset in config.subsets:
-            if not 1 <= len(subset) <= MAX_EXACT_SUBSET:
-                raise ConfigError(f"target subsets must have 1 to {MAX_EXACT_SUBSET} qubits")
-            qs = _validate_subset(subset, config.n)
-            if qs in targets:
-                raise ConfigError(f"repeated target {format_subset(qs)}")
-            targets.append(qs)
+        plan = SamplePlan(*given) if config.mode == "sampled" else None
+        targets = _check_run(config.subsets, config.n, plan, config.seed, config.assignment_order)
         pool = parse_pool(config.pool)
         budget = ErrorBudget(config.prep_error, config.clifford_error)
         # the largest eta_bound the run prints: every decay of its largest target at 1
-        worst, m = decay_error_bound(budget, 1.0), max(map(len, config.subsets), default=0)
+        worst, m = decay_error_bound(budget, 1.0), max(map(len, targets), default=0)
         largest = worst if math.isinf(worst) or not m else subset_coefficient_error(
             [worst] * (2**m - 1))
-        given = (config.delta, config.epsilon, config.realizations)
-        plan = None if given == (None, None, None) else SamplePlan(*given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     except ArithmeticError as exc:
@@ -326,28 +319,23 @@ def _validate_config(
     if not math.isfinite(largest):
         raise ConfigError(f"prep_error {config.prep_error} and clifford_error "
                           f"{config.clifford_error} give an infinite error bound")
-    if config.mode != "sampled":
-        return targets, None, budget, pool
-    if config.realizations is None and config.epsilon is None:
-        raise ConfigError("sampled mode needs realizations, or delta and epsilon")
     return targets, plan, budget, pool
 
 
 def _subset_result(
     config: ExperimentConfig,
-    plan: SamplePlan | None,
     budget: ErrorBudget,
     oracle: CollectiveCoefficients | None,
     qs: tuple[int, ...],
     decays: dict[tuple[int, ...], DecayEstimate],
     ones: float,
+    ones_err: float,
 ) -> SubsetResult:
     """One target's block of the report, from the decays of its parts and the
-    share ``ones`` of its histogram in which every target qubit reads 1:
-    eta_col = (3/2)^m q, and in sampled mode (3/2)^m sqrt(q (1 - q) / N)."""
+    share q = ``ones`` of its histogram in which every target qubit reads 1,
+    with its standard error (``protocol._readout``): both times (3/2)^m."""
     scale = 1.5 ** len(qs)
-    eta = scale * ones
-    eta_err = 0.0 if plan is None else scale * math.sqrt(ones * (1.0 - ones) / plan.realizations)
+    eta, eta_err = scale * ones, scale * ones_err
     oracle_val = tail = disc = None
     if oracle is not None:
         oracle_val = oracle.values.get(qs, 0.0)
@@ -361,8 +349,7 @@ def _subset_result(
     bounds: dict[tuple[int, ...], float] = {}
     eta_bound = None
     if budget.preparation > 0.0 or budget.clifford > 0.0:
-        bounds = {s: decay_error_bound(budget, max(0.0, min(1.0, est.value)))
-                  for s, est in decays.items()}
+        bounds = {s: decay_error_bound(budget, est.value) for s, est in decays.items()}
         eta_bound = subset_coefficient_error(bounds.values())
     return SubsetResult(qs, decays, eta, eta_err, oracle_val, disc, tail, bounds, eta_bound)
 
@@ -382,7 +369,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
         readouts.update(zip(group, _decays(channel, [targets[i] for i in group], pool, plan,
                                            seeds, config.assignment_order)))
     return Report(config, plan, tuple(
-        _subset_result(config, plan, budget, oracle, qs, *readouts[i])
+        _subset_result(config, budget, oracle, qs, *readouts[i])
         for i, qs in enumerate(targets)))
 
 

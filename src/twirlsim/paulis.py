@@ -65,13 +65,11 @@ class ChiDiagonal:
 
     ``values[k]`` belongs to the k-th label in lexicographic order over
     I < X < Y < Z, qubit 1 leftmost; ``chi[label]`` reads one entry by its
-    label. ``trace_preserving`` records whether the entries sum to 1; the
-    normalization invariant is only enforced when it is set.
+    label. The entries sum to 1.
     """
 
     n: int
     values: np.ndarray
-    trace_preserving: bool = True
 
     def __post_init__(self) -> None:
         _register_size(self.n)
@@ -80,7 +78,7 @@ class ChiDiagonal:
                              f"got shape {np.shape(self.values)}")
         arr = _clamp(self.values, lambda k: "".join("IXYZ"[d] for d in _letters(k, self.n)))
         total = float(arr.sum())
-        if self.trace_preserving and not abs(total - 1.0) <= ATOL:
+        if not abs(total - 1.0) <= ATOL:
             raise ValueError(f"chi diagonal sums to {total}, expected 1")
         object.__setattr__(self, "values", arr)
 

@@ -23,7 +23,8 @@ of N independent shots from a target's table as one multinomial, from a
 counter-based generator keyed by that target's seed. A target reads the same
 bits alone as among others; ``BLOCK`` bounds the memory of a pass, whatever
 the number of targets. ``run_campaign`` runs one target in either mode: exact
-without a plan, sampled with one.
+without a plan, sampled with one. ``_check_run`` owns the rules of a run, for
+it and the CLI alike: target size and repeats, seed, and assignment order.
 """
 
 from __future__ import annotations
@@ -54,20 +55,18 @@ ASSIGNMENT_ORDERS = ("random", "cyclic")
 
 @dataclass(frozen=True)
 class DecayEstimate:
-    """A fidelity-decay value for one measured subset, which passes the subset rule.
+    """A fidelity-decay value, held under the measured subset it belongs to.
 
     The value is finite. ``realizations`` is an integer count, not a bool: 0
     for exact-mode values (std_error 0); sampled values carry the binomial
     standard error, a finite number in [0, 1/sqrt(N)].
     """
 
-    subset: tuple[int, ...]
     value: float
     std_error: float = 0.0
     realizations: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "subset", _validate_subset(self.subset, MAX_QUBITS))
         object.__setattr__(self, "value", _finite(self.value))
         object.__setattr__(self, "realizations", _integer(self.realizations, "realization count"))
         if self.realizations < 0:
@@ -272,14 +271,19 @@ def _parts(qs: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def _readout(weights: np.ndarray, targets: list[tuple[int, ...]], realizations: int
-             ) -> list[tuple[dict[tuple[int, ...], DecayEstimate], float]]:
-    """Decay of every nonempty part of each target, in ``_parts`` order, and
-    the share q of its histogram in which every target qubit reads 1 (the last
-    column), from one histogram per target.
+             ) -> list[tuple[dict[tuple[int, ...], DecayEstimate], float, float]]:
+    """Decay of every nonempty part of each target, keyed by the part in ``_parts``
+    order, and the share q of its histogram in which every target qubit reads 1
+    (the last column) with its standard error, from one histogram per target.
 
-    ``weights`` are shot counts (``realizations`` = N) or summed outcome
-    tables (0), one row per target, indexed like ``_twirl_table`` columns.
+    ``weights`` are shot counts (``realizations`` = N) or summed outcome tables
+    (0), one row per target, indexed like ``_twirl_table`` columns. Every share
+    p, each part's and q alike, has the binomial error sqrt(p (1 - p) / N), 0 if N = 0.
     """
+    def share(x: float) -> tuple[float, float]:
+        p = checked_probability(x)
+        return p, math.sqrt(p * (1.0 - p) / realizations) if realizations else 0.0
+
     m = len(targets[0])
     parts = _parts(tuple(range(m)))
     # zeros[k, x]: outcome x reads 0 at each position i of part k, its bit m - 1 - i
@@ -289,27 +293,24 @@ def _readout(weights: np.ndarray, targets: list[tuple[int, ...]], realizations: 
     for part, zero in zip(parts, zeros):
         hits, misses = weights[:, zero].sum(axis=1).tolist(), weights[:, ~zero].sum(axis=1).tolist()
         for qs, decays, hit, miss in zip(targets, out, hits, misses):
-            p = checked_probability(hit / (hit + miss))
-            std = math.sqrt(p * (1.0 - p) / realizations) if realizations else 0.0
-            sub = tuple(qs[i] for i in part)
-            decays[sub] = DecayEstimate(sub, 1.0 - p, std, realizations)
+            p, std = share(hit / (hit + miss))
+            decays[tuple(qs[i] for i in part)] = DecayEstimate(1.0 - p, std, realizations)
     ones = (weights[:, -1] / weights.sum(axis=1)).tolist()
-    return [(decays, checked_probability(q)) for decays, q in zip(out, ones)]
+    return [(decays, *share(q)) for decays, q in zip(out, ones)]
 
 
 def _decays(channel: QuantumChannel, targets: list[tuple[int, ...]], pool: CliffordPool,
             plan: SamplePlan | None = None, seeds: Sequence[int] = (),
             assignment_order: str = "random"
-            ) -> list[tuple[dict[tuple[int, ...], DecayEstimate], float]]:
+            ) -> list[tuple[dict[tuple[int, ...], DecayEstimate], float, float]]:
     """Decays of every part of each target, all of one size m, and its all-ones
-    share q (``_readout``), from one engine pass.
+    share q with q's standard error (``_readout``), from one engine pass.
 
-    The targets are checked by the caller: sorted labels of one register, at
-    most ``MAX_EXACT_SUBSET`` of them. Without a plan the decays are exact;
-    with one, target t's shots come from a Philox stream keyed by ``seeds[t]``,
-    so each target reads as it would alone. A pass takes as many targets as
-    ``BLOCK`` allows entries of their stacked maps (16^m each) and tables
-    (K^m 2^m each); more targets take more passes, which changes no bit.
+    The caller checks the run (``_check_run``). Without a plan the decays are
+    exact; with one, target t's shots come from a Philox stream keyed by
+    ``seeds[t]``, so each target reads as it would alone. A pass takes as many
+    targets as ``BLOCK`` allows entries of their stacked maps (16^m each) and
+    tables (K^m 2^m each); more targets take more passes, which changes no bit.
     """
     m = len(targets[0])
     step = max(1, BLOCK // max(16**m, pool.size**m * 2**m))
@@ -378,20 +379,16 @@ def combine_subset(decays: Mapping) -> float:
     The alternating-sign pattern is pinned by the brute-force oracle tests
     before anything downstream relies on it; for a pair it reduces to
     9/4 (g_a + g_b - g_ab). It serves callers who hold decays; the CLI reads
-    the same number off the histogram as (3/2)^|M| q (``_readout``). Each
-    entry passes ``DecayEstimate``'s checks: a number v under key k is read as
-    ``DecayEstimate(k, v)``, and an estimate whose subset is not its key
-    likewise; one whose subset is its key has passed them already.
+    the same number off the histogram as (3/2)^|M| q (``_readout``). Each key
+    passes the subset rule once; a number v is read as ``DecayEstimate(v)``,
+    and an estimate has passed its checks already.
     """
     table: dict[tuple[int, ...], float] = {}
     for key, val in decays.items():
-        if isinstance(val, DecayEstimate):
-            est = val if val.subset == key else DecayEstimate(key, val.value)
-        else:
-            est = DecayEstimate(key, val)
-        if est.subset in table:
-            raise ValueError(f"subset {est.subset} is given twice")
-        table[est.subset] = est.value
+        sub = _validate_subset(key, MAX_QUBITS)
+        if sub in table:
+            raise ValueError(f"subset {sub} is given twice")
+        table[sub] = (val if isinstance(val, DecayEstimate) else DecayEstimate(val)).value
     if not table:
         raise ValueError("combine_subset needs at least one decay")
     target = max(table, key=len)
@@ -446,6 +443,30 @@ def derive_seed(seed: int, index: int) -> int:
     return (int(words[0]) << 64) | int(words[1])
 
 
+def _check_run(subsets: Iterable, n: int, plan: SamplePlan | None, seed: int,
+               assignment_order: str) -> list[tuple[int, ...]]:
+    """The targets of a run on ``n`` qubits, each in the subset rule's sorted form,
+    after the package's one check of the run rules: a target has at most
+    ``MAX_EXACT_SUBSET`` qubits and is given once, the seed is a nonnegative
+    integer, and the order is one of ``ASSIGNMENT_ORDERS``, ``cyclic`` with a plan."""
+    targets: list[tuple[int, ...]] = []
+    for subset in subsets:
+        qs = _validate_subset(subset, n)
+        if len(qs) > MAX_EXACT_SUBSET:
+            raise ValueError(f"target subsets must have 1 to {MAX_EXACT_SUBSET} qubits")
+        if qs in targets:
+            raise ValueError(f"repeated target {'-'.join(map(str, qs))}")
+        targets.append(qs)
+    if _integer(seed, "seed") < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if assignment_order not in ASSIGNMENT_ORDERS:
+        raise ValueError(f"unknown assignment order {assignment_order!r}")
+    if assignment_order == "cyclic" and plan is None:
+        raise ValueError("assignment_order cyclic needs sampled mode: "
+                         "exact mode sums over every assignment")
+    return targets
+
+
 def run_campaign(
     channel: QuantumChannel,
     subset,
@@ -472,12 +493,6 @@ def run_campaign(
     sum_a Multinomial(c_a, p_a), p_a row a of the table normalized. The draw
     comes from a Philox stream keyed by ``seed``, so estimates are reproducible.
     """
-    qs = _validate_subset(subset, channel.n)
-    if len(qs) > MAX_EXACT_SUBSET:
-        raise ValueError(f"decays support at most {MAX_EXACT_SUBSET} measured qubits")
-    if _integer(seed, "seed") < 0:
-        raise ValueError("seed must be nonnegative")
-    if assignment_order not in ASSIGNMENT_ORDERS:
-        raise ValueError(f"unknown assignment order {assignment_order!r}")
-    return _decays(channel, [qs], parse_pool() if pool is None else pool, plan, [seed],
+    targets = _check_run([subset], channel.n, plan, seed, assignment_order)
+    return _decays(channel, targets, parse_pool() if pool is None else pool, plan, [seed],
                    assignment_order)[0][0]

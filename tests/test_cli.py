@@ -288,22 +288,30 @@ class TestValidation:
                                        for keys in itertools.combinations(PLAN_KEYS, r)],
                              ids=lambda keys: "+".join(keys) or "none")
     def test_plan_has_one_owner(self, given, values, mode):
-        # the CLI hands the plan keys it is given to SamplePlan, in either mode, and
-        # builds no plan from none; its own rule is which keys sampled mode needs
+        # sampled mode hands the plan keys it is given to SamplePlan; its own rule
+        # is which keys it needs. Exact mode takes none and builds no plan
         chosen = {key: value for key, value in zip(PLAN_KEYS, values) if key in given}
         cfg = ExperimentConfig(gate="cnot", n=2, subsets=((1, 2),), mode=mode, **chosen)
+        if mode == "exact":
+            if chosen:
+                with pytest.raises(ConfigError,
+                                   match="^delta, epsilon and realizations need sampled mode$"):
+                    run_experiment(cfg)
+            else:
+                assert run_experiment(cfg).plan is None
+            return
         try:
             want = SamplePlan(**chosen) if chosen else None
         except ValueError as exc:
             with pytest.raises(ConfigError, match=f"^{re.escape(str(exc))}$"):
                 run_experiment(cfg)
             return
-        if mode == "sampled" and not {"epsilon", "realizations"} & set(given):
+        if not {"epsilon", "realizations"} & set(given):
             with pytest.raises(ConfigError,
                                match="^sampled mode needs realizations, or delta and epsilon$"):
                 run_experiment(cfg)
         else:
-            assert run_experiment(cfg).plan == (want if mode == "sampled" else None)
+            assert run_experiment(cfg).plan == want
 
     def test_bad_pool(self):
         cfg = ExperimentConfig(gate="cnot", n=2, subsets=((1, 2),), pool="S9:I:X")
@@ -424,7 +432,8 @@ class TestRunExperiment:
     def test_untouched_qubit_gives_zero_coefficient(self, mode, pool):
         # c12 acts on qubits 1 and 2 only: no coefficient reaches a triple
         cfg = ExperimentConfig(gate="c12(0.7)", n=8, subsets=((1, 2, 3), (2, 3, 4), (1, 2)),
-                               mode=mode, pool=pool, realizations=2000, oracle=False)
+                               mode=mode, pool=pool, oracle=False,
+                               realizations=2000 if mode == "sampled" else None)
         results = run_experiment(cfg).results
         for res in results[:2]:
             assert (res.eta_col, res.eta_stderr) == (0.0, 0.0)
@@ -498,9 +507,9 @@ class TestMain:
         assert code == 0
         assert "[subset 1]" in capsys.readouterr().out
 
-    def test_large_count_accepted_in_exact_mode(self, capsys):
+    def test_large_count_accepted_in_sampled_mode(self, capsys):
         # 3138376 once fell 1 short of its own rounded concentration bound
-        assert main(["--gate", "identity", "--n", "1", "--subsets", "1",
+        assert main(["--gate", "identity", "--n", "1", "--subsets", "1", "--mode", "sampled",
                      "--n-realizations", "3138376"]) == 0
         assert capsys.readouterr().err.startswith("# elapsed")
 
@@ -570,6 +579,8 @@ class TestMain:
         ["--config", "ie_pulse_error 0.05\n"],
         ["--mode", "exact", "--assignment-order", "cyclic"],
         ["--config", "mode exact\nassignment_order cyclic\n"],
+        ["--mode", "exact", "--delta", "0.01", "--epsilon", "0.05"],
+        ["--config", "mode exact\nrealizations 100\n"],
     ], ids=["negative-seed", "negative-prep-error", "nan-prep-error", "bad-mode",
             "non-integer-n", "bad-oracle", "unknown-flag", "bad-assignment-order",
             "bad-channel-sampling", "epsilon-out-of-range", "epsilon-out-of-range-with-count",
@@ -579,7 +590,8 @@ class TestMain:
             "count-below-chernoff-floor", "huge-realization-count", "tiny-delta",
             "infinite-prep-bound", "infinite-clifford-bound", "ie-keys-on-another-gate",
             "config-ie-key-on-another-gate", "cyclic-in-exact-mode",
-            "config-cyclic-in-exact-mode"])
+            "config-cyclic-in-exact-mode", "plan-keys-in-exact-mode",
+            "config-plan-key-in-exact-mode"])
     def test_bad_numbers_are_config_errors(self, tmp_path, capsys, args):
         if args[0] == "--config":
             path = tmp_path / "exp.config"

@@ -470,9 +470,10 @@ def test_sampled_campaign_pinned(case):
     pool, order, sampling, subset = case
     counts = per_shot_counts(pinned_channel(), subset, 500, parse_pool(pool), 2024, order,
                              per_term=sampling == "per-shot-ensemble")
-    got, ones = protocol._readout(np.array([counts]), [subset], 500)[0]
+    got, ones, ones_err = protocol._readout(np.array([counts]), [subset], 500)[0]
     assert {s: (e.value, e.std_error) for s, e in got.items()} == PINNED[case]
     assert ones == counts[-1] / 500  # the all-ones cell, last in outcome order
+    assert ones_err == math.sqrt(ones * (1 - ones) / 500)  # the decays' binomial rule
 
 
 def test_sampled_law_matches_per_shot_reference():

@@ -74,16 +74,18 @@ def test_package_builds_no_kronecker_product():
 
 
 def test_only_states_compares_against_max_qubits():
-    # states._register_size and states._validate_subset own the register and label ranges
+    # states._register_size and states._validate_subset own the register and label
+    # ranges, and protocol._check_run the target size
     assert SOURCES
-    for path in SOURCES:
-        if path.name == "states.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Compare):
-                names = {getattr(sub, "id", None) or getattr(sub, "attr", None)
-                         for sub in ast.walk(node)}
-                assert "MAX_QUBITS" not in names, f"{path.name}:{node.lineno}"
+    for constant, owner in (("MAX_QUBITS", "states.py"), ("MAX_EXACT_SUBSET", "protocol.py")):
+        for path in SOURCES:
+            if path.name == owner:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Compare):
+                    names = {getattr(sub, "id", None) or getattr(sub, "attr", None)
+                             for sub in ast.walk(node)}
+                    assert constant not in names, f"{path.name}:{node.lineno}"
 
 
 def test_only_states_reads_labels_and_orders_subsets():

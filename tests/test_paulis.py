@@ -123,16 +123,16 @@ class TestChiDiagonal:
                                                abs=1e-12)
 
     def test_small_negative_clamped(self):
-        chi = ChiDiagonal(1, [1.0, -1e-13, 0.0, 0.0], trace_preserving=True)
+        chi = ChiDiagonal(1, [1.0, -1e-13, 0.0, 0.0])
         assert chi["X"] == 0.0
 
     def test_large_negative_rejected(self):
         with pytest.raises(ValueError, match="entry X is negative"):
-            ChiDiagonal(1, [1.0, -1e-6, 0.0, 0.0], trace_preserving=False)
+            ChiDiagonal(1, [1.0, -1e-6, 0.0, 0.0])
 
     def test_normalization_enforced(self):
         with pytest.raises(ValueError, match="sums"):
-            ChiDiagonal(1, [0.5, 0.0, 0.0, 0.0], trace_preserving=True)
+            ChiDiagonal(1, [0.5, 0.0, 0.0, 0.0])
 
     def test_oracle_enforces_normalization(self):
         # a channel copied past its constructor with weights summing to 0.5:
@@ -147,7 +147,7 @@ class TestChiDiagonal:
                              ids=["inf", "nan", "-inf"])
     def test_non_finite_entry_refused(self, value):
         with pytest.raises(ValueError, match=f"entry Y: {value} is not finite"):
-            ChiDiagonal(1, [1.0, 0.0, value, 0.0], trace_preserving=False)
+            ChiDiagonal(1, [1.0, 0.0, value, 0.0])
 
     @pytest.mark.parametrize("values", [[1.0, 0.0, 0.0], [1.0] + [0.0] * 15,
                                         [[1.0, 0.0], [0.0, 0.0]], {"I": 1.0}],
@@ -168,7 +168,7 @@ class TestChiDiagonal:
     @pytest.mark.parametrize("n", [0, 11, -1])
     def test_register_size_in_range(self, n):
         with pytest.raises(ValueError, match="out of range 1..10"):
-            ChiDiagonal(n, [], trace_preserving=False)
+            ChiDiagonal(n, [])
 
     @pytest.mark.parametrize("label", ["QQ", "XXX", "X", "", "xx", 12, None])
     def test_lookup_refuses_label_naming_nothing(self, label):
@@ -190,7 +190,7 @@ class TestCollectiveCoefficients:
 
     def test_directions_coarse_grained(self):
         values = dict.fromkeys(pauli_strings(3), 0.0) | {"III": 0.5, "XIX": 0.3, "XIZ": 0.2}
-        chi = ChiDiagonal(3, list(values.values()), trace_preserving=True)
+        chi = ChiDiagonal(3, list(values.values()))
         cc = collective_coefficients(chi)
         assert cc[(1, 3)] == pytest.approx(0.5, abs=1e-12)
 

@@ -84,7 +84,7 @@ class TestFidelityDecayExact:
         assert expect == pytest.approx(0.1348, abs=5e-5)
 
     def test_subset_size_cap(self):
-        with pytest.raises(ValueError, match="at most 3"):
+        with pytest.raises(ValueError, match="^target subsets must have 1 to 3 qubits$"):
             exact_decay(QuantumChannel.identity(4), [1, 2, 3, 4])
 
 
@@ -247,9 +247,17 @@ class TestCombination:
         ({(11,): 0.1}, "qubit label 11 out of range 1..10"),
         ({(1,): float("nan")}, "nan is not finite"),
         ({(1,): float("inf")}, "inf is not finite"),
-    ], ids=["empty", "repeated-qubit", "zero", "eleven", "nan", "inf"])
+        ({(): DecayEstimate(0.2)}, "qubit subset must be nonempty"),
+        ({(1, 1): DecayEstimate(0.2)}, re.escape("duplicate qubit labels in (1, 1)")),
+        ({(0,): DecayEstimate(0.2)}, "qubit label 0 out of range 1..10"),
+        ({(11,): DecayEstimate(0.2)}, "qubit label 11 out of range 1..10"),
+        ({(2.9,): DecayEstimate(0.2)}, "qubit label 2.9 is not an integer"),
+    ], ids=["empty", "repeated-qubit", "zero", "eleven", "nan", "inf", "estimate-empty",
+            "estimate-repeated-qubit", "estimate-zero", "estimate-eleven",
+            "estimate-non-integer"])
     def test_refuses_bad_subset_or_number(self, decays, message):
-        # each entry passes DecayEstimate's subset and number rules
+        # each key passes the subset rule, whatever its value, and each number
+        # DecayEstimate's number rule
         with pytest.raises(ValueError, match=message):
             combine_subset(decays)
 
@@ -374,47 +382,38 @@ class TestSamplePlanning:
 class TestDecayEstimateInvariants:
     def test_exact_mode_zero_error(self):
         with pytest.raises(ValueError, match="zero standard error"):
-            DecayEstimate((1,), 0.5, std_error=0.01, realizations=0)
+            DecayEstimate(0.5, std_error=0.01, realizations=0)
 
     @pytest.mark.parametrize("args, message", [
-        (((), 0.2), "qubit subset must be nonempty"),
-        (((1, 1), 0.2), re.escape("duplicate qubit labels in (1, 1)")),
-        (((0,), 0.2), "qubit label 0 out of range 1..10"),
-        (((11,), 0.2), "qubit label 11 out of range 1..10"),
-        (((1,), float("nan")), "nan is not finite"),
-        (((1,), float("-inf")), "-inf is not finite"),
-        (((1,), 0.5, float("nan"), 10), "nan is not finite"),
-        (((1,), 0.5, float("inf"), 10), "inf is not finite"),
-        (((1,), 0.5, -0.1, 10), re.escape("standard error -0.1 lies outside the bound")),
-        (((1,), 0.5, 0.1, 2.5), "realization count 2.5 is not an integer"),
-        (((1,), 0.5, 0.1, True), "realization count True is not an integer"),
-        (((1,), 0.5, 0.0, 0.0), "realization count 0.0 is not an integer"),
-        (((1,), 0.5, 0.1, float("nan")), "realization count nan is not an integer"),
-        (((1,), 0.5, 0.1, "10"), "realization count '10' is not an integer"),
-    ], ids=["empty", "repeated-qubit", "zero", "eleven", "nan-value", "inf-value",
-            "nan-std-error", "inf-std-error", "negative-std-error", "fractional-count",
-            "bool-count", "float-zero-count", "nan-count", "text-count"])
+        ((float("nan"),), "nan is not finite"),
+        ((float("-inf"),), "-inf is not finite"),
+        ((0.5, float("nan"), 10), "nan is not finite"),
+        ((0.5, float("inf"), 10), "inf is not finite"),
+        ((0.5, -0.1, 10), re.escape("standard error -0.1 lies outside the bound")),
+        ((0.5, 0.1, 2.5), "realization count 2.5 is not an integer"),
+        ((0.5, 0.1, True), "realization count True is not an integer"),
+        ((0.5, 0.0, 0.0), "realization count 0.0 is not an integer"),
+        ((0.5, 0.1, float("nan")), "realization count nan is not an integer"),
+        ((0.5, 0.1, "10"), "realization count '10' is not an integer"),
+    ], ids=["nan-value", "inf-value", "nan-std-error", "inf-std-error", "negative-std-error",
+            "fractional-count", "bool-count", "float-zero-count", "nan-count", "text-count"])
     def test_refuses_bad_subset_or_number(self, args, message):
         with pytest.raises(ValueError, match=message):
             DecayEstimate(*args)
 
-    def test_non_integer_label_rejected(self):
-        with pytest.raises(ValueError, match="qubit label 2.9 is not an integer"):
-            DecayEstimate((2.9,), 0.1)
-
     def test_integer_count_kept_as_int(self):
-        est = DecayEstimate((1,), 0.5, 0.01, np.int64(10000))
+        est = DecayEstimate(0.5, 0.01, np.int64(10000))
         assert est.realizations == 10000 and type(est.realizations) is int
 
     def test_numeric_text_kept_as_float(self):
-        est = DecayEstimate((1,), "0.1", "0.01", 100)
-        assert est == DecayEstimate((1,), 0.1, 0.01, 100)
+        est = DecayEstimate("0.1", "0.01", 100)
+        assert est == DecayEstimate(0.1, 0.01, 100)
         assert type(est.value) is float and type(est.std_error) is float
 
     def test_sampled_error_bound(self):
-        DecayEstimate((1,), 0.5, std_error=0.005, realizations=10000)
+        DecayEstimate(0.5, std_error=0.005, realizations=10000)
         with pytest.raises(ValueError, match="bound"):
-            DecayEstimate((1,), 0.5, std_error=0.02, realizations=10000)
+            DecayEstimate(0.5, std_error=0.02, realizations=10000)
 
 
 class TestSampledProtocol:
@@ -481,8 +480,11 @@ class TestSampledProtocol:
         with pytest.raises(ValueError, match="assignment order"):
             sampled_decay(cnot_channel(), [1, 2], plan, seed=0,
                                  assignment_order="alphabetical")
-        with pytest.raises(ValueError, match="seed"):
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
             sampled_decay(cnot_channel(), [1, 2], plan, seed=-1)
+        # exact mode sums over every assignment: it has no order to cycle
+        with pytest.raises(ValueError, match="^assignment_order cyclic needs sampled mode"):
+            run_campaign(cnot_channel(), [1, 2], assignment_order="cyclic", seed=9)
         # the Philox key is an integer, not a bool or a number that rounds to one
         for seed in (True, 1.5, 2.0, "3"):
             with pytest.raises(ValueError, match=r"seed .* is not an integer"):

@@ -399,7 +399,7 @@ class TestNumberRule:
     @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy-bool"])
     @pytest.mark.parametrize("make", [
         lambda v: ErrorBudget(v),
-        lambda v: DecayEstimate((1,), v),
+        lambda v: DecayEstimate(v),
         lambda v: Delay(v),
         lambda v: Pulse((1,), "+x", v),
         lambda v: NmrHamiltonian(1, {1: v}, {}),
